@@ -20,18 +20,19 @@ from scipy.interpolate import make_interp_spline
 
 from . import fem
 from .cell import EffectiveConstants
-from .corner import (CornerFrame, LiftField, SingularExponents, build_lift_J,
+from .corner import (CornerFrame, SingularExponents, build_lift_J,
                      build_lift_Y, extract_ell, jump_data,
                      solve_angular_profile)
 from .cutoff import make_cutoff
 from .errors import IndexUnsupported
+from .exact import helmholtz_matrix, incident_robin_load
 from .geometry import build_limit_domain
 from .params import DomainParams
 from .triangulate import GradingSpec, triangulate
 
 __all__ = ["TransmissionData", "CornerData", "ExpansionSet",
            "build_limit_space", "solve_transmission", "compute_u00",
-           "compute_u01", "compute_u20", "evaluate_truncation"]
+           "compute_u01", "compute_u20"]
 
 
 @dataclass
@@ -41,7 +42,7 @@ class TransmissionData:
     g is the trace jump across the interface (upper face minus lower face);
     h is the jump of the vertical derivative (upper minus lower), entering
     the weak form through the mean of the test trace.  robin maps a boundary
-    tag to its Robin load callable (x, y) -> value.
+    tag to its Robin load, a constant or a callable (x, y) -> value.
     """
 
     f: object = None
@@ -56,7 +57,6 @@ class CornerData:
     side: str
     ell: dict = field(default_factory=dict)        # m -> ell_m(u00)
     ell_scatter: dict = field(default_factory=dict)
-    L_minus: dict = field(default_factory=dict)    # m -> L_{-m}(S1)
 
 
 def build_limit_space(p: DomainParams, h0=0.04, degree=3,
@@ -90,13 +90,6 @@ def _interface_pairs(space: fem.Space):
     return coords[top[keep], 0], top[keep], bot[keep]
 
 
-def _helmholtz_matrix(space: fem.Space, k0: float):
-    return (fem.stiffness(space)
-            - k0 ** 2 * fem.mass(space)
-            - 1.0j * k0 * (fem.boundary_mass(space, "GammaR_plus")
-                           + fem.boundary_mass(space, "GammaR_minus")))
-
-
 def solve_transmission(space: fem.Space, p: DomainParams,
                        data: TransmissionData, matrix=None) -> fem.Field:
     """Helmholtz solve on the slit domain with prescribed interface jumps.
@@ -105,7 +98,7 @@ def solve_transmission(space: fem.Space, p: DomainParams,
     upper-face dof minus g); the derivative jump enters as the natural load
     -int_Gamma h * mean(conj(v)).
     """
-    A = _helmholtz_matrix(space, p.k0) if matrix is None else matrix
+    A = helmholtz_matrix(space, p) if matrix is None else matrix
     b = np.zeros(space.ndof, dtype=complex)
     if data.f is not None:
         b += fem.volume_load(space, data.f)
@@ -137,12 +130,9 @@ def _field_evaluator(fld: fem.Field):
     return ev
 
 
-def compute_u00(p: DomainParams, space: fem.Space, amplitude=1.0,
-                matrix=None):
+def compute_u00(p: DomainParams, space: fem.Space, matrix=None):
     """Limit solve (continuous interface) plus corner coefficients."""
-    g = amplitude * (-2.0j * p.k0 * np.exp(-2.0j * p.k0 * p.Lp))
-    data = TransmissionData(robin={
-        "GammaR_minus": lambda x, y: np.full(np.shape(x), g, dtype=complex)})
+    data = TransmissionData(robin={"GammaR_minus": incident_robin_load(p)})
     u00 = solve_transmission(space, p, data, matrix=matrix)
     corners = {}
     for side in ("plus", "minus"):
@@ -194,8 +184,6 @@ class CorrectionParts:
 
     hat: fem.Field
     lifts: list
-    g: object = None          # imposed trace jump (total, pre-subtraction)
-    h: object = None
     coefficients: dict = field(default_factory=dict)
 
     def evaluate(self, points, loc=None):
@@ -272,7 +260,7 @@ def compute_u01(p: DomainParams, space: fem.Space, u00: fem.Field,
     hat = solve_transmission(space, p,
                              TransmissionData(f=fhat, g=ghat, h=hhat),
                              matrix=matrix)
-    return CorrectionParts(hat=hat, lifts=lifts, g=g01, h=h01)
+    return CorrectionParts(hat=hat, lifts=lifts)
 
 
 def compute_u20(p: DomainParams, space: fem.Space, corners: dict,
@@ -314,7 +302,7 @@ class ExpansionSet:
     """All macroscopic expansion terms of one configuration.
 
     The order-one terms u10 and u11 vanish identically for this family of
-    layers and are stored as literal zeros.
+    layers and are not stored.
     """
 
     params: DomainParams
@@ -324,9 +312,6 @@ class ExpansionSet:
     u01: CorrectionParts
     u20: CorrectionParts
     corners: dict
-    u10: int = 0
-    u11: int = 0
-    u30: object = None
 
     def evaluate_terms(self, points):
         """(u00, u01, u20) values at points, sharing one mesh search."""
@@ -348,22 +333,13 @@ class ExpansionSet:
         raise IndexUnsupported(f"truncation order {order} not available")
 
 
-def evaluate_truncation(expansion: ExpansionSet, order, point, delta):
-    """Truncated macroscopic sum at a single point."""
-    return complex(expansion.truncation(order, np.asarray(point,
-                                                          dtype=float)
-                                        .reshape(1, 2), delta)[0])
-
-
 def build_expansion(p: DomainParams, constants: EffectiveConstants,
                     L_minus_1: dict, h0=0.04, degree=3,
                     cutoff="exp") -> ExpansionSet:
     """Run the whole cascade on a fresh limit mesh."""
     space = build_limit_space(p, h0=h0, degree=degree)
-    A = _helmholtz_matrix(space, p.k0)
+    A = helmholtz_matrix(space, p)
     u00, corners = compute_u00(p, space, matrix=A)
-    for side in ("plus", "minus"):
-        corners[side].L_minus = {1: L_minus_1[side]}
     u01 = compute_u01(p, space, u00, corners, constants, cutoff=cutoff,
                       matrix=A)
     u20 = compute_u20(p, space, corners, L_minus_1, cutoff=cutoff, matrix=A)

@@ -15,6 +15,7 @@ satisfied by the fitted slopes.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -22,10 +23,9 @@ import sys
 
 import numpy as np
 
-from .cell import build_cell, compute_constants
-from .cascade import build_expansion
 from .exact import solve_exact
-from .harness import StudyConfig, emit_outputs, run_study
+from .harness import (StudyConfig, build_model, cell_constants, emit_outputs,
+                      run_study)
 from .nearfield import solve_S
 from .params import DomainParams, HoleSpec
 
@@ -64,7 +64,16 @@ def _eval_number(s):
     return float(s)
 
 
+# StudyConfig fields set by a flat key, with the type each value is read as
+_FIELDS = {"alpha": float, "exact_h0": float, "exact_degree": int,
+           "limit_h0": float, "limit_degree": int, "cell_T": float,
+           "cell_h0": float, "cell_degree": int, "nf_Rmax": float,
+           "nf_h0": float, "nf_degree": int, "cutoff": str,
+           "exact_max_dofs": int}
+
+
 def _params_from(cfg: dict) -> DomainParams:
+    """The study's default parameters with the keys of cfg on top."""
     kw = {}
     for key in ("L", "Lp", "H", "Hp"):
         if key in cfg:
@@ -77,22 +86,26 @@ def _params_from(cfg: dict) -> DomainParams:
         r = float(cfg["hole_radius"])
         kw["hole"] = (HoleSpec(kind="none") if r == 0.0
                       else HoleSpec(kind="disk", center=(0.5, 0.0), radius=r))
-    return DomainParams(**kw)
+    return dataclasses.replace(StudyConfig().params, **kw)
 
 
 def _study_config(cfg: dict) -> StudyConfig:
     kw = {"params": _params_from(cfg)}
     if "deltas" in cfg:
         kw["deltas"] = _floats(cfg["deltas"])
-    simple = {"alpha": float, "exact_h0": float, "exact_degree": int,
-              "limit_h0": float, "limit_degree": int, "cell_T": float,
-              "cell_h0": float, "cell_degree": int, "nf_Rmax": float,
-              "nf_h0": float, "nf_degree": int, "cutoff": str,
-              "exact_max_dofs": int}
-    for key, cast in simple.items():
+    for key, cast in _FIELDS.items():
         if key in cfg:
             kw[key] = cast(cfg[key])
     return StudyConfig(**kw)
+
+
+def _config_of(args) -> StudyConfig:
+    """--config (or the defaults) with every flag given on the command line
+    on top; a flag's dest is the StudyConfig field it sets."""
+    cfg = parse_config(args.config) if args.config else {}
+    cfg.update({k: v for k, v in vars(args).items()
+                if k in _FIELDS and v is not None})
+    return _study_config(cfg)
 
 
 def _acceptance_checks(cfg: dict, report):
@@ -116,31 +129,27 @@ def _acceptance_checks(cfg: dict, report):
 
 
 def cmd_cell_constants(args):
-    p = _params_from(parse_config(args.config) if args.config else {})
-    cell = build_cell(p.hole, T=args.T, h0=args.h0, degree=args.degree,
-                      cutoff=args.cutoff)
-    constants = compute_constants(cell, p.k0, khat=p.khat)
+    constants = cell_constants(_config_of(args))
     print(json.dumps({k: [v.real, v.imag] if isinstance(v, complex) else v
                       for k, v in constants.as_dict().items()}, indent=2))
     return 0
 
 
 def cmd_nearfield(args):
-    p = _params_from(parse_config(args.config) if args.config else {})
-    cell = build_cell(p.hole, T=args.T, h0=args.cell_h0, degree=3,
-                      cutoff=args.cutoff)
-    constants = compute_constants(cell, p.k0, khat=p.khat)
-    sol = solve_S(args.side, args.n, constants, p.hole, theta=p.theta,
-                  Rmax=args.rmax, h0=args.h0, degree=args.degree,
-                  cutoff=args.cutoff)
+    cfg = _config_of(args)
+    p = cfg.params
+    sol = solve_S(args.side, args.n, cell_constants(cfg), p.hole,
+                  theta=p.theta, Rmax=cfg.nf_Rmax, h0=cfg.nf_h0,
+                  degree=cfg.nf_degree, cutoff=cfg.cutoff)
     print(json.dumps(sol.as_dict(), indent=2))
     return 0
 
 
 def cmd_solve_exact(args):
-    p = _params_from(parse_config(args.config) if args.config else {})
-    res = solve_exact(p, args.delta, h0=args.h0, degree=args.degree,
-                      max_dofs=args.max_dofs)
+    cfg = _config_of(args)
+    res = solve_exact(cfg.params, args.delta, h0=cfg.exact_h0,
+                      degree=cfg.exact_degree, grading=cfg.exact_grading,
+                      max_dofs=cfg.exact_max_dofs)
     print(f"ndof {res.ndof}  residual {res.residual:.3e}  "
           f"flux-balance defect {res.flux_balance():.3e}")
     if args.out:
@@ -154,28 +163,16 @@ def cmd_solve_exact(args):
 
 
 def cmd_cascade(args):
-    cfg = parse_config(args.config) if args.config else {}
-    p = _params_from(cfg)
-    scfg = _study_config(cfg)
-    cell = build_cell(p.hole, T=scfg.cell_T, h0=scfg.cell_h0,
-                      degree=scfg.cell_degree, cutoff=scfg.cutoff)
-    constants = compute_constants(cell, p.k0, khat=p.khat)
-    L_minus_1 = {}
-    for side in ("plus", "minus"):
-        nf = solve_S(side, 1, constants, p.hole, theta=p.theta,
-                     Rmax=scfg.nf_Rmax, h0=scfg.nf_h0, degree=scfg.nf_degree,
-                     cutoff=scfg.cutoff)
-        L_minus_1[side] = nf.ell[1]
-    exp = build_expansion(p, constants, L_minus_1, h0=scfg.limit_h0,
-                          degree=scfg.limit_degree, cutoff=scfg.cutoff)
+    cfg = _config_of(args)
+    exp, L_minus_1, _ = build_model(cfg)
     space = exp.u00.space
     payload = {
         "nodes": space.mesh.nodes, "elements": space.mesh.elements,
-        "degree": scfg.limit_degree,
+        "degree": cfg.limit_degree,
         "u00": exp.u00.coeffs, "u01_hat": exp.u01.hat.coeffs,
         "u20_hat": exp.u20.hat.coeffs,
         "constants": np.array([[k, repr(v)] for k, v in
-                               constants.as_dict().items()]),
+                               exp.constants.as_dict().items()]),
         "corner_ell_plus": np.array([exp.corners["plus"].ell[m]
                                      for m in range(4)]),
         "corner_ell_minus": np.array([exp.corners["minus"].ell[m]
@@ -202,39 +199,41 @@ def cmd_study(args):
     return 0 if ok else 1
 
 
-def main(argv=None):
+def _parser():
     ap = argparse.ArgumentParser(
         prog="thinwall",
         description="Second-order expansion of wave transmission through a "
                     "thin perforated wall, with a direct-solve harness.")
     sub = ap.add_subparsers(dest="command", required=True)
+    # flags without a default leave the value of --config (or the study's
+    # default) in place
 
     c = sub.add_parser("cell-constants", help="effective layer constants")
     c.add_argument("--config")
-    c.add_argument("--T", type=float, default=6.0)
-    c.add_argument("--h0", type=float, default=0.06)
-    c.add_argument("--degree", type=int, default=3)
-    c.add_argument("--cutoff", default="exp")
+    c.add_argument("--T", dest="cell_T", type=float)
+    c.add_argument("--h0", dest="cell_h0", type=float)
+    c.add_argument("--degree", dest="cell_degree", type=int)
+    c.add_argument("--cutoff")
     c.set_defaults(fn=cmd_cell_constants)
 
     c = sub.add_parser("nearfield", help="perforated-cone corner problem")
     c.add_argument("--config")
     c.add_argument("--side", choices=("plus", "minus"), default="plus")
     c.add_argument("--n", type=int, default=1)
-    c.add_argument("--rmax", type=float, default=20.0)
-    c.add_argument("--h0", type=float, default=0.45)
-    c.add_argument("--degree", type=int, default=2)
-    c.add_argument("--T", type=float, default=6.0)
-    c.add_argument("--cell-h0", type=float, default=0.06)
-    c.add_argument("--cutoff", default="exp")
+    c.add_argument("--rmax", dest="nf_Rmax", type=float)
+    c.add_argument("--h0", dest="nf_h0", type=float)
+    c.add_argument("--degree", dest="nf_degree", type=int)
+    c.add_argument("--T", dest="cell_T", type=float)
+    c.add_argument("--cell-h0", dest="cell_h0", type=float)
+    c.add_argument("--cutoff")
     c.set_defaults(fn=cmd_nearfield)
 
     c = sub.add_parser("solve-exact", help="direct perforated-domain solve")
     c.add_argument("--config")
     c.add_argument("--delta", type=float, required=True)
-    c.add_argument("--h0", type=float, default=0.05)
-    c.add_argument("--degree", type=int, default=3)
-    c.add_argument("--max-dofs", type=int, default=800_000)
+    c.add_argument("--h0", dest="exact_h0", type=float)
+    c.add_argument("--degree", dest="exact_degree", type=int)
+    c.add_argument("--max-dofs", dest="exact_max_dofs", type=int)
     c.add_argument("--out")
     c.set_defaults(fn=cmd_solve_exact)
 
@@ -247,8 +246,11 @@ def main(argv=None):
     c.add_argument("--config", required=True)
     c.add_argument("--out", required=True)
     c.set_defaults(fn=cmd_study)
+    return ap
 
-    args = ap.parse_args(argv)
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
     return args.fn(args)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bessel import bessel_j, bessel_jy, bessel_j_array, bessel_y_array
+from .bessel import bessel_j, bessel_j_array, bessel_y_array
 from .errors import IllConditioned, IndexUnsupported, ResonantCase
 
 __all__ = ["SingularExponents", "AngularProfile", "solve_angular_profile",
@@ -228,10 +228,6 @@ class LiftField:
             out[act] = (self.coeff * chi * self._bessel(r[act])
                         * self.w(th[act]))
         return out
-
-    def uncut_value(self, x, y, bottom=None):
-        r, th = self.frame.polar(x, y, bottom=bottom)
-        return self.coeff * self._bessel(r) * self.w(th)
 
     def gradient(self, x, y, bottom=None):
         """Cartesian gradient of the cut lift (vectorized)."""

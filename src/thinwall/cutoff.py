@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["CutoffSpec", "make_cutoff", "corner_cutoff"]
+__all__ = ["CutoffSpec", "make_cutoff"]
 
 
 def _step_exp(u: np.ndarray):
@@ -106,21 +106,3 @@ def make_cutoff(profile: str = "exp") -> CutoffSpec:
     except KeyError:
         raise ValueError(f"unknown cut-off profile {profile!r}") from None
 
-
-def corner_cutoff(cut: CutoffSpec, L: float):
-    """chi_L(r) = 1 - chi(2 r / L): equals 1 for r < L/2, 0 for r > L.
-
-    Returns (value, d/dr, d2/dr2) callables of the radius r >= 0.
-    """
-    s = 2.0 / L
-
-    def val(r):
-        return 1.0 - cut.chi(np.asarray(r, dtype=float) * s)
-
-    def dval(r):
-        return -s * cut.dchi(np.asarray(r, dtype=float) * s)
-
-    def d2val(r):
-        return -s * s * cut.d2chi(np.asarray(r, dtype=float) * s)
-
-    return val, dval, d2val

@@ -47,10 +47,6 @@ class SingularSystem(ThinwallError):
     """Sparse factorization failed (zero pivot / exactly singular matrix)."""
 
 
-class MissingInterface(ThinwallError):
-    """Mesh carries no slit interface but a trace on it was requested."""
-
-
 # -- cell / corner / nearfield ------------------------------------------------
 
 class CompatibilityViolated(ThinwallError):

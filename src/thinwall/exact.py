@@ -9,7 +9,6 @@ with the incident wave exp(i k0 (x1 - Lp)) entering from the left end.
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,8 +18,8 @@ from .geometry import build_perforated_domain
 from .params import DomainParams
 from .triangulate import GradingSpec, triangulate
 
-__all__ = ["ExactSolveResult", "kdelta_field", "solve_exact",
-           "incident_robin_load"]
+__all__ = ["ExactSolveResult", "kdelta_field", "helmholtz_matrix",
+           "solve_exact", "incident_robin_load"]
 
 
 def kdelta_field(p: DomainParams, delta: float):
@@ -47,13 +46,29 @@ def kdelta_field(p: DomainParams, delta: float):
     return k2
 
 
-def incident_robin_load(p: DomainParams, amplitude=1.0):
+def incident_robin_load(p: DomainParams):
     """Robin datum g = du_inc/dn - i k0 u_inc on the left end x1 = -Lp.
 
     For u_inc = exp(i k0 (x1 - Lp)) and outward normal (-1, 0) this is the
     constant -2 i k0 exp(-2 i k0 Lp).
     """
-    return amplitude * (-2.0j * p.k0 * cmath.exp(-2.0j * p.k0 * p.Lp))
+    return -2.0j * p.k0 * cmath.exp(-2.0j * p.k0 * p.Lp)
+
+
+def _robin_mass(space: fem.Space):
+    """Mass matrix of the two absorbing ends."""
+    return (fem.boundary_mass(space, "GammaR_plus")
+            + fem.boundary_mass(space, "GammaR_minus"))
+
+
+def helmholtz_matrix(space: fem.Space, p: DomainParams, k2=None):
+    """Weak form of -Lap u - k^2 u with du/dn - i k0 u on both ends.
+
+    k2 is a vectorized (x, y) -> k^2 field; None means the constant k0^2.
+    """
+    mk = (p.k0 ** 2 * fem.mass(space) if k2 is None
+          else fem.mass(space, coeff=k2))
+    return fem.stiffness(space) - mk - 1.0j * p.k0 * _robin_mass(space)
 
 
 @dataclass
@@ -75,13 +90,8 @@ class ExactSolveResult:
         p = self.params
         space = self.field.space
         u = self.field.coeffs
-        MR = (fem.boundary_mass(space, "GammaR_plus")
-              + fem.boundary_mass(space, "GammaR_minus")).tocsr()
-        lhs = -p.k0 * float(np.real(np.conj(u) @ (MR @ u)))
-        g = incident_robin_load(p)
-        b = fem.boundary_load(space, "GammaR_minus",
-                              lambda x, y: np.full(np.shape(x), g,
-                                                   dtype=complex))
+        lhs = -p.k0 * float(np.real(np.conj(u) @ (_robin_mass(space) @ u)))
+        b = fem.boundary_load(space, "GammaR_minus", incident_robin_load(p))
         rhs = float(np.imag(np.conj(u) @ b))
         return abs(lhs - rhs) / max(abs(rhs), 1e-300)
 
@@ -100,7 +110,6 @@ def _estimate_ndof(mesh, degree: int) -> int:
 
 def solve_exact(p: DomainParams, delta: float, h0: float = 0.05,
                 degree: int = 3, grading: GradingSpec | None = None,
-                amplitude: float = 1.0,
                 max_dofs: int | None = None) -> ExactSolveResult:
     """Reference FEM solve of the perforated problem at layer period delta.
 
@@ -116,14 +125,8 @@ def solve_exact(p: DomainParams, delta: float, h0: float = 0.05,
         while degree > 2 and _estimate_ndof(mesh, degree) > max_dofs:
             degree -= 1
     space = fem.Space(mesh, degree)
-    k2 = kdelta_field(p, delta)
-    A = (fem.stiffness(space)
-         - fem.mass(space, coeff=k2)
-         - 1.0j * p.k0 * (fem.boundary_mass(space, "GammaR_plus")
-                          + fem.boundary_mass(space, "GammaR_minus")))
-    g = incident_robin_load(p, amplitude)
-    b = fem.boundary_load(space, "GammaR_minus", lambda x, y: np.full(
-        np.shape(x), g, dtype=complex))
+    A = helmholtz_matrix(space, p, kdelta_field(p, delta))
+    b = fem.boundary_load(space, "GammaR_minus", incident_robin_load(p))
     u, residual = fem.solve(A, b, return_residual=True)
     return ExactSolveResult(field=fem.Field(space, u), delta=delta,
                             ndof=space.ndof, residual=residual,

@@ -12,7 +12,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .errors import OutsideRegion, SingularSystem
+from .errors import OutsideRegion, SingularElement, SingularSystem
 from .mesh import Mesh
 
 __all__ = ["Space", "Constraints", "Field", "stiffness", "mass",
@@ -152,6 +152,10 @@ class Space:
         self._quad = None
         self._tree = None
         self._jac = None
+        bad = np.flatnonzero(self._jacobians()[2] <= 0)
+        if bad.size:
+            raise SingularElement(f"{bad.size} elements with detJ <= 0, "
+                                  f"e.g. element {bad[0]}")
 
     @property
     def dof_coords(self) -> np.ndarray:
@@ -171,7 +175,7 @@ class Space:
 
     # geometry of the affine map per element (cached; meshes are immutable)
     def _jacobians(self):
-        if getattr(self, "_jac", None) is None:
+        if self._jac is None:
             pts = self.mesh.nodes[self.mesh.elements]
             J = np.stack([pts[:, 1] - pts[:, 0], pts[:, 2] - pts[:, 0]], axis=-1)
             detJ = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
@@ -195,7 +199,7 @@ class Space:
                     + qp[None, :, 0, None] * (pts[:, 1] - pts[:, 0])[:, None, :]
                     + qp[None, :, 1, None] * (pts[:, 2] - pts[:, 0])[:, None, :])
             _, _, detJ = self._jacobians()
-            w = 0.5 * np.abs(detJ)[:, None] * qw[None, :]
+            w = 0.5 * detJ[:, None] * qw[None, :]
             self._quad = (key, qp, qw, phys.reshape(-1, 2), w.reshape(-1))
         return self._quad[3], self._quad[4]
 
@@ -209,7 +213,6 @@ class Space:
         if self._tree is None:
             cent = self.mesh.nodes[self.mesh.elements].mean(axis=1)
             self._tree = cKDTree(cent)
-        _, _, detJ = self._jacobians()
         p0 = self.mesh.nodes[self.mesh.elements[:, 0]]
         J, Jinv, _ = self._jacobians()
         elem = np.full(points.shape[0], -1, dtype=np.int64)
@@ -253,7 +256,7 @@ def _assemble_cells(space: Space, kind, coeff=None, chunk=40_000):
     phi = space.ref.eval(qp)                     # (Q, nloc)
     gphi = space.ref.grad(qp)                    # (Q, nloc, 2)
     _, Jinv, detJ = space._jacobians()
-    area_w = 0.5 * np.abs(detJ)                  # (M,)
+    area_w = 0.5 * detJ                          # (M,)
     M = space.mesh.num_elements
     nloc = phi.shape[1]
     if kind != "stiffness":
@@ -296,7 +299,7 @@ def volume_load(space: Space, f):
     qp, qw = _tri_rule(_quad_order(space))
     phi = space.ref.eval(qp)
     _, _, detJ = space._jacobians()
-    area_w = 0.5 * np.abs(detJ)
+    area_w = 0.5 * detJ
     pts, _ = space.quad_global(_quad_order(space))
     Mel = space.mesh.num_elements
     fv = np.asarray(f(pts[:, 0], pts[:, 1]), dtype=complex).reshape(Mel, -1)

@@ -3,8 +3,8 @@
 For every delta in the sweep, the perforated problem is solved directly and
 the truncated macroscopic sums are evaluated at the quadrature points of
 the reference mesh that lie outside the excluded strip around the wall;
-the weighted point differences give the L2 (and H1-seminorm) errors whose
-log-log slopes are the headline numbers.
+the weighted point differences give the L2 errors whose log-log slopes are
+the headline numbers.
 """
 
 from __future__ import annotations
@@ -24,10 +24,11 @@ from .nearfield import solve_S
 from .params import DomainParams
 from .triangulate import GradingSpec
 
-__all__ = ["StudyConfig", "ConvergenceReport", "run_study", "fit_slope",
-           "emit_outputs", "read_report_csv"]
+__all__ = ["StudyConfig", "ConvergenceReport", "cell_constants",
+           "build_model", "run_study", "fit_slope", "emit_outputs",
+           "read_report_csv"]
 
-CSV_HEADER = "delta,dofs,e0,e1,e2,e3"
+CSV_HEADER = "delta,dofs,e0,e1,e2"
 
 
 @dataclass
@@ -68,8 +69,7 @@ class StudyConfig:
 
 @dataclass
 class ConvergenceReport:
-    rows: list = dc_field(default_factory=list)  # (delta, dofs, e0..e3)
-    rows_h1: list = dc_field(default_factory=list)
+    rows: list = dc_field(default_factory=list)  # (delta, dofs, e0, e1, e2)
     degrees: list = dc_field(default_factory=list)  # per row, degree used
     slopes: dict = dc_field(default_factory=dict)
     constants: dict = dc_field(default_factory=dict)
@@ -111,55 +111,42 @@ def _region_quadrature(space: fem.Space, p: DomainParams, alpha):
     return pts[keep], w[keep], keep
 
 
-def errors_on_region(exact_result, expansion: ExpansionSet, alpha,
-                     with_h1=True):
-    """(L2 errors e0..e2, H1 errors) of the truncations against the
-    reference field, measured outside the excluded strip."""
+def errors_on_region(exact_result, expansion: ExpansionSet, alpha):
+    """L2 errors e0..e2 of the truncations against the reference field,
+    measured outside the excluded strip."""
     space = exact_result.field.space
-    p = exact_result.params
     delta = exact_result.delta
-    pts, w, keep = _region_quadrature(space, p, alpha)
+    pts, w, keep = _region_quadrature(space, exact_result.params, alpha)
     u_ref = exact_result.field.values_at_own_quad()[keep]
-
-    loc = expansion.u00.space.locate(pts)
-    v00 = expansion.u00.evaluate(pts, loc=loc)
-    v01 = expansion.u01.evaluate(pts, loc=loc)
-    v20 = expansion.u20.evaluate(pts, loc=loc)
+    v00, v01, v20 = expansion.evaluate_terms(pts)
     lam2 = expansion.exponents.lambda_n(2)
     trunc = [v00,
              v00 + delta * v01,
              v00 + delta * v01 + delta ** lam2 * v20]
-    l2 = [float(np.sqrt(np.sum(w * np.abs(u_ref - t) ** 2))) for t in trunc]
-    if not with_h1:
-        return l2, None
-    g_ref = exact_result.field.grads_at_own_quad()[keep]
-    g00 = expansion.u00.gradient(pts, loc=loc)
-    g01 = expansion.u01.hat.gradient(pts, loc=loc)
-    for lift in expansion.u01.lifts:
-        g01 = g01 + lift.gradient(pts[:, 0], pts[:, 1])
-    g20 = expansion.u20.hat.gradient(pts, loc=loc)
-    for lift in expansion.u20.lifts:
-        g20 = g20 + lift.gradient(pts[:, 0], pts[:, 1])
-    gtr = [g00,
-           g00 + delta * g01,
-           g00 + delta * g01 + delta ** lam2 * g20]
-    h1 = [float(np.sqrt(np.sum(w * np.abs(u_ref - t) ** 2)
-                        + np.sum(w * np.sum(np.abs(g_ref - g) ** 2, axis=1))))
-          for t, g in zip(trunc, gtr)]
-    return l2, h1
+    return [float(np.sqrt(np.sum(w * np.abs(u_ref - t) ** 2)))
+            for t in trunc]
 
 
-def run_study(cfg: StudyConfig, log=print) -> ConvergenceReport:
-    rep = ConvergenceReport()
+def cell_constants(cfg: StudyConfig):
+    """Effective constants of the configured periodicity cell."""
     p = cfg.params
-    t0 = time.time()
-
     cell = build_cell(p.hole, T=cfg.cell_T, h0=cfg.cell_h0,
                       degree=cfg.cell_degree, cutoff=cfg.cutoff)
-    constants = compute_constants(cell, p.k0, khat=p.khat)
-    rep.constants = constants.as_dict()
-    rep.walltimes["cell"] = time.time() - t0
-    log(f"[cell] constants {rep.constants}")
+    return compute_constants(cell, p.k0, khat=p.khat)
+
+
+def build_model(cfg: StudyConfig, log=print):
+    """The macroscopic model: cell constants, corner reflections, cascade.
+
+    Returns (expansion, L_minus_1, walltimes), with L_minus_1 the reflection
+    coefficient of each corner and walltimes the seconds each stage took.
+    """
+    p = cfg.params
+    walltimes = {}
+    t0 = time.time()
+    constants = cell_constants(cfg)
+    walltimes["cell"] = time.time() - t0
+    log(f"[cell] constants {constants.as_dict()}")
 
     t1 = time.time()
     L_minus_1 = {}
@@ -168,29 +155,35 @@ def run_study(cfg: StudyConfig, log=print) -> ConvergenceReport:
                      Rmax=cfg.nf_Rmax, h0=cfg.nf_h0, degree=cfg.nf_degree,
                      cutoff=cfg.cutoff)
         L_minus_1[side] = nf.ell[1]
-        rep.L_minus_1[side] = complex(nf.ell[1])
         log(f"[nearfield] {side}: L_-1 = {nf.ell[1]:.6f}")
-    rep.walltimes["nearfield"] = time.time() - t1
+    walltimes["nearfield"] = time.time() - t1
 
     t2 = time.time()
     expansion = build_expansion(p, constants, L_minus_1, h0=cfg.limit_h0,
                                 degree=cfg.limit_degree, cutoff=cfg.cutoff)
-    rep.walltimes["cascade"] = time.time() - t2
-    log(f"[cascade] done in {rep.walltimes['cascade']:.1f}s, "
+    walltimes["cascade"] = time.time() - t2
+    log(f"[cascade] done in {walltimes['cascade']:.1f}s, "
         f"{expansion.u00.space.ndof} dofs")
+    return expansion, L_minus_1, walltimes
+
+
+def run_study(cfg: StudyConfig, log=print) -> ConvergenceReport:
+    rep = ConvergenceReport()
+    t0 = time.time()
+    expansion, L_minus_1, rep.walltimes = build_model(cfg, log)
+    rep.constants = expansion.constants.as_dict()
+    rep.L_minus_1 = L_minus_1
 
     for delta in cfg.deltas:
         td = time.time()
-        res = solve_exact(p, delta, h0=cfg.exact_h0, degree=cfg.exact_degree,
-                          grading=cfg.exact_grading,
+        res = solve_exact(cfg.params, delta, h0=cfg.exact_h0,
+                          degree=cfg.exact_degree, grading=cfg.exact_grading,
                           max_dofs=cfg.exact_max_dofs)
-        l2, h1 = errors_on_region(res, expansion, cfg.alpha)
+        l2 = errors_on_region(res, expansion, cfg.alpha)
         ndof = res.ndof
         rep.degrees.append(res.degree)
         del res  # free the factorization-sized field before the next solve
-        # no third-order term at this opening angle: e3 repeats e2
-        rep.rows.append((delta, ndof, l2[0], l2[1], l2[2], l2[2]))
-        rep.rows_h1.append((delta, ndof, h1[0], h1[1], h1[2], h1[2]))
+        rep.rows.append((delta, ndof, l2[0], l2[1], l2[2]))
         rep.walltimes[f"delta={delta}"] = time.time() - td
         log(f"[study] delta=1/{round(1/delta)} dofs={ndof} "
             f"e0={l2[0]:.4e} e1={l2[1]:.4e} e2={l2[2]:.4e} "
@@ -200,11 +193,6 @@ def run_study(cfg: StudyConfig, log=print) -> ConvergenceReport:
         pairs = [(r[0], r[2 + i]) for r in rep.rows]
         if len(pairs) >= 2:
             rep.slopes[name] = fit_slope(pairs)
-        pairs_h1 = [(r[0], r[2 + i]) for r in rep.rows_h1]
-        if len(pairs_h1) >= 2:
-            rep.slopes[name + "_h1"] = fit_slope(pairs_h1)
-    for name in ("e0", "e1", "e2"):
-        if name in rep.slopes:
             s, _, hw = rep.slopes[name]
             log(f"[study] slope {name} = {s:.3f} (+/- {hw:.3f})")
     rep.walltimes["total"] = time.time() - t0
@@ -218,13 +206,13 @@ def emit_outputs(rep: ConvergenceReport, outdir):
     csv_path = os.path.join(outdir, "report.csv")
     with open(csv_path, "w") as f:
         f.write(CSV_HEADER + "\n")
-        for d, n, e0, e1, e2, e3 in rep.rows:
-            f.write(f"{d:.12g},{n},{e0:.12e},{e1:.12e},{e2:.12e},{e3:.12e}\n")
+        for d, n, e0, e1, e2 in rep.rows:
+            f.write(f"{d:.12g},{n},{e0:.12e},{e1:.12e},{e2:.12e}\n")
     with open(os.path.join(outdir, "report.txt"), "w") as f:
         f.write(f"{'delta':>12} {'dofs':>9} {'degree':>6} {'e0':>12} "
                 f"{'e1':>12} {'e2':>12}\n")
         degrees = rep.degrees or ["-"] * len(rep.rows)
-        for (d, n, e0, e1, e2, _), deg in zip(rep.rows, degrees):
+        for (d, n, e0, e1, e2), deg in zip(rep.rows, degrees):
             f.write(f"{d:12.6g} {n:9d} {deg:>6} {e0:12.4e} {e1:12.4e} "
                     f"{e2:12.4e}\n")
         for name in ("e0", "e1", "e2"):
@@ -255,7 +243,6 @@ def read_report_csv(path):
         for line in f:
             if not line.strip():
                 continue
-            d, n, e0, e1, e2, e3 = line.strip().split(",")
-            rows.append((float(d), int(n), float(e0), float(e1),
-                         float(e2), float(e3)))
+            d, n, e0, e1, e2 = line.strip().split(",")
+            rows.append((float(d), int(n), float(e0), float(e1), float(e2)))
     return rows

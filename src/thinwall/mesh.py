@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import ParseError, UnknownTag
 
 VALID_TAGS = {
     "GammaR_minus",
@@ -70,6 +70,8 @@ class Mesh:
         return np.min(angs, axis=0)
 
     def edges_with_tag(self, tag: str) -> np.ndarray:
+        if tag not in VALID_TAGS:
+            raise UnknownTag(f"unknown boundary tag {tag!r}")
         idx = [i for i, t in enumerate(self.boundary_tags) if t == tag]
         return self.boundary_edges[idx]
 

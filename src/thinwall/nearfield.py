@@ -54,17 +54,14 @@ def blended_w1(w1: AngularProfile, theta, y, cut):
 
 
 def arc_data(n, frame: CornerFrame, w0: AngularProfile, w1: AngularProfile,
-             cut, extra=None):
+             cut):
     """Dirichlet data callable (x, y) -> value on the truncation arc."""
     exps = SingularExponents(frame.theta)
     lam = exps.lambda_n(n)
 
     def data(x, y):
         r, th = frame.polar(x, y)
-        out = r ** lam * w0(th) + r ** (lam - 1.0) * blended_w1(w1, th, y, cut)
-        if extra is not None:
-            out = out + extra(r, th)
-        return out
+        return r ** lam * w0(th) + r ** (lam - 1.0) * blended_w1(w1, th, y, cut)
 
     return data
 
@@ -96,13 +93,10 @@ class NearFieldSolution:
 
 
 def solve_S(side, n, constants, hole, theta=1.5 * math.pi, Rmax=20.0,
-            h0=0.45, degree=2, cutoff="exp", extra_arc=None,
-            extract=True, modes=(0, 1, 2, 3)) -> NearFieldSolution:
+            h0=0.45, degree=2, cutoff="exp") -> NearFieldSolution:
     """Solve the cone problem for S_n and extract decaying-mode amplitudes.
 
-    constants supplies the layer jump data (D1, D2, N2, N3); extra_arc, if
-    given, is an (r, theta) -> value perturbation of the arc data used by
-    synthetic-injection checks.
+    constants supplies the layer jump data (D1, D2, N2, N3).
     """
     exps = SingularExponents(theta)
     lam_n = exps.lambda_n(n)
@@ -119,7 +113,7 @@ def solve_S(side, n, constants, hole, theta=1.5 * math.pi, Rmax=20.0,
     A = fem.stiffness(space)
     b = np.zeros(space.ndof, dtype=complex)
     cons = fem.Constraints(space)
-    data = arc_data(n, frame, w0, w1, cut, extra=extra_arc)
+    data = arc_data(n, frame, w0, w1, cut)
     arc_dofs = np.unique(fem._edge_dof_rows(
         space, mesh.edges_with_tag("Truncation")))
     xy = space.dof_coords[arc_dofs]
@@ -129,15 +123,13 @@ def solve_S(side, n, constants, hole, theta=1.5 * math.pi, Rmax=20.0,
     u = fem.solve(A, b, cons)
     sol = NearFieldSolution(side=side, n=n, Rmax=Rmax, theta=theta,
                             field=fem.Field(space, u), ndof=space.ndof)
-    if extract:
-        ell, res, logc = extract_L(sol.field, frame, n, w0, w1, Rmax,
-                                   modes=modes)
-        sol.ell, sol.radial_residual, sol.log_coefficient = ell, res, logc
-        lead = max(abs(v) for v in ell.values())
-        for m in modes:
-            if abs(ell[m]) > 1e-3 * lead and res[m] > 0.1:
-                raise ExtractionUnstable(
-                    f"radial fit of mode {m} has relative residual {res[m]:.3f}")
+    ell, res, logc = extract_L(sol.field, frame, n, w0, w1, Rmax)
+    sol.ell, sol.radial_residual, sol.log_coefficient = ell, res, logc
+    lead = max(abs(v) for v in ell.values())
+    for m in ell:
+        if abs(ell[m]) > 1e-3 * lead and res[m] > 0.1:
+            raise ExtractionUnstable(
+                f"radial fit of mode {m} has relative residual {res[m]:.3f}")
     return sol
 
 

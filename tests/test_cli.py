@@ -1,12 +1,15 @@
 import json
 import math
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from thinwall.cli import (_acceptance_checks, _eval_number, _floats,
-                          _params_from, _study_config, main, parse_config)
-from thinwall.harness import ConvergenceReport
+from thinwall.cli import (_acceptance_checks, _config_of, _eval_number,
+                          _floats, _params_from, _parser, _study_config, main,
+                          parse_config)
+from thinwall.harness import ConvergenceReport, StudyConfig
 
 
 def test_eval_number():
@@ -33,6 +36,7 @@ def test_parse_config(tmp_path):
 def test_params_from_overrides():
     p = _params_from({})
     assert p.L == 0.5 and p.hole.kind != "none"
+    assert p == StudyConfig().params
     p = _params_from({"k0": "4.25*pi", "L": "0.5", "hole_radius": "0"})
     np.testing.assert_allclose(p.k0, 4.25 * math.pi)
     assert p.hole.kind == "none"
@@ -74,3 +78,26 @@ def test_cli_cell_constants_smoke(capsys):
     assert set(out) == {"D1", "D2", "N1", "N2", "N3", "D_infty"}
     # symmetric default hole: the odd constants are tiny
     assert abs(out["D1"][0]) < 1e-3 * abs(out["D2"][0])
+
+
+def test_readme_command_lines_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1]
+    block = block.split("```", 1)[0]
+    lines = [ln for ln in block.splitlines() if ln.startswith("thinwall ")]
+    assert len(lines) == 5
+    for line in lines:
+        _parser().parse_args(shlex.split(line, comments=True)[1:])
+
+
+def test_flags_override_config(tmp_path):
+    path = tmp_path / "c.cfg"
+    path.write_text("k0 = 3*pi\nnf_h0 = 0.5\nnf_Rmax = 25\n")
+    args = _parser().parse_args(["nearfield", "--config", str(path),
+                                 "--rmax", "30", "--degree", "1"])
+    cfg = _config_of(args)
+    assert (cfg.nf_Rmax, cfg.nf_degree, cfg.nf_h0) == (30.0, 1, 0.5)
+    np.testing.assert_allclose(cfg.params.k0, 3 * math.pi)
+    assert cfg.cell_h0 == StudyConfig().cell_h0
+    # without --config every subcommand runs the study's defaults
+    assert _config_of(_parser().parse_args(["cell-constants"])) == StudyConfig()

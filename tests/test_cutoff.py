@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from thinwall.cutoff import corner_cutoff, make_cutoff
+from thinwall.corner import LiftField
+from thinwall.cutoff import make_cutoff
 
 
 @pytest.fixture(params=["exp", "poly"])
@@ -53,8 +54,10 @@ def test_one_sided_split(cut):
 
 
 def test_corner_cutoff_plateaus():
-    cut = make_cutoff("exp")
-    val, dval, _ = corner_cutoff(cut, L=0.5)
+    # the radial cut-off depends on the profile and L only
+    lift = LiftField(None, "J", 1.0, None, make_cutoff("exp"), L=0.5, k0=1.0)
+    val = lambda r: lift._chiL(r)[0]
+    dval = lambda r: lift._chiL(r)[1]
     assert val(0.1) == 1.0  # r < L/2
     assert val(0.6) == 0.0  # r > L
     assert dval(0.1) == 0.0

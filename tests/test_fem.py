@@ -120,3 +120,21 @@ def test_edge_quadrature_normals():
     centers = pts.mean(axis=1)
     out = np.einsum("ei,ei->e", centers - 0.5, normals)
     assert np.all(out > 0)
+
+
+def test_misspelt_tag_raises():
+    from thinwall.errors import UnknownTag
+    space = square_space(0.3, 1)
+    with pytest.raises(UnknownTag):
+        fem.boundary_mass(space, "GammaR_Plus")
+
+
+def test_inverted_element_raises(tmp_path):
+    from thinwall.errors import SingularElement
+    from thinwall.mesh import mesh_io_read, mesh_io_write
+    mesh = square_space(0.3, 1).mesh
+    mesh.elements[0] = mesh.elements[0, ::-1]
+    path = tmp_path / "inverted.txt"
+    mesh_io_write(mesh, path)
+    with pytest.raises(SingularElement):
+        fem.Space(mesh_io_read(path), 1)

@@ -52,9 +52,9 @@ def test_fit_slope_logarithmic_pollution():
 
 
 def test_emit_and_read_round_trip(tmp_path):
-    assert CSV_HEADER == "delta,dofs,e0,e1,e2,e3"
-    rows = [(0.125, 1000, 1.1e-1, 2.2e-2, 3.3e-3, 3.3e-3),
-            (0.0625, 4000, 5.5e-2, 6.6e-3, 7.7e-4, 7.7e-4)]
+    assert CSV_HEADER == "delta,dofs,e0,e1,e2"
+    rows = [(0.125, 1000, 1.1e-1, 2.2e-2, 3.3e-3),
+            (0.0625, 4000, 5.5e-2, 6.6e-3, 7.7e-4)]
     rep = ConvergenceReport(rows=rows)
     rep.slopes["e0"] = (1.0, 0.0, 0.1)
     csv_path = emit_outputs(rep, tmp_path / "out")

@@ -31,8 +31,8 @@ from .params import DomainParams
 from .triangulate import GradingSpec, triangulate
 
 __all__ = ["TransmissionData", "CornerData", "ExpansionSet",
-           "build_limit_space", "solve_transmission", "compute_u00",
-           "compute_u01", "compute_u20"]
+           "build_limit_space", "limit_solver", "solve_transmission",
+           "compute_u00", "compute_u01", "compute_u20"]
 
 
 @dataclass
@@ -76,29 +76,34 @@ def _interface_pairs(space: fem.Space):
     cannot (and need not) be imposed there, the usable data vanishing into
     the lift subtraction near the corners.
     """
-    top = np.unique(fem._edge_dof_rows(
-        space, space.mesh.edges_with_tag("GammaInterface_top")))
-    bot = np.unique(fem._edge_dof_rows(
-        space, space.mesh.edges_with_tag("GammaInterface_bottom")))
-    coords = space.dof_coords
-    top = top[np.argsort(coords[top, 0])]
-    bot = bot[np.argsort(coords[bot, 0])]
-    if top.size != bot.size or \
-            np.max(np.abs(coords[top, 0] - coords[bot, 0])) > 1e-9:
-        raise IndexUnsupported("interface dof sets do not pair up")
+    top, bot = fem.paired_dofs(space, "GammaInterface_top",
+                               "GammaInterface_bottom", 0)
     keep = top != bot
-    return coords[top[keep], 0], top[keep], bot[keep]
+    return space.dof_coords[top[keep], 0], top[keep], bot[keep]
+
+
+def limit_solver(space: fem.Space, p: DomainParams) -> fem.Solver:
+    """The slit-domain Helmholtz operator, each lower-face interface dof
+    tied to its upper-face partner, factored once for every expansion term.
+    """
+    cons = fem.Constraints(space)
+    _, top, bot = _interface_pairs(space)
+    cons.tie(bot, top)
+    return fem.Solver(helmholtz_matrix(space, p), cons)
 
 
 def solve_transmission(space: fem.Space, p: DomainParams,
-                       data: TransmissionData, matrix=None) -> fem.Field:
+                       data: TransmissionData,
+                       solver: fem.Solver | None = None) -> fem.Field:
     """Helmholtz solve on the slit domain with prescribed interface jumps.
 
     The trace jump is eliminated (each lower-face dof is the matching
     upper-face dof minus g); the derivative jump enters as the natural load
-    -int_Gamma h * mean(conj(v)).
+    -int_Gamma h * mean(conj(v)).  solver is limit_solver(space, p), made
+    here if not given.
     """
-    A = helmholtz_matrix(space, p) if matrix is None else matrix
+    if solver is None:
+        solver = limit_solver(space, p)
     b = np.zeros(space.ndof, dtype=complex)
     if data.f is not None:
         b += fem.volume_load(space, data.f)
@@ -110,16 +115,11 @@ def solve_transmission(space: fem.Space, p: DomainParams,
         hfun = lambda x, y: np.asarray(data.h(x), dtype=complex)
         b -= 0.5 * (fem.boundary_load(space, "GammaInterface_top", hfun)
                     + fem.boundary_load(space, "GammaInterface_bottom", hfun))
-    cons = fem.Constraints(space)
-    xs, top, bot = _interface_pairs(space)
-    if data.g is None:
-        for t, bdof in zip(top, bot):
-            cons.tie(bdof, t)
-    else:
-        gv = np.asarray(data.g(xs), dtype=complex)
-        for t, bdof, g in zip(top, bot, gv):
-            cons.jump(bdof, t, -g)
-    u = fem.solve(A, b, cons)
+    d = np.zeros(space.ndof, dtype=complex)
+    if data.g is not None:
+        xs, _, bot = _interface_pairs(space)
+        d[bot] = -np.asarray(data.g(xs), dtype=complex)
+    u, _ = solver.solve(b, d)
     return fem.Field(space, u)
 
 
@@ -130,10 +130,10 @@ def _field_evaluator(fld: fem.Field):
     return ev
 
 
-def compute_u00(p: DomainParams, space: fem.Space, matrix=None):
+def compute_u00(p: DomainParams, space: fem.Space, solver=None):
     """Limit solve (continuous interface) plus corner coefficients."""
     data = TransmissionData(robin={"GammaR_minus": incident_robin_load(p)})
-    u00 = solve_transmission(space, p, data, matrix=matrix)
+    u00 = solve_transmission(space, p, data, solver)
     corners = {}
     for side in ("plus", "minus"):
         frame = CornerFrame(side, p.L, p.theta)
@@ -196,7 +196,7 @@ class CorrectionParts:
 
 def compute_u01(p: DomainParams, space: fem.Space, u00: fem.Field,
                 corners: dict, constants: EffectiveConstants,
-                cutoff="exp", matrix=None) -> CorrectionParts:
+                cutoff="exp", solver=None) -> CorrectionParts:
     """First-order correction: effective-jump solve with singular lift.
 
     The interface data is built from spline-fitted traces of u00; the
@@ -258,13 +258,12 @@ def compute_u01(p: DomainParams, space: fem.Space, u00: fem.Field,
         return out
 
     hat = solve_transmission(space, p,
-                             TransmissionData(f=fhat, g=ghat, h=hhat),
-                             matrix=matrix)
+                             TransmissionData(f=fhat, g=ghat, h=hhat), solver)
     return CorrectionParts(hat=hat, lifts=lifts)
 
 
 def compute_u20(p: DomainParams, space: fem.Space, corners: dict,
-                L_minus_1: dict, cutoff="exp", matrix=None) -> CorrectionParts:
+                L_minus_1: dict, cutoff="exp", solver=None) -> CorrectionParts:
     """Second-order corner correction driven by the near-field reflection.
 
     Each corner contributes a decaying lift Y_{lambda1}(k0 r) cos(lambda1
@@ -292,8 +291,7 @@ def compute_u20(p: DomainParams, space: fem.Space, corners: dict,
             out += lift.commutator_load(x, y)
         return out
 
-    hat = solve_transmission(space, p, TransmissionData(f=fhat),
-                             matrix=matrix)
+    hat = solve_transmission(space, p, TransmissionData(f=fhat), solver)
     return CorrectionParts(hat=hat, lifts=lifts, coefficients=coeffs)
 
 
@@ -338,11 +336,11 @@ def build_expansion(p: DomainParams, constants: EffectiveConstants,
                     cutoff="exp") -> ExpansionSet:
     """Run the whole cascade on a fresh limit mesh."""
     space = build_limit_space(p, h0=h0, degree=degree)
-    A = helmholtz_matrix(space, p)
-    u00, corners = compute_u00(p, space, matrix=A)
-    u01 = compute_u01(p, space, u00, corners, constants, cutoff=cutoff,
-                      matrix=A)
-    u20 = compute_u20(p, space, corners, L_minus_1, cutoff=cutoff, matrix=A)
+    # the three terms share one factorization, freed when this returns
+    solver = limit_solver(space, p)
+    u00, corners = compute_u00(p, space, solver)
+    u01 = compute_u01(p, space, u00, corners, constants, cutoff, solver)
+    u20 = compute_u20(p, space, corners, L_minus_1, cutoff, solver)
     return ExpansionSet(params=p, constants=constants,
                         exponents=SingularExponents(p.theta),
                         u00=u00, u01=u01, u20=u20, corners=corners)

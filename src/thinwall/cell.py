@@ -19,7 +19,6 @@ from .params import HoleSpec
 from .triangulate import GradingSpec, triangulate
 
 __all__ = ["CellSolution", "EffectiveConstants", "build_cell",
-           "solve_kernel_D", "solve_profile_V11", "solve_profile_V12",
            "compute_constants", "compatibility_residuals",
            "evaluate_corrector"]
 
@@ -72,81 +71,30 @@ def _band_average(space, vals_at_quad, lo, hi):
     return np.sum(w[sel] * vals_at_quad[sel]) / np.sum(w[sel])
 
 
-def _laplace_solve(space, b):
-    """Pure-Neumann periodic Laplace solve, zero-mean gauge."""
-    A = fem.stiffness(space)
-    cons = fem.Constraints(space)
-    fem.tie_periodic(space, cons)
-    u = fem.solve(A, b, cons, mean_zero_space=space)
-    return u
-
-
-def _zero_far_bands(space, coeffs, T, symmetric_pair=False):
+def _zero_far_bands(space, coeffs, T):
     """Shift by a constant so the far-band averages vanish (or are opposite)."""
     f = fem.Field(space, coeffs)
     vals = f.values_at_own_quad()
     top = _band_average(space, vals, T - 1.0, T)
     bot = _band_average(space, vals, -T, -(T - 1.0))
-    shift = 0.5 * (top + bot)
-    return fem.Field(space, coeffs - shift), float((top - bot).real) * 0.5
+    return fem.Field(space, coeffs - 0.5 * (top + bot))
 
 
-def solve_kernel_D(space: fem.Space, T: float):
-    """W = D - X2: harmonic, dW/dn = -e2.n on the hole, decaying constants.
+def _balanced_load(space: fem.Space, f, scale, name):
+    """Volume load of an X2-only profile f supported in 1 < |X2| < 2.
 
-    Normalized so the top/bottom far-band averages are opposite; returns
-    (W, D_infty) with D_infty the top-band average.
+    Its integral, taken adaptively in 1D, must vanish: the hole data of
+    every profile has zero flux, so a decaying solution needs balanced f.
     """
-    b = fem.boundary_load_normal(space, "GammaHole",
-                                 lambda x, y, nx, ny: -ny)
-    u = _laplace_solve(space, b)
-    return _zero_far_bands(space, u, T)
-
-
-def solve_profile_V11(space: fem.Space, cut: CutoffSpec, D1: complex,
-                      T: float, check=True):
-    """-Lap V11 = D1 (chi+'' - chi-'')/2, dV/dn = -e1.n on the hole."""
-
-    def f1(x, y):
-        return 0.5 * D1 * (cut.d2chi_plus(y) - cut.d2chi_minus(y))
-
-    if check:
-        cN = _compat_1d(f1)  # hole flux of -e1.n integrates to zero
-        if abs(cN) > COMPAT_TOL * max(abs(D1), 1.0):
-            raise CompatibilityViolated(f"V11 data imbalance {cN:.2e}")
-    b = fem.volume_load(space, f1)
-    b += fem.boundary_load_normal(space, "GammaHole",
-                                  lambda x, y, nx, ny: -nx)
-    u = _laplace_solve(space, b)
-    field, _ = _zero_far_bands(space, u, T)
-    return field
-
-
-def solve_profile_V12(space: fem.Space, cut: CutoffSpec, T: float, check=True):
-    """-Lap V12 = 2 chi' + X2 chi'', homogeneous Neumann on the hole."""
-
-    def f2(x, y):
-        return 2.0 * cut.dchi(y) + y * cut.d2chi(y)
-
-    if check:
-        cN = _compat_1d(f2)
-        if abs(cN) > COMPAT_TOL:
-            raise CompatibilityViolated(f"V12 data imbalance {cN:.2e}")
-    u = _laplace_solve(space, fem.volume_load(space, f2))
-    field, _ = _zero_far_bands(space, u, T)
-    return field
-
-
-def _compat_1d(f):
-    """Adaptive 1D integral of an X2-only profile over its support bands."""
     from scipy.integrate import quad
 
-    total = 0.0
+    cN = 0.0
     for lo, hi in ((-2.0, -1.0), (1.0, 2.0)):
-        val, _ = quad(lambda y: float(np.real(f(0.0, np.array([y]))[0])),
-                      lo, hi, limit=200)
-        total += val
-    return total
+        cN += quad(lambda y: float(np.real(f(0.0, np.array([y]))[0])),
+                   lo, hi, limit=200)[0]
+    if abs(cN) > COMPAT_TOL * scale:
+        raise CompatibilityViolated(f"{name} data imbalance {cN:.2e}")
+    return fem.volume_load(space, f)
 
 
 def _energy_pairing(K, a: fem.Field, b: fem.Field) -> complex:
@@ -174,18 +122,42 @@ def build_cell(hole: HoleSpec, T: float = 6.0, h0: float = 0.06,
     space = fem.Space(mesh, degree)
     if hole.is_empty:
         return CellSolution(hole, T, cut, space, None, 0.0, None, None)
-    W, _ = solve_kernel_D(space, T)
+    # one periodic pure-Neumann Laplace operator, factored once, serves
+    # every profile; its stiffness also gives the energy pairings
     K = fem.stiffness(space)
+    cons = fem.Constraints(space)
+    cons.tie(*fem.paired_dofs(space, "Periodic_right", "Periodic_left", 1))
+    laplace = fem.Solver(K, cons, mean_zero_space=space)
+
+    def solve(b):
+        return _zero_far_bands(space, laplace.solve(b)[0], T)
+
+    # W = D - X2: harmonic, dW/dn = -e2.n on the hole
+    W = solve(fem.boundary_load_normal(space, "GammaHole",
+                                       lambda x, y, nx, ny: -ny))
     # pairing field: same hole data as V11, no volume term (cutoff-free)
-    U1 = solve_profile_V11(space, cut, 0.0, T, check=False)
+    hole_data = fem.boundary_load_normal(space, "GammaHole",
+                                         lambda x, y, nx, ny: -nx)
+    U1 = solve(hole_data)
     # D1 = -int_Gamma D n1 reduces to the U1/W stiffness pairing by testing
     # the U1 problem with W (the polygon integral of X2 n1 vanishes exactly)
     D1 = _energy_pairing(K, U1, W)
     # far-field offset from the energy identity 2 D_infty = |B| + a(W, W)
     D_inf = 0.5 * float(np.real(_polygon_area(hole.polygon())
                                 + _energy_pairing(K, W, W)))
-    V11 = solve_profile_V11(space, cut, D1, T)
-    V12 = solve_profile_V12(space, cut, T)
+
+    # -Lap V11 = D1 (chi+'' - chi-'')/2, dV11/dn = -e1.n on the hole
+    def f11(x, y):
+        return 0.5 * D1 * (cut.d2chi_plus(y) - cut.d2chi_minus(y))
+
+    V11 = solve(_balanced_load(space, f11, max(abs(D1), 1.0), "V11")
+                + hole_data)
+
+    # -Lap V12 = 2 chi' + X2 chi'', homogeneous Neumann on the hole
+    def f12(x, y):
+        return 2.0 * cut.dchi(y) + y * cut.d2chi(y)
+
+    V12 = solve(_balanced_load(space, f12, 1.0, "V12"))
     return CellSolution(hole, T, cut, space, W, D_inf, V11, V12,
                         U1=U1, K=K, D1=D1)
 

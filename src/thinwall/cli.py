@@ -128,6 +128,14 @@ def _acceptance_checks(cfg: dict, report):
     return lines, ok
 
 
+def _save_npz(path, **arrays):
+    """np.savez_compressed, returning the file written: numpy appends
+    .npz to a name without it."""
+    path = path if path.endswith(".npz") else path + ".npz"
+    np.savez_compressed(path, **arrays)
+    return path
+
+
 def cmd_cell_constants(args):
     constants = cell_constants(_config_of(args))
     print(json.dumps({k: [v.real, v.imag] if isinstance(v, complex) else v
@@ -154,11 +162,10 @@ def cmd_solve_exact(args):
           f"flux-balance defect {res.flux_balance():.3e}")
     if args.out:
         space = res.field.space
-        np.savez_compressed(args.out, nodes=space.mesh.nodes,
-                            elements=space.mesh.elements,
-                            degree=res.degree, delta=res.delta,
-                            coeffs=res.field.coeffs)
-        print(f"wrote {args.out}")
+        path = _save_npz(args.out, nodes=space.mesh.nodes,
+                         elements=space.mesh.elements, degree=res.degree,
+                         delta=res.delta, coeffs=res.field.coeffs)
+        print(f"wrote {path}")
     return 0
 
 
@@ -181,8 +188,8 @@ def cmd_cascade(args):
         "u20_lift_coeffs": np.array([exp.u20.coefficients["plus"],
                                      exp.u20.coefficients["minus"]]),
     }
-    np.savez_compressed(args.out, **payload)
-    print(f"wrote {args.out} ({space.ndof} dofs per field)")
+    path = _save_npz(args.out, **payload)
+    print(f"wrote {path} ({space.ndof} dofs per field)")
     return 0
 
 

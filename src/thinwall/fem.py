@@ -3,7 +3,8 @@
 Degrees 1-3 on straight triangles, Dunavant volume quadrature and
 Gauss-Legendre edge quadrature.  Linear constraints (Dirichlet, periodic
 ties, prescribed inter-face jumps) are eliminated through a sparse
-prolongation u_full = C u_free + d before the direct solve.
+prolongation u_full = C u_free + d, and each reduced operator is factored
+once for all of its loads.
 """
 
 from __future__ import annotations
@@ -15,9 +16,12 @@ from scipy.sparse.linalg import splu
 from .errors import OutsideRegion, SingularElement, SingularSystem
 from .mesh import Mesh
 
-__all__ = ["Space", "Constraints", "Field", "stiffness", "mass",
+__all__ = ["Space", "Constraints", "Solver", "Field", "stiffness", "mass",
            "boundary_mass", "boundary_load", "volume_load", "solve",
-           "tie_periodic"]
+           "paired_dofs"]
+
+RTOL = 1e-10         # largest relative residual a direct solve may leave
+_CHUNK = 40_000      # elements assembled per sparse update
 
 
 # -- reference element ------------------------------------------------------------
@@ -190,9 +194,8 @@ class Space:
     def quad_global(self, order=None):
         """Physical quadrature points and weights, flattened over elements."""
         if order is None:
-            order = 5 if self.p <= 2 else 8
-        key = order
-        if self._quad is None or self._quad[0] != key:
+            order = _quad_order(self)
+        if self._quad is None or self._quad[0] != order:
             qp, qw = _tri_rule(order)
             pts = self.mesh.nodes[self.mesh.elements]
             phys = (pts[:, None, 0, :]
@@ -200,7 +203,7 @@ class Space:
                     + qp[None, :, 1, None] * (pts[:, 2] - pts[:, 0])[:, None, :])
             _, _, detJ = self._jacobians()
             w = 0.5 * detJ[:, None] * qw[None, :]
-            self._quad = (key, qp, qw, phys.reshape(-1, 2), w.reshape(-1))
+            self._quad = (order, qp, qw, phys.reshape(-1, 2), w.reshape(-1))
         return self._quad[3], self._quad[4]
 
     # -- point location -----------------------------------------------------------
@@ -251,7 +254,7 @@ def _quad_order(space):
     return 5 if space.p <= 2 else 8
 
 
-def _assemble_cells(space: Space, kind, coeff=None, chunk=40_000):
+def _assemble_cells(space: Space, kind, coeff=None):
     qp, qw = _tri_rule(_quad_order(space))
     phi = space.ref.eval(qp)                     # (Q, nloc)
     gphi = space.ref.grad(qp)                    # (Q, nloc, 2)
@@ -267,8 +270,8 @@ def _assemble_cells(space: Space, kind, coeff=None, chunk=40_000):
             cval = None
             cconst = 1.0 if coeff is None else coeff
     A = sp.csr_matrix((space.ndof, space.ndof), dtype=complex)
-    for s in range(0, M, chunk):
-        e = min(s + chunk, M)
+    for s in range(0, M, _CHUNK):
+        e = min(s + _CHUNK, M)
         if kind == "stiffness":
             g = np.einsum("eji,qnj->eqni", Jinv[s:e], gphi)
             loc = np.einsum("eqni,eqmi,q,e->enm", g, g, qw, area_w[s:e])
@@ -434,128 +437,136 @@ def boundary_load_normal(space: Space, tag: str, g):
 # -- constraints -----------------------------------------------------------------------
 
 class Constraints:
-    """Affine relations u_slave = sum coef * u_master + const."""
+    """Affine relations u[slave] = u[master] + value, held as index arrays.
+
+    A master of -1 marks Dirichlet data u[slave] = value.  Every method
+    takes one dof or an array of them.
+    """
 
     def __init__(self, space: Space):
         self.space = space
-        self.rel = {}
+        self.slave = np.zeros(0, dtype=np.int64)
+        self.master = np.zeros(0, dtype=np.int64)
+        self.value = np.zeros(0, dtype=complex)
+
+    def _add(self, slave, master, value):
+        shape = np.shape(slave)
+        self.slave = np.append(self.slave, slave)
+        self.master = np.append(self.master, np.broadcast_to(master, shape))
+        self.value = np.append(self.value, np.broadcast_to(value, shape))
 
     def dirichlet(self, dof, value):
-        self.rel[int(dof)] = ([], complex(value))
+        self._add(dof, -1, value)
 
     def tie(self, slave, master):
-        self.rel[int(slave)] = ([(int(master), 1.0)], 0.0)
+        self._add(slave, master, 0.0)
 
     def jump(self, slave, master, g):
         """u_slave = u_master + g."""
-        self.rel[int(slave)] = ([(int(master), 1.0)], complex(g))
-
-    def _resolved(self):
-        out = {}
-        for s, (terms, const) in self.rel.items():
-            for _ in range(8):
-                if not any(m in self.rel for m, _c in terms):
-                    break
-                nt, nc = [], const
-                for m, c in terms:
-                    if m in self.rel:
-                        mt, mc = self.rel[m]
-                        nt.extend((mm, c * cc) for mm, cc in mt)
-                        nc += c * mc
-                    else:
-                        nt.append((m, c))
-                terms, const = nt, nc
-            else:
-                raise SingularSystem("constraint chain does not resolve")
-            out[s] = (terms, const)
-        return out
+        self._add(slave, master, g)
 
     def build(self):
         """Prolongation u_full = C u_free + d."""
-        rel = self._resolved()
         n = self.space.ndof
-        free = np.array(sorted(set(range(n)) - set(rel)), dtype=np.int64)
-        col_of = {int(d): i for i, d in enumerate(free)}
-        rows, cols, vals = list(free), list(range(len(free))), [1.0] * len(free)
+        constrained = np.zeros(n, dtype=bool)
+        constrained[self.slave] = True
+        if np.count_nonzero(constrained) < self.slave.size:
+            raise SingularSystem("a dof is constrained twice")
+        tied = self.master >= 0
+        slave, master = self.slave[tied], self.master[tied]
+        if np.any(constrained[master]):
+            raise SingularSystem("a constraint's master is itself constrained")
+        free = np.flatnonzero(~constrained)
+        col_of = np.cumsum(~constrained) - 1
+        rows = np.concatenate([free, slave])
+        cols = np.concatenate([np.arange(free.size), col_of[master]])
         d = np.zeros(n, dtype=complex)
-        for s, (terms, const) in rel.items():
-            d[s] = const
-            for m, c in terms:
-                rows.append(s)
-                cols.append(col_of[m])
-                vals.append(c)
-        C = sp.coo_matrix((vals, (rows, cols)), shape=(n, len(free)),
-                          dtype=complex).tocsr()
+        d[self.slave] = self.value
+        C = sp.coo_matrix((np.ones(rows.size), (rows, cols)),
+                          shape=(n, free.size), dtype=complex).tocsr()
         return C, d, free
 
 
-def tie_periodic(space: Space, cons: Constraints,
-                 left_tag="Periodic_left", right_tag="Periodic_right",
-                 tol=1e-9):
-    """Tie right-side dofs to the congruent left-side dofs (matched by y)."""
+def paired_dofs(space: Space, tag_a, tag_b, axis):
+    """Dofs of two congruent tagged boundaries, paired by coordinate axis."""
     coords = space.dof_coords
-
-    def side_dofs(tag):
-        rows = _edge_dof_rows(space, space.mesh.edges_with_tag(tag))
-        return np.unique(rows)
-
-    ld, rd = side_dofs(left_tag), side_dofs(right_tag)
-    if ld.size != rd.size:
-        raise SingularSystem("periodic sides have different dof counts")
-    lo = ld[np.argsort(coords[ld, 1])]
-    ro = rd[np.argsort(coords[rd, 1])]
-    if np.max(np.abs(coords[lo, 1] - coords[ro, 1])) > tol:
-        raise SingularSystem("periodic sides are not congruent")
-    for s, m in zip(ro, lo):
-        cons.tie(s, m)
+    a, b = (np.unique(_edge_dof_rows(space, space.mesh.edges_with_tag(t)))
+            for t in (tag_a, tag_b))
+    if a.size != b.size:
+        raise SingularSystem(f"{tag_a} and {tag_b} have different dof counts")
+    a = a[np.argsort(coords[a, axis])]
+    b = b[np.argsort(coords[b, axis])]
+    if np.max(np.abs(coords[a, axis] - coords[b, axis])) > 1e-9:
+        raise SingularSystem(f"{tag_a} and {tag_b} are not congruent")
+    return a, b
 
 
 # -- solving and evaluation ----------------------------------------------------------
 
-def solve(A, b, constraints: Constraints | None = None,
-          mean_zero_space: Space | None = None, rtol=1e-10,
-          return_residual=False):
-    """Direct sparse solve of A u = b with optional constraint elimination.
+class Solver:
+    """Direct sparse solver of A u = b, factored once for many loads.
 
-    With mean_zero_space set, the one-dimensional kernel of the pure-Neumann
-    operator is removed by pinning a single dof to zero (keeping the system
-    fully sparse) and the solution is shifted to a zero weighted mean
-    afterwards; the data must be compatible for this to be consistent.
+    Constraints are eliminated through u = C x + d, so splu factors the
+    reduced matrix C^T A C.  With mean_zero_space set, the one-dimensional
+    kernel of the pure-Neumann operator is removed by pinning a single dof
+    to zero (keeping the system fully sparse) and each solution is shifted
+    to a zero weighted mean afterwards; the data must be compatible for this
+    to be consistent.
     """
-    if constraints is not None:
-        C, d, _ = constraints.build()
-        A_red = (C.T @ (A @ C)).tocsc()
-        b_red = C.T @ (b - A @ d)
-    else:
-        C, d = None, None
-        A_red = sp.csc_matrix(A, dtype=complex)
-        b_red = np.asarray(b, dtype=complex)
-    w = None
-    if mean_zero_space is not None:
-        w = mass(mean_zero_space) @ np.ones(mean_zero_space.ndof)
-        if C is not None:
-            w = C.T @ w
-        keep = np.ones(A_red.shape[0], dtype=bool)
-        keep[int(np.argmax(np.abs(w)))] = False
-        A_red = A_red[keep][:, keep].tocsc()
-        b_red = b_red[keep]
-    try:
-        lu = splu(A_red)
-    except RuntimeError as exc:
-        raise SingularSystem(f"factorization failed: {exc}") from exc
-    x = lu.solve(b_red)
-    res = np.linalg.norm(A_red @ x - b_red) / max(np.linalg.norm(b_red), 1e-300)
-    if not np.isfinite(res) or res > rtol:
-        raise SingularSystem(f"direct solve residual {res:.2e} exceeds {rtol}")
-    if mean_zero_space is not None:
-        full = np.zeros(keep.size, dtype=complex)
-        full[keep] = x
-        x = full - (w @ full) / w.sum() * np.ones(keep.size)
-    if C is not None:
-        x = C @ x + d
-    if return_residual:
+
+    def __init__(self, A, constraints: Constraints | None = None,
+                 mean_zero_space: Space | None = None):
+        self.A, self.C, self.d, self.w = A, None, None, None
+        if constraints is not None:
+            self.C, self.d, _ = constraints.build()
+            A_red = (self.C.T @ (A @ self.C)).tocsc()
+        else:
+            A_red = sp.csc_matrix(A, dtype=complex)
+        if mean_zero_space is not None:
+            w = mass(mean_zero_space) @ np.ones(mean_zero_space.ndof)
+            self.w = w if self.C is None else self.C.T @ w
+            self.keep = np.ones(A_red.shape[0], dtype=bool)
+            self.keep[int(np.argmax(np.abs(self.w)))] = False
+            A_red = A_red[self.keep][:, self.keep].tocsc()
+        self.A_red = A_red
+        try:
+            self.lu = splu(A_red)
+        except RuntimeError as exc:
+            raise SingularSystem(f"factorization failed: {exc}") from exc
+
+    def solve(self, b, d=None):
+        """(u, relative residual of the reduced system) for the load b.
+
+        d, if given, replaces the constant of the prolongation: the same
+        ties with other jump data.
+        """
+        d = self.d if d is None else d
+        if self.C is not None:
+            b_red = self.C.T @ (b - self.A @ d)
+        else:
+            b_red = np.asarray(b, dtype=complex)
+        if self.w is not None:
+            b_red = b_red[self.keep]
+        x = self.lu.solve(b_red)
+        res = (np.linalg.norm(self.A_red @ x - b_red)
+               / max(np.linalg.norm(b_red), 1e-300))
+        if not np.isfinite(res) or res > RTOL:
+            raise SingularSystem(f"direct solve residual {res:.2e} exceeds "
+                                 f"{RTOL}")
+        if self.w is not None:
+            full = np.zeros(self.keep.size, dtype=complex)
+            full[self.keep] = x
+            x = full - (self.w @ full) / self.w.sum()
+        if self.C is not None:
+            x = self.C @ x + d
         return x, float(res)
-    return x
+
+
+def solve(A, b, constraints: Constraints | None = None,
+          mean_zero_space: Space | None = None, return_residual=False):
+    """One-shot direct solve of A u = b (see Solver)."""
+    u, res = Solver(A, constraints, mean_zero_space).solve(b)
+    return (u, res) if return_residual else u
 
 
 class Field:

@@ -43,7 +43,6 @@ class GeometrySpec:
     slit: bool = False
     corner_vertices: list = field(default_factory=list)
     size_hints: list = field(default_factory=list)
-    periodic_x: tuple | None = None  # (x_left, x_right) for periodic tagging
 
     def bbox(self):
         pts = np.vstack([p for p, _ in self.loops])
@@ -154,7 +153,7 @@ def build_cell_geometry(h: HoleSpec, T: float) -> GeometrySpec:
     h.validate_in_cell()
     pts, tags = _rect_loop(0.0, 1.0, -T, T,
                            ("Truncation", "Periodic_right", "Truncation", "Periodic_left"))
-    geo = GeometrySpec(loops=[(pts, tags)], periodic_x=(0.0, 1.0))
+    geo = GeometrySpec(loops=[(pts, tags)])
     if not h.is_empty:
         poly = h.polygon()
         geo.loops.append((poly, ["GammaHole"] * len(poly)))

@@ -117,9 +117,7 @@ def solve_S(side, n, constants, hole, theta=1.5 * math.pi, Rmax=20.0,
     arc_dofs = np.unique(fem._edge_dof_rows(
         space, mesh.edges_with_tag("Truncation")))
     xy = space.dof_coords[arc_dofs]
-    vals = data(xy[:, 0], xy[:, 1])
-    for d, v in zip(arc_dofs, vals):
-        cons.dirichlet(d, v)
+    cons.dirichlet(arc_dofs, data(xy[:, 0], xy[:, 1]))
     u = fem.solve(A, b, cons)
     sol = NearFieldSolution(side=side, n=n, Rmax=Rmax, theta=theta,
                             field=fem.Field(space, u), ndof=space.ndof)

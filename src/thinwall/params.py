@@ -66,19 +66,6 @@ class HoleSpec:
                 f"bbox is [{poly[:,0].min():.3g},{poly[:,0].max():.3g}] x "
                 f"[{poly[:,1].min():.3g},{poly[:,1].max():.3g}]")
 
-    @property
-    def symmetric(self) -> bool:
-        """True iff the hole is invariant under X1 -> 1 - X1."""
-        if self.kind == "none":
-            return True
-        poly = self.polygon()
-        mirrored = np.column_stack([1.0 - poly[:, 0], poly[:, 1]])
-        # compare as point sets with a tolerance
-        from scipy.spatial import cKDTree
-
-        d, _ = cKDTree(poly).query(mirrored)
-        return bool(np.max(d) < 1e-12)
-
 
 @dataclass(frozen=True)
 class DomainParams:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from helpers import transmission_solve
+from thinwall import fem
 from thinwall.cascade import (_Clamped, _interface_pairs, build_expansion,
                               build_limit_space, compute_u00,
                               solve_transmission, TransmissionData)
@@ -17,6 +18,17 @@ def transparent_expansion():
     constants = EffectiveConstants(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
     return build_expansion(p, constants, {"plus": 0.0, "minus": 0.0},
                            h0=0.12, degree=2)
+
+
+def test_cascade_factors_once(monkeypatch):
+    calls = []
+    splu = fem.splu
+    monkeypatch.setattr(fem, "splu", lambda A: calls.append(A) or splu(A))
+    p = DomainParams()
+    constants = EffectiveConstants(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    build_expansion(p, constants, {"plus": 0.0, "minus": 0.0}, h0=0.12,
+                    degree=2)
+    assert len(calls) == 1
 
 
 def test_transparent_layer_corrections_vanish(transparent_expansion):

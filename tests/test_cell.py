@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from thinwall import fem
 from thinwall.cell import (build_cell, compatibility_residuals,
                            compute_constants, evaluate_corrector)
 from thinwall.errors import IndexUnsupported
@@ -35,6 +36,16 @@ def test_empty_cell_contrast_only():
     expected = -np.sqrt(np.pi) * erf(4.0)
     np.testing.assert_allclose(c.N1.real, expected, rtol=1e-6)
     assert c.D1 == c.D2 == c.N2 == c.N3 == 0.0
+
+
+def test_cell_assembles_and_factors_once(monkeypatch):
+    calls = []
+    splu, stiffness = fem.splu, fem.stiffness
+    monkeypatch.setattr(fem, "splu", lambda A: calls.append("splu") or splu(A))
+    monkeypatch.setattr(fem, "stiffness",
+                        lambda s: calls.append("stiffness") or stiffness(s))
+    build_cell(HoleSpec(), T=4.0, h0=0.3, degree=2)
+    assert sorted(calls) == ["splu", "stiffness"]
 
 
 def test_absorption_constant_matches_hole_area(coarse_constants):

@@ -101,3 +101,15 @@ def test_flags_override_config(tmp_path):
     assert cfg.cell_h0 == StudyConfig().cell_h0
     # without --config every subcommand runs the study's defaults
     assert _config_of(_parser().parse_args(["cell-constants"])) == StudyConfig()
+
+
+def test_out_names_the_file_written(tmp_path, capsys):
+    out = tmp_path / "ref.json"
+    rc = main(["solve-exact", "--delta", "0.5", "--h0", "0.3", "--degree",
+               "2", "--out", str(out)])
+    assert rc == 0
+    wrote = capsys.readouterr().out.splitlines()[-1]
+    assert wrote.startswith("wrote ")
+    path = Path(wrote[len("wrote "):])
+    assert path.exists()
+    assert np.load(path)["degree"] == 2

@@ -85,6 +85,40 @@ def test_tie_and_jump_constraints():
     assert full[2] == full[0] + 3.0
 
 
+def test_array_constraints_match_scalar_calls():
+    space = square_space(0.4, 1)
+    slaves, masters = np.array([1, 2, 3]), np.array([0, 4, 5])
+    g = np.array([1.0, -2.0j, 0.5])
+    one, many = fem.Constraints(space), fem.Constraints(space)
+    for s, m in zip(slaves, masters):
+        one.tie(s, m)
+    for s, m, v in zip(slaves + 5, masters + 5, g):
+        one.jump(s, m, v)
+    for s, v in zip(slaves + 10, g):
+        one.dirichlet(s, v)
+    many.tie(slaves, masters)
+    many.jump(slaves + 5, masters + 5, g)
+    many.dirichlet(slaves + 10, g)
+    for a, b in zip(one.build(), many.build()):
+        a = a.toarray() if hasattr(a, "toarray") else a
+        b = b.toarray() if hasattr(b, "toarray") else b
+        np.testing.assert_array_equal(a, b)
+
+
+def test_constraint_misuse_raises():
+    space = square_space(0.4, 1)
+    twice = fem.Constraints(space)
+    twice.tie([1, 2], [0, 0])
+    twice.dirichlet(2, 1.0)
+    with pytest.raises(SingularSystem):
+        twice.build()
+    chain = fem.Constraints(space)
+    chain.tie(1, 0)
+    chain.tie(2, 1)
+    with pytest.raises(SingularSystem):
+        chain.build()
+
+
 def test_pure_neumann_laplace_is_singular():
     space = square_space(0.4, 1)
     K = fem.stiffness(space)

@@ -83,7 +83,6 @@ def test_cell_geometry_tags_and_bounds():
     assert tags.count("Periodic_left") == 1
     assert tags.count("Periodic_right") == 1
     assert tags.count("Truncation") == 2
-    assert geo.periodic_x == (0.0, 1.0)
     assert len(geo.loops) == 2  # the hole
     with pytest.raises(ValueError):
         build_cell_geometry(HoleSpec(), T=3.0)

@@ -319,16 +319,18 @@ class ExpansionSet:
                 self.u01.evaluate(pts, loc=loc),
                 self.u20.evaluate(pts, loc=loc))
 
-    def truncation(self, order, points, delta):
+    def truncations(self, points, delta):
+        """The truncations u00, u00 + delta u01 and
+        u00 + delta u01 + delta^lambda2 u20 at points."""
         v00, v01, v20 = self.evaluate_terms(points)
-        if order == 0:
-            return v00
-        if order == 1:
-            return v00 + delta * v01
-        if order == 2:
-            lam2 = self.exponents.lambda_n(2)
-            return v00 + delta * v01 + delta ** lam2 * v20
-        raise IndexUnsupported(f"truncation order {order} not available")
+        lam2 = self.exponents.lambda_n(2)
+        return (v00, v00 + delta * v01,
+                v00 + delta * v01 + delta ** lam2 * v20)
+
+    def truncation(self, order, points, delta):
+        if order not in (0, 1, 2):
+            raise IndexUnsupported(f"truncation order {order} not available")
+        return self.truncations(points, delta)[order]
 
 
 def build_expansion(p: DomainParams, constants: EffectiveConstants,

@@ -23,16 +23,6 @@ class MeshFailure(ThinwallError):
     """Triangulation produced degenerate elements or failed to terminate."""
 
 
-class ParseError(ThinwallError):
-    """Malformed mesh file; carries a line number."""
-
-    def __init__(self, message: str, line: int | None = None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
-
-
 # -- fem ----------------------------------------------------------------------
 
 class UnknownTag(ThinwallError):

@@ -96,35 +96,23 @@ class ExactSolveResult:
         return abs(lhs - rhs) / max(abs(rhs), 1e-300)
 
 
-def _estimate_ndof(mesh, degree: int) -> int:
-    """Dof count of a Lagrange space on the mesh, from combinatorics only."""
-    nv, nt = len(mesh.nodes), len(mesh.elements)
-    if degree == 1:
-        return nv
-    e = np.vstack([mesh.elements[:, [0, 1]], mesh.elements[:, [1, 2]],
-                   mesh.elements[:, [2, 0]]])
-    e.sort(axis=1)
-    ne = len(np.unique(e, axis=0))
-    return nv + ne if degree == 2 else nv + 2 * ne + nt
-
-
 def solve_exact(p: DomainParams, delta: float, h0: float = 0.05,
                 degree: int = 3, grading: GradingSpec | None = None,
                 max_dofs: int | None = None) -> ExactSolveResult:
     """Reference FEM solve of the perforated problem at layer period delta.
 
     If max_dofs is given, the polynomial degree is lowered (never below 2)
-    until the estimated dof count fits, keeping the direct factorization
+    until the space's dof count fits, keeping the direct factorization
     inside the memory budget for hole-dominated meshes at small delta.
     """
     geo = build_perforated_domain(p, delta)
     if grading is None:
         grading = GradingSpec(sigma=0.5, n_layers=8)
     mesh = triangulate(geo, h0, grading)
-    if max_dofs is not None:
-        while degree > 2 and _estimate_ndof(mesh, degree) > max_dofs:
-            degree -= 1
     space = fem.Space(mesh, degree)
+    while max_dofs is not None and degree > 2 and space.ndof > max_dofs:
+        degree -= 1
+        space = fem.Space(mesh, degree)
     A = helmholtz_matrix(space, p, kdelta_field(p, delta))
     b = fem.boundary_load(space, "GammaR_minus", incident_robin_load(p))
     u, residual = fem.solve(A, b, return_residual=True)

@@ -9,6 +9,8 @@ once for all of its loads.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
@@ -117,9 +119,10 @@ def _tri_rule(order):
 class Space:
     """Scalar Lagrange space of degree p on a Mesh.
 
-    Dof order: mesh nodes first, then (p-1) dofs per interior-unique edge
-    stored from the lower to the higher global node id, then one interior
-    dof per element for p = 3.
+    Dof order: mesh nodes first, then (p-1) dofs per edge stored from the
+    lower to the higher global node id, then one interior dof per element
+    for p = 3.  Edges are numbered by first appearance in the element list,
+    local edges (0,1), (1,2), (2,0) in turn.
     """
 
     def __init__(self, mesh: Mesh, degree: int = 2):
@@ -128,26 +131,26 @@ class Space:
         self.mesh = mesh
         self.p = p = degree
         self.ref = _RefBasis(p)
-        nloc = self.ref.nodes.shape[0]
-        M = mesh.num_elements
-        self.element_dofs = np.empty((M, nloc), dtype=np.int64)
+        N, M = mesh.num_nodes, mesh.num_elements
+        # the edge table: one row per edge, (low node, high node), with the
+        # element it first appears in; keys sorted for lookup by node pair
+        local = mesh.elements[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+        keys, first, inv = np.unique(local.min(axis=1) * N + local.max(axis=1),
+                                     return_index=True, return_inverse=True)
+        order = np.argsort(first, kind="stable")
+        self._edge_keys = keys
+        self._edge_num = np.empty_like(order)
+        self._edge_num[order] = np.arange(order.size)
+        self.edges = np.column_stack([keys[order] // N, keys[order] % N])
+        self.edge_element = first[order] // 3
+        self.element_dofs = np.empty((M, self.ref.nodes.shape[0]), dtype=np.int64)
         self.element_dofs[:, :3] = mesh.elements
-        ndof = mesh.num_nodes
-        self.edge_dofs = {}
+        ndof = N + (p - 1) * order.size
         if p >= 2:
-            for row in range(M):
-                tri = mesh.elements[row]
-                col = 3
-                for a, b in ((0, 1), (1, 2), (2, 0)):
-                    ga, gb = int(tri[a]), int(tri[b])
-                    key = (ga, gb) if ga < gb else (gb, ga)
-                    if key not in self.edge_dofs:
-                        self.edge_dofs[key] = list(range(ndof, ndof + p - 1))
-                        ndof += p - 1
-                    ds = self.edge_dofs[key]
-                    ordered = ds if ga < gb else ds[::-1]
-                    self.element_dofs[row, col:col + p - 1] = ordered
-                    col += p - 1
+            num = self._edge_num[inv].reshape(M, 3)
+            flip = (local[:, 0] > local[:, 1]).reshape(M, 3)
+            self.element_dofs[:, 3:3 + 3 * (p - 1)] = self._edge_dofs(
+                num, flip).reshape(M, -1)
         if p == 3:
             self.element_dofs[:, 9] = np.arange(ndof, ndof + M)
             ndof += M
@@ -161,16 +164,47 @@ class Space:
             raise SingularElement(f"{bad.size} elements with detJ <= 0, "
                                   f"e.g. element {bad[0]}")
 
+    def _edge_dofs(self, num, flip):
+        """(..., p-1) interior dofs of edges num, walked from the high node
+        to the low one where flip is set."""
+        step = np.arange(self.p - 1)
+        return (self.mesh.num_nodes + (self.p - 1) * num[..., None]
+                + np.where(flip[..., None], self.p - 2 - step, step))
+
+    def _edge_numbers(self, pairs):
+        """Edge number of each node pair (a, b) of a (K, 2) array; raises
+        OutsideRegion for a pair that is no element's edge."""
+        key = pairs.min(axis=1) * self.mesh.num_nodes + pairs.max(axis=1)
+        pos = np.minimum(np.searchsorted(self._edge_keys, key),
+                         self._edge_keys.size - 1)
+        missing = self._edge_keys[pos] != key
+        if np.any(missing):
+            raise OutsideRegion(f"{np.count_nonzero(missing)} edges are not "
+                                f"part of any element, e.g. {pairs[missing][0]}")
+        return self._edge_num[pos]
+
+    def _edge_rows(self, pairs):
+        """Dof sequence (a, interior along a->b, b) of each edge (a, b)."""
+        inner = self._edge_dofs(self._edge_numbers(pairs),
+                                pairs[:, 0] > pairs[:, 1])
+        return np.column_stack([pairs[:, :1], inner, pairs[:, 1:]])
+
+    def boundary_dofs(self, tag: str) -> np.ndarray:
+        """Sorted dofs on the boundary edges tagged `tag`."""
+        return np.unique(self._edge_rows(self.mesh.edges_with_tag(tag)))
+
     @property
     def dof_coords(self) -> np.ndarray:
         if self._coords is None:
+            nodes, N = self.mesh.nodes, self.mesh.num_nodes
             c = np.zeros((self.ndof, 2))
-            c[: self.mesh.num_nodes] = self.mesh.nodes
-            nodes = self.mesh.nodes
-            for (a, b), ds in self.edge_dofs.items():
-                for i, d in enumerate(ds, start=1):
-                    t = i / self.p
-                    c[d] = nodes[a] + t * (nodes[b] - nodes[a])
+            c[:N] = nodes
+            if self.p >= 2:
+                # edge dofs follow the nodes, p-1 per edge in table order
+                a, b = nodes[self.edges[:, 0]], nodes[self.edges[:, 1]]
+                t = np.arange(1, self.p) / self.p
+                on_edges = a[:, None] + t[None, :, None] * (b - a)[:, None]
+                c[N:N + on_edges.size // 2] = on_edges.reshape(-1, 2)
             if self.p == 3:
                 cent = nodes[self.mesh.elements].mean(axis=1)
                 c[self.element_dofs[:, 9]] = cent
@@ -307,24 +341,14 @@ def volume_load(space: Space, f):
     Mel = space.mesh.num_elements
     fv = np.asarray(f(pts[:, 0], pts[:, 1]), dtype=complex).reshape(Mel, -1)
     loc = np.einsum("qn,q,eq,e->en", phi, qw, fv, area_w)
+    return _scatter(space, space.element_dofs, loc)
+
+
+def _scatter(space: Space, rows, loc):
+    """Load vector summing the local entries loc into their dofs rows."""
     b = np.zeros(space.ndof, dtype=complex)
-    np.add.at(b, space.element_dofs.reshape(-1), loc.reshape(-1))
+    np.add.at(b, rows.reshape(-1), loc.reshape(-1))
     return b
-
-
-def _edge_dof_rows(space: Space, edges):
-    """Dof sequence (a, interior low->high along a->b, b) per boundary edge."""
-    p = space.p
-    rows = np.empty((len(edges), p + 1), dtype=np.int64)
-    for i, (a, b) in enumerate(edges):
-        a, b = int(a), int(b)
-        rows[i, 0] = a
-        rows[i, -1] = b
-        if p >= 2:
-            key = (a, b) if a < b else (b, a)
-            ds = space.edge_dofs[key]
-            rows[i, 1:-1] = ds if a < b else ds[::-1]
-    return rows
 
 
 def _edge_basis_1d(p, t):
@@ -335,46 +359,71 @@ def _edge_basis_1d(p, t):
     return np.vander(t, p + 1, increasing=True) @ C
 
 
-def boundary_mass(space: Space, tag: str):
+class _EdgeRule(NamedTuple):
+    """An nq-point Gauss rule on the edges of one boundary tag."""
+
+    edges: np.ndarray   # (E, 2) node pairs
+    rows: np.ndarray    # (E, p+1) dofs along each edge, from a to b
+    t: np.ndarray       # (Q,) Gauss points on [0, 1]
+    w: np.ndarray       # (Q,) their weights
+    phi: np.ndarray     # (Q, p+1) 1D basis at t
+    pa: np.ndarray      # (E, 2) first endpoints
+    pb: np.ndarray      # (E, 2) second endpoints
+    lens: np.ndarray    # (E,) edge lengths
+
+    def points(self):
+        """(E, Q, 2) physical Gauss points."""
+        return (self.pa[:, None, :]
+                + self.t[None, :, None] * (self.pb - self.pa)[:, None, :])
+
+
+def _edge_rule(space: Space, tag: str, nq: int) -> _EdgeRule:
     edges = space.mesh.edges_with_tag(tag)
-    t, w = np.polynomial.legendre.leggauss(space.p + 2)
+    t, w = np.polynomial.legendre.leggauss(nq)
     t = 0.5 * (t + 1.0)
-    w = 0.5 * w
-    phi = _edge_basis_1d(space.p, t)             # (Q, p+1)
-    rows = _edge_dof_rows(space, edges)
     pa = space.mesh.nodes[edges[:, 0]]
     pb = space.mesh.nodes[edges[:, 1]]
-    lens = np.linalg.norm(pb - pa, axis=1)
-    loc = np.einsum("qn,qm,q,e->enm", phi, phi, w, lens)
-    nloc = phi.shape[1]
-    r = np.repeat(rows, nloc, axis=1).reshape(-1)
-    c = np.tile(rows, (1, nloc)).reshape(-1)
-    A = sp.coo_matrix((loc.reshape(-1), (r, c)),
+    return _EdgeRule(edges, space._edge_rows(edges), t, 0.5 * w,
+                     _edge_basis_1d(space.p, t), pa, pb,
+                     np.linalg.norm(pb - pa, axis=1))
+
+
+def boundary_mass(space: Space, tag: str):
+    r = _edge_rule(space, tag, space.p + 2)
+    loc = np.einsum("qn,qm,q,e->enm", r.phi, r.phi, r.w, r.lens)
+    nloc = r.phi.shape[1]
+    rows = np.repeat(r.rows, nloc, axis=1).reshape(-1)
+    cols = np.tile(r.rows, (1, nloc)).reshape(-1)
+    A = sp.coo_matrix((loc.reshape(-1), (rows, cols)),
                       shape=(space.ndof, space.ndof), dtype=complex)
     return A.tocsr()
 
 
 def boundary_load(space: Space, tag: str, g):
     """Load vector int_tag g(x) v ds; g constant or vectorized callable."""
-    edges = space.mesh.edges_with_tag(tag)
-    t, w = np.polynomial.legendre.leggauss(space.p + 3)
-    t = 0.5 * (t + 1.0)
-    w = 0.5 * w
-    phi = _edge_basis_1d(space.p, t)
-    rows = _edge_dof_rows(space, edges)
-    pa = space.mesh.nodes[edges[:, 0]]
-    pb = space.mesh.nodes[edges[:, 1]]
-    lens = np.linalg.norm(pb - pa, axis=1)
+    r = _edge_rule(space, tag, space.p + 3)
     if callable(g):
-        pts = pa[:, None, :] + t[None, :, None] * (pb - pa)[:, None, :]
+        pts = r.points()
         gv = np.asarray(g(pts[..., 0].ravel(), pts[..., 1].ravel()),
-                        dtype=complex).reshape(len(edges), t.size)
+                        dtype=complex).reshape(len(r.edges), r.t.size)
     else:
-        gv = np.full((len(edges), t.size), g, dtype=complex)
-    loc = np.einsum("qn,q,eq,e->en", phi, w, gv, lens)
-    b = np.zeros(space.ndof, dtype=complex)
-    np.add.at(b, rows.reshape(-1), loc.reshape(-1))
-    return b
+        gv = np.full((len(r.edges), r.t.size), g, dtype=complex)
+    loc = np.einsum("qn,q,eq,e->en", r.phi, r.w, gv, r.lens)
+    return _scatter(space, r.rows, loc)
+
+
+def _outward_quadrature(space: Space, r: _EdgeRule, tag: str):
+    """(points (E,Q,2), weights (E,Q), outward unit normals (E,2)) of r."""
+    if len(r.edges) == 0:
+        raise OutsideRegion(f"no boundary edges tagged {tag!r}")
+    elem = space.edge_element[space._edge_numbers(r.edges)]
+    wts = r.lens[:, None] * r.w[None, :]
+    tang = (r.pb - r.pa) / r.lens[:, None]
+    normals = np.column_stack([tang[:, 1], -tang[:, 0]])
+    cent = space.mesh.nodes[space.mesh.elements[elem]].mean(axis=1)
+    inward = np.einsum("ei,ei->e", normals, cent - 0.5 * (r.pa + r.pb)) > 0
+    normals[inward] = -normals[inward]
+    return r.points(), wts, normals
 
 
 def edge_quadrature(space: Space, tag: str, nq: int = 6):
@@ -383,55 +432,20 @@ def edge_quadrature(space: Space, tag: str, nq: int = 6):
     Returns (pts (E,Q,2), w (E,Q), normals (E,2)); normals point away from
     the unique adjacent element (i.e. out of the meshed domain).
     """
-    mesh = space.mesh
-    edges = mesh.edges_with_tag(tag)
-    if len(edges) == 0:
-        raise OutsideRegion(f"no boundary edges tagged {tag!r}")
-    pair2elem = {}
-    for row, tri in enumerate(mesh.elements):
-        for a, b in ((0, 1), (1, 2), (2, 0)):
-            u, v = int(tri[a]), int(tri[b])
-            pair2elem[(u, v) if u < v else (v, u)] = row
-    t, w = np.polynomial.legendre.leggauss(nq)
-    t = 0.5 * (t + 1.0)
-    w = 0.5 * w
-    pa = mesh.nodes[edges[:, 0]]
-    pb = mesh.nodes[edges[:, 1]]
-    pts = pa[:, None, :] + t[None, :, None] * (pb - pa)[:, None, :]
-    lens = np.linalg.norm(pb - pa, axis=1)
-    wts = lens[:, None] * w[None, :]
-    tang = (pb - pa) / lens[:, None]
-    normals = np.column_stack([tang[:, 1], -tang[:, 0]])
-    for i, (a, b) in enumerate(edges):
-        key = (int(a), int(b)) if a < b else (int(b), int(a))
-        row = pair2elem.get(key)
-        if row is None:
-            raise OutsideRegion(f"tagged edge {tag!r} not part of any element")
-        cent = mesh.nodes[mesh.elements[row]].mean(axis=0)
-        mid = 0.5 * (pa[i] + pb[i])
-        if np.dot(normals[i], cent - mid) > 0:
-            normals[i] = -normals[i]
-    return pts, wts, normals
+    return _outward_quadrature(space, _edge_rule(space, tag, nq), tag)
 
 
 def boundary_load_normal(space: Space, tag: str, g):
     """Load vector int_tag g(x, y, nx, ny) v ds with outward normals."""
-    edges = space.mesh.edges_with_tag(tag)
-    nq = space.p + 3
-    pts, wts, normals = edge_quadrature(space, tag, nq)
-    t = np.polynomial.legendre.leggauss(nq)[0]
-    t = 0.5 * (t + 1.0)
-    phi = _edge_basis_1d(space.p, t)
-    rows = _edge_dof_rows(space, edges)
+    r = _edge_rule(space, tag, space.p + 3)
+    pts, wts, normals = _outward_quadrature(space, r, tag)
     E, Q = wts.shape
     nn = np.broadcast_to(normals[:, None, :], (E, Q, 2))
     gv = np.asarray(g(pts[..., 0].ravel(), pts[..., 1].ravel(),
                       nn[..., 0].ravel(), nn[..., 1].ravel()),
                     dtype=complex).reshape(E, Q)
-    loc = np.einsum("qn,eq,eq->en", phi, wts, gv)
-    b = np.zeros(space.ndof, dtype=complex)
-    np.add.at(b, rows.reshape(-1), loc.reshape(-1))
-    return b
+    loc = np.einsum("qn,eq,eq->en", r.phi, wts, gv)
+    return _scatter(space, r.rows, loc)
 
 
 # -- constraints -----------------------------------------------------------------------
@@ -490,8 +504,7 @@ class Constraints:
 def paired_dofs(space: Space, tag_a, tag_b, axis):
     """Dofs of two congruent tagged boundaries, paired by coordinate axis."""
     coords = space.dof_coords
-    a, b = (np.unique(_edge_dof_rows(space, space.mesh.edges_with_tag(t)))
-            for t in (tag_a, tag_b))
+    a, b = space.boundary_dofs(tag_a), space.boundary_dofs(tag_b)
     if a.size != b.size:
         raise SingularSystem(f"{tag_a} and {tag_b} have different dof counts")
     a = a[np.argsort(coords[a, axis])]

@@ -55,6 +55,25 @@ def _rect_loop(x0, x1, y0, y1, tags):
     return pts, [tags[0], tags[1], tags[2], tags[3]]
 
 
+def _add_hole(geo: GeometrySpec, poly: np.ndarray, plateau):
+    """Append a hole loop, its carve seed and its size hint to geo.
+
+    The hint holds the hole's longest edge h_loc out to the radius
+    plateau(rad, h_loc), with rad the hole's half-width.
+    """
+    geo.loops.append((poly, ["GammaHole"] * len(poly)))
+    seed = tuple(poly.mean(axis=0))
+    geo.hole_seeds.append(seed)
+    h_loc = float(np.max(np.linalg.norm(np.roll(poly, -1, 0) - poly, axis=1)))
+    rad = 0.5 * float(poly[:, 0].max() - poly[:, 0].min())
+    geo.size_hints.append((seed, plateau(rad, h_loc), h_loc))
+
+
+def _wide_plateau(rad, h_loc):
+    """Plateau of an isolated unit hole: three half-widths."""
+    return 3.0 * rad
+
+
 def _chamber_wall_points(p: DomainParams):
     """Lower chamber corners: wall foot points at depth Hp for each side.
 
@@ -122,12 +141,7 @@ def build_perforated_domain(p: DomainParams, delta: float) -> GeometrySpec:
         # chamber walls can slant inward for theta < 3 pi / 2
         if not _clears_chamber_walls(p, poly):
             raise HoleCollision(f"hole {ell} crosses a chamber wall")
-        geo.loops.append((poly, ["GammaHole"] * len(poly)))
-        seed = poly.mean(axis=0)
-        geo.hole_seeds.append(tuple(seed))
-        h_loc = float(np.max(np.linalg.norm(np.roll(poly, -1, 0) - poly, axis=1)))
-        rad = 0.5 * float(np.max(poly[:, 0]) - np.min(poly[:, 0]))
-        geo.size_hints.append((tuple(seed), rad + 2 * h_loc, h_loc))
+        _add_hole(geo, poly, lambda rad, h_loc: rad + 2 * h_loc)
     return geo
 
 
@@ -155,12 +169,7 @@ def build_cell_geometry(h: HoleSpec, T: float) -> GeometrySpec:
                            ("Truncation", "Periodic_right", "Truncation", "Periodic_left"))
     geo = GeometrySpec(loops=[(pts, tags)])
     if not h.is_empty:
-        poly = h.polygon()
-        geo.loops.append((poly, ["GammaHole"] * len(poly)))
-        geo.hole_seeds.append(tuple(poly.mean(axis=0)))
-        edge = float(np.max(np.linalg.norm(np.roll(poly, -1, 0) - poly, axis=1)))
-        rad = 0.5 * float(poly[:, 0].max() - poly[:, 0].min())
-        geo.size_hints.append((tuple(poly.mean(axis=0)), 3.0 * rad, edge))
+        _add_hole(geo, h.polygon(), _wide_plateau)
     return geo
 
 
@@ -194,10 +203,5 @@ def build_cone_geometry(side: str, theta: float, Rmax: float,
                 continue
             if np.min(np.hypot(poly[:, 0], poly[:, 1])) <= 0.3:
                 continue
-            geo.loops.append((poly, ["GammaHole"] * len(poly)))
-            seed = poly.mean(axis=0)
-            geo.hole_seeds.append(tuple(seed))
-            edge = float(np.max(np.linalg.norm(np.roll(poly, -1, 0) - poly, axis=1)))
-            rad = 0.5 * float(poly[:, 0].max() - poly[:, 0].min())
-            geo.size_hints.append((tuple(seed), 3.0 * rad, edge))
+            _add_hole(geo, poly, _wide_plateau)
     return geo

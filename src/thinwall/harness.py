@@ -118,13 +118,8 @@ def errors_on_region(exact_result, expansion: ExpansionSet, alpha):
     delta = exact_result.delta
     pts, w, keep = _region_quadrature(space, exact_result.params, alpha)
     u_ref = exact_result.field.values_at_own_quad()[keep]
-    v00, v01, v20 = expansion.evaluate_terms(pts)
-    lam2 = expansion.exponents.lambda_n(2)
-    trunc = [v00,
-             v00 + delta * v01,
-             v00 + delta * v01 + delta ** lam2 * v20]
     return [float(np.sqrt(np.sum(w * np.abs(u_ref - t) ** 2)))
-            for t in trunc]
+            for t in expansion.truncations(pts, delta)]
 
 
 def cell_constants(cfg: StudyConfig):

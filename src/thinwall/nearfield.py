@@ -114,8 +114,7 @@ def solve_S(side, n, constants, hole, theta=1.5 * math.pi, Rmax=20.0,
     b = np.zeros(space.ndof, dtype=complex)
     cons = fem.Constraints(space)
     data = arc_data(n, frame, w0, w1, cut)
-    arc_dofs = np.unique(fem._edge_dof_rows(
-        space, mesh.edges_with_tag("Truncation")))
+    arc_dofs = space.boundary_dofs("Truncation")
     xy = space.dof_coords[arc_dofs]
     cons.dirichlet(arc_dofs, data(xy[:, 0], xy[:, 1]))
     u = fem.solve(A, b, cons)

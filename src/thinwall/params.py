@@ -23,19 +23,16 @@ class HoleSpec:
     consistent regardless of the polygonization error w.r.t. the ideal disk.
     """
 
-    kind: str = "disk"                      # "disk" | "polygon" | "none"
+    kind: str = "disk"                      # "disk" | "none"
     center: tuple = (0.5, 0.0)
     radius: float = 0.15
-    vertices: Optional[tuple] = None        # for kind == "polygon"
     n_seg: int = 32
 
     def __post_init__(self):
-        if self.kind not in ("disk", "polygon", "none"):
+        if self.kind not in ("disk", "none"):
             raise ValueError(f"unknown hole kind {self.kind!r}")
         if self.kind == "disk" and not self.radius > 0:
             raise ValueError("disk radius must be positive")
-        if self.kind == "polygon" and not self.vertices:
-            raise ValueError("polygon hole needs vertices")
 
     @property
     def is_empty(self) -> bool:
@@ -45,8 +42,6 @@ class HoleSpec:
         """Counter-clockwise polygon of the canonical hole (cell units)."""
         if self.kind == "none":
             return np.zeros((0, 2))
-        if self.kind == "polygon":
-            return np.asarray(self.vertices, dtype=float)
         cx, cy = self.center
         # vertex at angle 0 keeps the polygon symmetric under both
         # X1 -> 2*cx - X1 and X2 -> -X2 for even n_seg

@@ -552,10 +552,10 @@ def triangulate(geo: GeometrySpec, h0: float,
         tri.recover_segment(actual[ia], actual[ib], info)
     tri.carve(geo.hole_seeds)
     tri.refine(sizing, min_angle_deg)
-    return _extract(tri, geo)
+    return _extract(tri)
 
 
-def _extract(tri: _Triangulation, geo: GeometrySpec) -> Mesh:
+def _extract(tri: _Triangulation) -> Mesh:
     alive = [t for t in range(len(tri.tris))
              if not tri.dead[t] and tri.status[t] == _ALIVE]
     if not alive:
@@ -625,15 +625,8 @@ def _extract(tri: _Triangulation, geo: GeometrySpec) -> Mesh:
             bedges.append((dup.get(u, u), dup.get(v, v)))
             btags.append("GammaInterface_bottom")
 
-    corner_nodes = []
-    coord2node = {(float(x), float(y)): i for i, (x, y) in enumerate(nodes)}
-    for cv in geo.corner_vertices:
-        key = (float(cv[0]), float(cv[1]))
-        if key in coord2node:
-            corner_nodes.append(coord2node[key])
-
     mesh = Mesh(nodes, elements, np.array(bedges, dtype=np.int64).reshape(-1, 2),
-                btags, np.array(corner_nodes, dtype=np.int64))
+                btags)
     areas = mesh.element_areas()
     if np.any(areas <= 0):
         raise MeshFailure("extraction produced a non-positive element")

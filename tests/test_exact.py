@@ -1,11 +1,9 @@
 import cmath
 
 import numpy as np
-import pytest
 
 from thinwall import fem
-from thinwall.exact import (_estimate_ndof, incident_robin_load, kdelta_field,
-                            solve_exact)
+from thinwall.exact import incident_robin_load, kdelta_field, solve_exact
 from thinwall.geometry import build_perforated_domain
 from thinwall.params import DomainParams, HoleSpec
 from thinwall.triangulate import GradingSpec, triangulate
@@ -30,19 +28,11 @@ def test_incident_robin_load_value():
         -4.0j * cmath.exp(-10.0j), rtol=1e-15)
 
 
-def test_estimate_ndof_matches_space():
-    p = DomainParams()
-    mesh = triangulate(build_perforated_domain(p, 0.25), 0.2,
-                       GradingSpec(sigma=0.5, n_layers=4))
-    for degree in (1, 2, 3):
-        assert _estimate_ndof(mesh, degree) == fem.Space(mesh, degree).ndof
-
-
 def test_degree_fallback_under_dof_cap():
     p = DomainParams(k0=2.0)
     grading = GradingSpec(sigma=0.5, n_layers=8)
     mesh = triangulate(build_perforated_domain(p, 0.25), 0.15, grading)
-    cap = (_estimate_ndof(mesh, 2) + _estimate_ndof(mesh, 3)) // 2
+    cap = (fem.Space(mesh, 2).ndof + fem.Space(mesh, 3).ndof) // 2
     res = solve_exact(p, 0.25, h0=0.15, degree=3, grading=grading,
                       max_dofs=cap)
     assert res.degree == 2

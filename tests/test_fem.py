@@ -4,6 +4,9 @@ import pytest
 from helpers import helmholtz_square_solve, l2_error, square_space
 from thinwall import fem
 from thinwall.errors import SingularSystem
+from thinwall.geometry import build_limit_domain, build_perforated_domain
+from thinwall.params import DomainParams
+from thinwall.triangulate import GradingSpec, triangulate
 
 
 @pytest.fixture(params=[1, 2, 3])
@@ -24,6 +27,45 @@ def test_space_reproduces_own_degree(degree):
     np.testing.assert_allclose(field.evaluate(pts).real,
                                poly(pts[:, 0], pts[:, 1]),
                                rtol=1e-11, atol=1e-11)
+
+
+def _first_appearance_numbering(mesh, p):
+    """Element dofs, ndof and dof coordinates, numbering each edge's dofs
+    when an element loop first meets the edge."""
+    M = mesh.num_elements
+    element_dofs = np.empty((M, {2: 6, 3: 10}[p]), dtype=np.int64)
+    element_dofs[:, :3] = mesh.elements
+    coords = list(mesh.nodes)
+    edge_dofs = {}
+    for row, tri in enumerate(mesh.elements):
+        col = 3
+        for a, b in ((0, 1), (1, 2), (2, 0)):
+            ga, gb = int(tri[a]), int(tri[b])
+            key = (min(ga, gb), max(ga, gb))
+            if key not in edge_dofs:
+                edge_dofs[key] = list(range(len(coords), len(coords) + p - 1))
+                lo, hi = mesh.nodes[key[0]], mesh.nodes[key[1]]
+                coords += [lo + i / p * (hi - lo) for i in range(1, p)]
+            ds = edge_dofs[key]
+            element_dofs[row, col:col + p - 1] = ds if ga < gb else ds[::-1]
+            col += p - 1
+    if p == 3:
+        element_dofs[:, 9] = np.arange(len(coords), len(coords) + M)
+        coords += list(mesh.nodes[mesh.elements].mean(axis=1))
+    return element_dofs, len(coords), np.array(coords)
+
+
+def test_edge_table_matches_first_appearance():
+    p = DomainParams()
+    for geo in (build_limit_domain(p), build_perforated_domain(p, 0.25)):
+        mesh = triangulate(geo, 0.2, GradingSpec(sigma=0.5, n_layers=4))
+        for degree in (2, 3):
+            space = fem.Space(mesh, degree)
+            element_dofs, ndof, coords = _first_appearance_numbering(mesh,
+                                                                     degree)
+            np.testing.assert_array_equal(space.element_dofs, element_dofs)
+            assert space.ndof == ndof
+            np.testing.assert_array_equal(space.dof_coords, coords)
 
 
 def test_mass_and_stiffness_basics(degree):
@@ -64,9 +106,7 @@ def test_dirichlet_constraint():
     K = fem.stiffness(space)
     cons = fem.Constraints(space)
     coords = space.dof_coords
-    rows = np.unique(fem._edge_dof_rows(
-        space, space.mesh.edges_with_tag("GammaN")))
-    for d in rows:
+    for d in space.boundary_dofs("GammaN"):
         cons.dirichlet(d, coords[d, 0])
     u = fem.solve(K, np.zeros(space.ndof, dtype=complex), cons)
     np.testing.assert_allclose(u.real, coords[:, 0], atol=1e-10)
@@ -163,12 +203,12 @@ def test_misspelt_tag_raises():
         fem.boundary_mass(space, "GammaR_Plus")
 
 
-def test_inverted_element_raises(tmp_path):
+def test_inverted_element_raises():
     from thinwall.errors import SingularElement
-    from thinwall.mesh import mesh_io_read, mesh_io_write
+    from thinwall.mesh import Mesh
     mesh = square_space(0.3, 1).mesh
-    mesh.elements[0] = mesh.elements[0, ::-1]
-    path = tmp_path / "inverted.txt"
-    mesh_io_write(mesh, path)
+    elements = mesh.elements.copy()
+    elements[0] = elements[0, ::-1]
     with pytest.raises(SingularElement):
-        fem.Space(mesh_io_read(path), 1)
+        fem.Space(Mesh(mesh.nodes, elements, mesh.boundary_edges,
+                       mesh.boundary_tags), 1)

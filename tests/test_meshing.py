@@ -1,9 +1,7 @@
 import numpy as np
-import pytest
 
 from thinwall.geometry import (GeometrySpec, _rect_loop, build_limit_domain,
                                build_perforated_domain)
-from thinwall.mesh import mesh_io_read, mesh_io_write
 from thinwall.params import DomainParams
 from thinwall.triangulate import GradingSpec, triangulate
 
@@ -76,23 +74,3 @@ def test_perforated_mesh_resolves_holes():
         d = np.hypot(*(mesh.nodes - c).T)
         inside = d < 0.15 * 0.25 * np.cos(np.pi / 32) - 1e-12
         assert not np.any(inside)
-
-
-def test_mesh_io_round_trip(tmp_path):
-    mesh = triangulate(square_geo(), 0.3)
-    path = tmp_path / "m.txt"
-    mesh_io_write(mesh, path)
-    back = mesh_io_read(path)
-    np.testing.assert_allclose(back.nodes, mesh.nodes)
-    np.testing.assert_array_equal(back.elements, mesh.elements)
-    np.testing.assert_array_equal(back.boundary_edges, mesh.boundary_edges)
-    assert back.boundary_tags == mesh.boundary_tags
-    np.testing.assert_array_equal(back.corner_nodes, mesh.corner_nodes)
-
-
-def test_mesh_io_rejects_garbage(tmp_path):
-    from thinwall.errors import ParseError
-    path = tmp_path / "bad.txt"
-    path.write_text("not a mesh\n")
-    with pytest.raises(ParseError):
-        mesh_io_read(path)

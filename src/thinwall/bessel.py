@@ -1,349 +1,44 @@
 """Bessel functions J_nu, Y_nu of real (fractional) order.
 
-In-repo implementation: ascending power series for small arguments and
-Steed's continued-fraction method (CF1 + complex CF2, with a Temme-style
-series for the small-x Y seed) elsewhere.  Covers nu >= -1 via the
-reflection formulas.  Target: ~1e-13 relative accuracy on x in (0, 100],
-nu in [-1, 3].
+The values come from `scipy.special.jv` and `yv` (Amos, ACM TOMS 12 (1986),
+Algorithm 644); tests/data/bessel_oracle.csv, a frozen mpmath table, checks
+them.  The wrappers raise DomainError where scipy would silently answer nan
+or inf: Y_nu at x <= 0, J_nu at x < 0 and J_nu(0) for nu < 0.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
+from scipy.special import jv, yv
 
 from .errors import DomainError
 
-__all__ = ["bessel_jy", "bessel_j", "bessel_jy_deriv", "bessel_j_array", "bessel_y_array"]
-
-_EPS = 1.0e-16
-_FPMIN = 1.0e-290
-_MAXIT = 20000
-_XMIN_TEMME = 2.0
-
-# Taylor coefficients of 1/Gamma(1+z) = sum e_k z^k, k = 0..8, built from
-# exp(gamma*z - sum_{k>=2} (-1)^k zeta(k) z^k / k).
-_EULER = 0.57721566490153286060651209008240243104215933593992
-_ZETA = {
-    2: 1.6449340668482264364724151666460251892189499012068,
-    3: 1.2020569031595942853997381615114499907649862923405,
-    4: 1.0823232337111381915160036965411679027747509519187,
-    5: 1.0369277551433699263313654864570341680570809195019,
-    6: 1.0173430619844491397145179297909205279018174900329,
-    7: 1.0083492773819228268397975498497967595998635605652,
-    8: 1.0040773561979443393786852385086524652589607906499,
-}
+__all__ = ["bessel_jy", "bessel_j", "bessel_j_array", "bessel_y_array"]
 
 
-def _inv_gamma_coeffs(order: int = 8) -> list[float]:
-    # log(1/Gamma(1+z)) = gamma z - sum_{k>=2} (-1)^k zeta(k) z^k / k,
-    # exponentiated by power-series exp
-    p = [0.0] * (order + 1)
-    p[1] = _EULER
-    for k in range(2, order + 1):
-        p[k] = -((-1.0) ** k) * _ZETA[k] / k
-    e = [0.0] * (order + 1)
-    e[0] = 1.0
-    for n in range(1, order + 1):
-        s = 0.0
-        for k in range(1, n + 1):
-            s += k * p[k] * e[n - k]
-        e[n] = s / n
-    return e
-
-
-_E_COEF = _inv_gamma_coeffs()
-
-
-def _gam1_gam2(mu: float):
-    """gam1 = (1/G(1-mu) - 1/G(1+mu))/(2 mu), gam2 = (1/G(1-mu)+1/G(1+mu))/2."""
-    if abs(mu) >= 1.0e-3:
-        gmi = 1.0 / math.gamma(1.0 - mu)
-        gpl = 1.0 / math.gamma(1.0 + mu)
-        return (gmi - gpl) / (2.0 * mu), 0.5 * (gmi + gpl), gpl, gmi
-    # series: 1/Gamma(1 +- mu) = sum e_k (+-mu)^k
-    e = _E_COEF
-    odd = sum(e[k] * mu ** (k - 1) for k in range(1, len(e), 2))
-    even = sum(e[k] * mu**k for k in range(0, len(e), 2))
-    # 1/G(1+mu) = even + mu*odd, 1/G(1-mu) = even - mu*odd
-    gpl = even + mu * odd
-    gmi = even - mu * odd
-    return -odd, even, gpl, gmi
-
-
-def _series_j(nu: float, x: float) -> float:
-    """Ascending series for J_nu(x); reliable for x <= ~2 + |nu| and beyond."""
-    half = 0.5 * x
-    try:
-        term = half**nu / math.gamma(nu + 1.0)
-    except ValueError:  # Gamma pole (nu negative integer): J_{-n} via reflection
-        term = 0.0
-    s = term
-    k = 0
-    x2 = -(half * half)
-    while k < 200:
-        k += 1
-        term *= x2 / (k * (nu + k))
-        s += term
-        if abs(term) <= 1e-17 * (abs(s) + 1e-300):
-            break
-    return s
-
-
-def _steed(nu: float, x: float):
-    """Steed's method (CF1 + CF2 / Temme series): J, Y, J', Y' at nu >= 0, x > 0."""
-    if x <= 0.0 or nu < 0.0:
-        raise DomainError(f"steed requires x > 0 and nu >= 0, got nu={nu}, x={x}")
-    nl = int(nu + 0.5) if x < _XMIN_TEMME else max(0, int(nu - x + 1.5))
-    xmu = nu - nl
-    xmu2 = xmu * xmu
-    xi = 1.0 / x
-    xi2 = 2.0 * xi
-    w = xi2 / math.pi
-    # CF1 for J'_nu / J_nu
-    isign = 1
-    h = nu * xi
-    if h < _FPMIN:
-        h = _FPMIN
-    b = xi2 * nu
-    d = 0.0
-    c = h
-    for _ in range(_MAXIT):
-        b += xi2
-        d = b - d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = b - 1.0 / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        dl = c * d
-        h *= dl
-        if d < 0.0:
-            isign = -isign
-        if abs(dl - 1.0) < _EPS:
-            break
-    else:
-        raise DomainError(f"CF1 failed to converge at nu={nu}, x={x}")
-    rjl = isign * _FPMIN
-    rjpl = h * rjl
-    rjl1, rjp1 = rjl, rjpl
-    fact = nu * xi
-    for _ in range(nl):
-        rjtemp = fact * rjl + rjpl
-        fact -= xi
-        rjpl = fact * rjtemp - rjl
-        rjl = rjtemp
-    if rjl == 0.0:
-        rjl = _EPS
-    f = rjpl / rjl
-    if x < _XMIN_TEMME:
-        # Temme's series for Y_mu, Y_{mu+1}
-        x2 = 0.5 * x
-        pimu = math.pi * xmu
-        fct = 1.0 if abs(pimu) < 1e-15 else pimu / math.sin(pimu)
-        d = -math.log(x2)
-        e = xmu * d
-        fact2 = 1.0 if abs(e) < 1e-15 else math.sinh(e) / e
-        gam1, gam2, gampl, gammi = _gam1_gam2(xmu)
-        ff = 2.0 / math.pi * fct * (gam1 * math.cosh(e) + gam2 * fact2 * d)
-        e = math.exp(e)
-        p = e / (gampl * math.pi)
-        q = 1.0 / (e * math.pi * gammi)
-        pimu2 = 0.5 * pimu
-        fact3 = 1.0 if abs(pimu2) < 1e-15 else math.sin(pimu2) / pimu2
-        r = math.pi * pimu2 * fact3 * fact3
-        c = 1.0
-        d = -x2 * x2
-        ssum = ff + r * q
-        sum1 = p
-        for i in range(1, _MAXIT):
-            ff = (i * ff + p + q) / (i * i - xmu2)
-            c *= d / i
-            p /= i - xmu
-            q /= i + xmu
-            dl = c * (ff + r * q)
-            ssum += dl
-            dl1 = c * p - i * dl
-            sum1 += dl1
-            if abs(dl) < (1.0 + abs(ssum)) * _EPS:
-                break
-        rymu = -ssum
-        ry1 = -sum1 * xi2
-        rymup = xmu * xi * rymu - ry1
-        rjmu = w / (rymup - f * rymu)
-    else:
-        # CF2 (complex) for (J' + iY')/(J + iY)
-        a = 0.25 - xmu2
-        p = -0.5 * xi
-        q = 1.0
-        br = 2.0 * x
-        bi = 2.0
-        fct = a * xi / (p * p + q * q)
-        cr = br + q * fct
-        ci = bi + p * fct
-        den = br * br + bi * bi
-        dr = br / den
-        di = -bi / den
-        dlr = cr * dr - ci * di
-        dli = cr * di + ci * dr
-        temp = p * dlr - q * dli
-        q = p * dli + q * dlr
-        p = temp
-        for i in range(2, _MAXIT):
-            a += 2 * (i - 1)
-            bi += 2.0
-            dr = a * dr + br
-            di = a * di + bi
-            if abs(dr) + abs(di) < _FPMIN:
-                dr = _FPMIN
-            fct = a / (cr * cr + ci * ci)
-            cr = br + cr * fct
-            ci = bi - ci * fct
-            if abs(cr) + abs(ci) < _FPMIN:
-                cr = _FPMIN
-            den = dr * dr + di * di
-            dr, di = dr / den, -di / den
-            dlr = cr * dr - ci * di
-            dli = cr * di + ci * dr
-            temp = p * dlr - q * dli
-            q = p * dli + q * dlr
-            p = temp
-            if abs(dlr - 1.0) + abs(dli) < _EPS:
-                break
-        else:
-            raise DomainError(f"CF2 failed to converge at nu={nu}, x={x}")
-        gam = (p - f) / q
-        rjmu = math.sqrt(w / ((p - f) * gam + q))
-        rjmu = math.copysign(rjmu, rjl)
-        rymu = rjmu * gam
-        rymup = rymu * (p + q / gam)
-        ry1 = xmu * xi * rymu - rymup
-    fct = rjmu / rjl
-    rj = rjl1 * fct
-    rjp = rjp1 * fct
-    for i in range(1, nl + 1):
-        rytemp = (xmu + i) * xi2 * ry1 - rymu
-        rymu = ry1
-        ry1 = rytemp
-    ry = rymu
-    ryp = nu * xi * rymu - ry1
-    return rj, ry, rjp, ryp
-
-
-def _jy_nonneg(nu: float, x: float):
-    """(J, Y, J', Y') for nu >= 0, x > 0, choosing series for small x J."""
-    rj, ry, rjp, ryp = _steed(nu, x)
-    if x <= 2.0 + nu:
-        # the ascending series is the cleaner J route at small argument
-        rj_s = _series_j(nu, x)
-        rj1_s = _series_j(nu + 1.0, x)
-        rjp_s = -rj1_s + (nu / x) * rj_s
-        # keep Steed's Y (Temme seed), replace J by the series value
-        rj, rjp = rj_s, rjp_s
-    return rj, ry, rjp, ryp
-
-
-def bessel_jy(nu: float, x: float):
-    """Return (J_nu(x), Y_nu(x)) for real nu >= -1.
-
-    x = 0 is allowed for J only when nu >= 0 (Y diverges): use bessel_j.
-    """
-    if x <= 0.0:
-        raise DomainError(f"Y_nu requires x > 0, got x={x}")
-    if nu < -1.0:
-        raise DomainError(f"nu >= -1 required, got nu={nu}")
-    if nu >= 0.0:
-        rj, ry, _, _ = _jy_nonneg(nu, x)
-        return rj, ry
-    v = -nu
-    if abs(v - round(v)) < 1e-12:  # J_{-n} = (-1)^n J_n exactly
-        n = round(v)
-        rj, ry, _, _ = _jy_nonneg(float(n), x)
-        sgn = -1.0 if n % 2 else 1.0
-        return sgn * rj, sgn * ry
-    # reflection: J_{-v} = J_v cos(v pi) - Y_v sin(v pi), similarly Y_{-v}
-    rj, ry, _, _ = _jy_nonneg(v, x)
-    c, s = math.cos(v * math.pi), math.sin(v * math.pi)
-    return rj * c - ry * s, rj * s + ry * c
-
-
-def bessel_jy_deriv(nu: float, x: float):
-    """Return (J, Y, J', Y') for real nu >= -1, x > 0."""
-    if x <= 0.0:
-        raise DomainError(f"x > 0 required, got x={x}")
-    if nu >= 0.0:
-        return _jy_nonneg(nu, x)
-    v = -nu
-    if abs(v - round(v)) < 1e-12:
-        n = round(v)
-        rj, ry, rjp, ryp = _jy_nonneg(float(n), x)
-        sgn = -1.0 if n % 2 else 1.0
-        return sgn * rj, sgn * ry, sgn * rjp, sgn * ryp
-    rj, ry, rjp, ryp = _jy_nonneg(v, x)
-    c, s = math.cos(v * math.pi), math.sin(v * math.pi)
-    return rj * c - ry * s, rj * s + ry * c, rjp * c - ryp * s, rjp * s + ryp * c
-
-
-def bessel_j(nu: float, x: float) -> float:
-    """J_nu(x) alone; accepts x = 0 (J_0(0)=1, J_nu(0)=0 for nu>0)."""
-    if x == 0.0:
-        if nu == 0.0:
-            return 1.0
-        if nu > 0.0:
-            return 0.0
-        raise DomainError("J_nu(0) diverges for nu < 0")
-    if x < 0.0:
-        raise DomainError(f"x >= 0 required, got x={x}")
-    return bessel_jy(nu, x)[0]
-
-
-# -- vectorized helpers (fixed order, array argument) --------------------------
-
-def _series_j_array(nu: float, x: np.ndarray, nterms: int = 60) -> np.ndarray:
-    half = 0.5 * x
-    with np.errstate(divide="ignore"):
-        term = half**nu / math.gamma(nu + 1.0)
-    s = term.copy()
-    x2 = -(half * half)
-    for k in range(1, nterms):
-        term = term * x2 / (k * (nu + k))
-        s += term
-    return s
-
-
-def bessel_j_array(nu: float, x: np.ndarray) -> np.ndarray:
-    """J_nu over an array; series where safe, scalar Steed elsewhere."""
+def bessel_j_array(nu: float, x) -> np.ndarray:
+    """J_nu over an array of x >= 0 (x > 0 when nu < 0)."""
     x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    small = x <= 8.0
-    if np.any(small):
-        out[small] = _series_j_array(nu, x[small])
-    big = ~small
-    if np.any(big):
-        out[big] = [bessel_j(nu, float(v)) for v in x[big]]
+    if np.any(x < 0.0):
+        raise DomainError("J_nu requires x >= 0")
     if nu < 0.0 and np.any(x == 0.0):
-        raise DomainError("J_nu(0) diverges for nu < 0")
-    return out
+        raise DomainError(f"J_nu(0) diverges for nu={nu} < 0")
+    return jv(nu, x)
 
 
-def bessel_y_array(nu: float, x: np.ndarray) -> np.ndarray:
-    """Y_nu over an array; reflection-formula series for non-integer nu."""
+def bessel_y_array(nu: float, x) -> np.ndarray:
+    """Y_nu over an array of x > 0."""
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0.0):
         raise DomainError("Y_nu requires x > 0")
-    if abs(nu - round(nu)) < 1e-12:
-        return np.array([bessel_jy(nu, float(v))[1] for v in x])
-    out = np.empty_like(x)
-    small = x <= 8.0
-    if np.any(small):
-        xs = x[small]
-        jp = _series_j_array(nu, xs)
-        jm = _series_j_array(-nu, xs)
-        c, s = math.cos(nu * math.pi), math.sin(nu * math.pi)
-        out[small] = (jp * c - jm) / s
-    big = ~small
-    if np.any(big):
-        out[big] = [bessel_jy(nu, float(v))[1] for v in x[big]]
-    return out
+    return yv(nu, x)
+
+
+def bessel_j(nu: float, x: float) -> float:
+    """J_nu(x) alone; accepts x = 0 (J_0(0) = 1, J_nu(0) = 0 for nu > 0)."""
+    return float(bessel_j_array(nu, x))
+
+
+def bessel_jy(nu: float, x: float) -> tuple[float, float]:
+    """(J_nu(x), Y_nu(x)) at x > 0."""
+    return bessel_j(nu, x), float(bessel_y_array(nu, x))

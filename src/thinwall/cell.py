@@ -146,9 +146,9 @@ def build_cell(hole: HoleSpec, T: float = 6.0, h0: float = 0.06,
     D_inf = 0.5 * float(np.real(_polygon_area(hole.polygon())
                                 + _energy_pairing(K, W, W)))
 
-    # -Lap V11 = D1 (chi+'' - chi-'')/2, dV11/dn = -e1.n on the hole
+    # -Lap V11 = D1 sign(X2) chi''/2, dV11/dn = -e1.n on the hole
     def f11(x, y):
-        return 0.5 * D1 * (cut.d2chi_plus(y) - cut.d2chi_minus(y))
+        return 0.5 * D1 * np.sign(y) * cut.d2chi(y)
 
     V11 = solve(_balanced_load(space, f11, max(abs(D1), 1.0), "V11")
                 + hole_data)

@@ -81,23 +81,6 @@ class CutoffSpec:
     def d2chi(self, t):
         return self._eval(t)[2]
 
-    # one-sided pieces chi_pm = chi * indicator(+-t > 0)
-    def chi_plus(self, t):
-        t = np.asarray(t, dtype=float)
-        return np.where(t > 0.0, self.chi(t), 0.0)
-
-    def chi_minus(self, t):
-        t = np.asarray(t, dtype=float)
-        return np.where(t < 0.0, self.chi(t), 0.0)
-
-    def d2chi_plus(self, t):
-        t = np.asarray(t, dtype=float)
-        return np.where(t > 0.0, self.d2chi(t), 0.0)
-
-    def d2chi_minus(self, t):
-        t = np.asarray(t, dtype=float)
-        return np.where(t < 0.0, self.d2chi(t), 0.0)
-
 
 def make_cutoff(profile: str = "exp") -> CutoffSpec:
     """Return an admissible cut-off; profiles: 'exp' (C-inf), 'poly' (C^2)."""

@@ -87,10 +87,10 @@ def test_polar_branch_resolution():
     assert th_b[0] < 0.0 < th_t[0]
 
 
-def _plus_lift():
+def _plus_lift(k0=K0):
     frame = CornerFrame("plus", 0.5, THETA)
     w11 = solve_angular_profile(1, 1, "plus", 0.4, -0.25, EXPS)
-    return build_lift_J(frame, w11, make_cutoff("exp"), K0, coeff=1.3)
+    return build_lift_J(frame, w11, make_cutoff("exp"), k0, coeff=1.3)
 
 
 def test_lift_vanishes_outside_support():
@@ -148,14 +148,16 @@ def test_dx2_on_slit_matches_fd():
 
 
 def test_lift_gradient_matches_fd():
-    lift = _plus_lift()
-    x, y = 0.5 + 0.3 * math.cos(2.0), 0.3 * math.sin(2.0)
-    g = lift.gradient(np.array([x]), np.array([y]))[0]
-    h = 1e-6
-    vx = lift.value(np.array([x + h, x - h]), np.array([y, y]))
-    vy = lift.value(np.array([x, x]), np.array([y + h, y - h]))
-    np.testing.assert_allclose(g[0], (vx[0] - vx[1]) / (2 * h), rtol=1e-7)
-    np.testing.assert_allclose(g[1], (vy[0] - vy[1]) / (2 * h), rtol=1e-7)
+    # the second point has k0 r = 9: the J lift's derivative needs J_{-4/3} there
+    for k0, r in ((K0, 0.3), (20.0, 0.45)):
+        lift = _plus_lift(k0)
+        x, y = 0.5 + r * math.cos(2.0), r * math.sin(2.0)
+        g = lift.gradient(np.array([x]), np.array([y]))[0]
+        h = 1e-6
+        vx = lift.value(np.array([x + h, x - h]), np.array([y, y]))
+        vy = lift.value(np.array([x, x]), np.array([y + h, y - h]))
+        np.testing.assert_allclose(g[0], (vx[0] - vx[1]) / (2 * h), rtol=1e-7)
+        np.testing.assert_allclose(g[1], (vy[0] - vy[1]) / (2 * h), rtol=1e-7)
 
 
 def test_near_corner_amplitudes():

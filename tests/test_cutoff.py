@@ -44,15 +44,6 @@ def test_derivatives_match_finite_differences(cut):
     np.testing.assert_allclose(cut.d2chi(t), d2_fd, atol=1e-6)
 
 
-def test_one_sided_split(cut):
-    t = np.linspace(-3, 3, 100)
-    np.testing.assert_allclose(
-        cut.chi_plus(t) + cut.chi_minus(t), cut.chi(t), atol=1e-15
-    )
-    assert np.all(cut.chi_plus(t[t < 0]) == 0.0)
-    assert np.all(cut.chi_minus(t[t > 0]) == 0.0)
-
-
 def test_corner_cutoff_plateaus():
     # the radial cut-off depends on the profile and L only
     lift = LiftField(None, "J", 1.0, None, make_cutoff("exp"), L=0.5, k0=1.0)

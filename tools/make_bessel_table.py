@@ -6,8 +6,8 @@ Run from the repository root:
     python3 tools/make_bessel_table.py > tests/data/bessel_oracle.csv
 
 The committed table was produced once with mpmath at 50 decimal digits;
-tests compare the in-repo evaluator against the frozen file, not against
-mpmath at runtime.
+tests compare the scipy.special wrapper `thinwall.bessel` against the
+frozen file, not against mpmath at runtime.
 """
 
 import mpmath as mp

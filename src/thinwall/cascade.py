@@ -41,15 +41,16 @@ class TransmissionData:
 
     g is the trace jump across the interface (upper face minus lower face);
     h is the jump of the vertical derivative (upper minus lower), entering
-    the weak form through the mean of the test trace.  robin maps a boundary
-    tag to its Robin load, a constant or a callable (x, y) -> value.
+    the weak form through the mean of the test trace.  boundary maps a
+    boundary tag to its load g in int_tag g v ds, a constant or a callable
+    (x, y) -> value: Neumann data, or the data of a Robin end, whose matrix
+    part is in helmholtz_matrix.
     """
 
     f: object = None
     g: object = None
     h: object = None
-    robin: dict = field(default_factory=dict)
-    neumann: dict = field(default_factory=dict)
+    boundary: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -107,9 +108,7 @@ def solve_transmission(space: fem.Space, p: DomainParams,
     b = np.zeros(space.ndof, dtype=complex)
     if data.f is not None:
         b += fem.volume_load(space, data.f)
-    for tag, g in data.robin.items():
-        b += fem.boundary_load(space, tag, g)
-    for tag, g in data.neumann.items():
+    for tag, g in data.boundary.items():
         b += fem.boundary_load(space, tag, g)
     if data.h is not None:
         hfun = lambda x, y: np.asarray(data.h(x), dtype=complex)
@@ -132,7 +131,7 @@ def _field_evaluator(fld: fem.Field):
 
 def compute_u00(p: DomainParams, space: fem.Space, solver=None):
     """Limit solve (continuous interface) plus corner coefficients."""
-    data = TransmissionData(robin={"GammaR_minus": incident_robin_load(p)})
+    data = TransmissionData(boundary={"GammaR_minus": incident_robin_load(p)})
     u00 = solve_transmission(space, p, data, solver)
     corners = {}
     for side in ("plus", "minus"):
@@ -140,7 +139,7 @@ def compute_u00(p: DomainParams, space: fem.Space, solver=None):
         cd = CornerData(side=side)
         for m in range(4):
             ell, scatter, _ = extract_ell(_field_evaluator(u00), frame, m,
-                                          p.k0, return_scatter=True)
+                                          p.k0)
             cd.ell[m] = ell
             cd.ell_scatter[m] = scatter
         corners[side] = cd

@@ -18,7 +18,6 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -197,7 +196,6 @@ def cmd_study(args):
     cfg = parse_config(args.config)
     scfg = _study_config(cfg)
     rep = run_study(scfg)
-    os.makedirs(args.out, exist_ok=True)
     csv_path = emit_outputs(rep, args.out)
     print(f"wrote {csv_path}")
     lines, ok = _acceptance_checks(cfg, rep)

@@ -21,6 +21,9 @@ __all__ = ["SingularExponents", "AngularProfile", "solve_angular_profile",
            "jump_data", "w_base", "CornerFrame", "LiftField", "build_lift_J",
            "build_lift_Y", "extract_ell"]
 
+ELL_RADII = (0.1, 0.15, 0.2)  # extraction radii of the corner coefficients
+ELL_N_THETA = 96              # angular Gauss points per extraction circle
+
 
 @dataclass(frozen=True)
 class SingularExponents:
@@ -310,14 +313,14 @@ def build_lift_Y(i, frame: CornerFrame, cut, k0, coeff=1.0) -> LiftField:
     return LiftField(frame, "Y", exps.lambda_n(i), w, cut, frame.L, k0, coeff)
 
 
-def extract_ell(evaluate, frame: CornerFrame, m, k0,
-                radii=(0.1, 0.15, 0.2), n_theta=96, return_scatter=False):
+def extract_ell(evaluate, frame: CornerFrame, m, k0):
     """Corner coefficient of J_{lambda_m}(k0 r) w_{m,0}(theta) in a field.
 
     evaluate(points, bottom) -> complex values; the angular projection is
     done on both slit branches (Gauss panels split at the slit), then each
-    radius gives an estimate ell(r); radii near Bessel zeros are skipped and
-    the rest combined by least squares.
+    radius of ELL_RADII gives an estimate ell(r); radii near Bessel zeros
+    are skipped and the rest combined by least squares.  Returns (ell, its
+    relative scatter over the radii, the radii used).
     """
     exps = SingularExponents(frame.theta)
     lam_m = exps.lambda_n(m)
@@ -329,7 +332,7 @@ def extract_ell(evaluate, frame: CornerFrame, m, k0,
     cx, cy = frame.corner
 
     # Gauss panels on (a, gamma) and (gamma, b), branch chosen per panel
-    xg, wg = np.polynomial.legendre.leggauss(n_theta // 2)
+    xg, wg = np.polynomial.legendre.leggauss(ELL_N_THETA // 2)
 
     def panel(lo, hi):
         mid, hl = 0.5 * (hi + lo), 0.5 * (hi - lo)
@@ -342,7 +345,7 @@ def extract_ell(evaluate, frame: CornerFrame, m, k0,
 
     vals = []
     used = []
-    for r in radii:
+    for r in ELL_RADII:
         Jm = bessel_j(lam_m, k0 * r)
         if abs(Jm) <= 1e-8:
             continue
@@ -360,6 +363,4 @@ def extract_ell(evaluate, frame: CornerFrame, m, k0,
     vals = np.array(vals)
     ell = np.mean(vals)
     scatter = float(np.max(np.abs(vals - ell)) / max(abs(ell), 1e-300))
-    if return_scatter:
-        return complex(ell), scatter, list(used)
-    return complex(ell)
+    return complex(ell), scatter, list(used)

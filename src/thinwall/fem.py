@@ -1,10 +1,14 @@
 """Complex-valued nodal Lagrange finite elements on tagged triangle meshes.
 
 Degrees 1-3 on straight triangles, Dunavant volume quadrature and
-Gauss-Legendre edge quadrature.  Linear constraints (Dirichlet, periodic
-ties, prescribed inter-face jumps) are eliminated through a sparse
-prolongation u_full = C u_free + d, and each reduced operator is factored
-once for all of its loads.
+Gauss-Legendre edge quadrature.  Each space tabulates its one Dunavant rule
+once.  A volume matrix is a reference tensor of that rule contracted with a
+few affine factors per element (Kirby & Logg, ACM TOMS 32, 2006), which is
+exact for straight triangles, and every matrix is summed by one sparse
+COO -> CSR build.  Linear constraints (Dirichlet, periodic ties, prescribed
+inter-face jumps) are eliminated through a sparse prolongation
+u_full = C u_free + d, and each reduced operator is factored once for all
+of its loads.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ __all__ = ["Space", "Constraints", "Solver", "Field", "stiffness", "mass",
            "paired_dofs"]
 
 RTOL = 1e-10         # largest relative residual a direct solve may leave
-_CHUNK = 40_000      # elements assembled per sparse update
 
 
 # -- reference element ------------------------------------------------------------
@@ -156,6 +159,7 @@ class Space:
             ndof += M
         self.ndof = ndof
         self._coords = None
+        self._tab = None
         self._quad = None
         self._tree = None
         self._jac = None
@@ -225,20 +229,27 @@ class Space:
             self._jac = (J, Jinv, detJ)
         return self._jac
 
-    def quad_global(self, order=None):
+    def _rule(self):
+        """The space's volume rule, tabulated on first use: reference points
+        qp (Q, 2), weights qw (Q,) summing to 1, basis values phi (Q, nloc)
+        and reference gradients gphi (Q, nloc, 2) there."""
+        if self._tab is None:
+            qp, qw = _tri_rule(5 if self.p <= 2 else 8)
+            self._tab = (qp, qw, self.ref.eval(qp), self.ref.grad(qp))
+        return self._tab
+
+    def quad_global(self):
         """Physical quadrature points and weights, flattened over elements."""
-        if order is None:
-            order = _quad_order(self)
-        if self._quad is None or self._quad[0] != order:
-            qp, qw = _tri_rule(order)
+        if self._quad is None:
+            qp, qw, _, _ = self._rule()
             pts = self.mesh.nodes[self.mesh.elements]
             phys = (pts[:, None, 0, :]
                     + qp[None, :, 0, None] * (pts[:, 1] - pts[:, 0])[:, None, :]
                     + qp[None, :, 1, None] * (pts[:, 2] - pts[:, 0])[:, None, :])
             _, _, detJ = self._jacobians()
             w = 0.5 * detJ[:, None] * qw[None, :]
-            self._quad = (order, qp, qw, phys.reshape(-1, 2), w.reshape(-1))
-        return self._quad[3], self._quad[4]
+            self._quad = (phys.reshape(-1, 2), w.reshape(-1))
+        return self._quad
 
     # -- point location -----------------------------------------------------------
 
@@ -251,7 +262,7 @@ class Space:
             cent = self.mesh.nodes[self.mesh.elements].mean(axis=1)
             self._tree = cKDTree(cent)
         p0 = self.mesh.nodes[self.mesh.elements[:, 0]]
-        J, Jinv, _ = self._jacobians()
+        _, Jinv, _ = self._jacobians()
         elem = np.full(points.shape[0], -1, dtype=np.int64)
         ref = np.zeros_like(points)
         pending = np.arange(points.shape[0])
@@ -261,7 +272,6 @@ class Space:
             k_eff = min(k, self.mesh.num_elements)
             _, cand = self._tree.query(points[pending], k=k_eff)
             cand = np.atleast_2d(cand)
-            best_bad = np.full(pending.size, -1e30)
             for j in range(k_eff):
                 c = cand[:, j]
                 rel = points[pending] - p0[c]
@@ -272,8 +282,6 @@ class Space:
                 idx = pending[take]
                 elem[idx] = c[take]
                 ref[idx] = xi[take]
-                improve = (margin > best_bad) & (elem[pending] < 0)
-                best_bad = np.where(improve, margin, best_bad)
             pending = pending[elem[pending] < 0]
         if pending.size:
             raise OutsideRegion(
@@ -284,64 +292,55 @@ class Space:
 
 # -- assembly ----------------------------------------------------------------------
 
-def _quad_order(space):
-    return 5 if space.p <= 2 else 8
-
-
-def _assemble_cells(space: Space, kind, coeff=None):
-    qp, qw = _tri_rule(_quad_order(space))
-    phi = space.ref.eval(qp)                     # (Q, nloc)
-    gphi = space.ref.grad(qp)                    # (Q, nloc, 2)
-    _, Jinv, detJ = space._jacobians()
-    area_w = 0.5 * detJ                          # (M,)
-    M = space.mesh.num_elements
-    nloc = phi.shape[1]
-    if kind != "stiffness":
-        if callable(coeff):
-            pts, _ = space.quad_global(_quad_order(space))
-            cval = np.asarray(coeff(pts[:, 0], pts[:, 1])).reshape(M, -1)
-        else:
-            cval = None
-            cconst = 1.0 if coeff is None else coeff
-    A = sp.csr_matrix((space.ndof, space.ndof), dtype=complex)
-    for s in range(0, M, _CHUNK):
-        e = min(s + _CHUNK, M)
-        if kind == "stiffness":
-            g = np.einsum("eji,qnj->eqni", Jinv[s:e], gphi)
-            loc = np.einsum("eqni,eqmi,q,e->enm", g, g, qw, area_w[s:e])
-        elif cval is not None:
-            loc = np.einsum("qn,qm,q,eq,e->enm", phi, phi, qw,
-                            cval[s:e], area_w[s:e])
-        else:
-            loc = cconst * np.einsum("qn,qm,q,e->enm", phi, phi, qw, area_w[s:e])
-        ed = space.element_dofs[s:e]
-        rows = np.repeat(ed, nloc, axis=1).reshape(-1)
-        cols = np.tile(ed, (1, nloc)).reshape(-1)
-        A = A + sp.coo_matrix((loc.reshape(-1), (rows, cols)),
-                              shape=(space.ndof, space.ndof),
-                              dtype=complex).tocsr()
-    return A
-
-
 def stiffness(space: Space):
-    return _assemble_cells(space, "stiffness")
+    """Stiffness matrix: per element, the reference tensor
+    S[(j,k),(n,m)] = sum_q w_q d_j phi_n(q) d_k phi_m(q) contracted with
+    1/2 detJ Jinv Jinv^T."""
+    _, qw, _, gphi = space._rule()
+    _, Jinv, detJ = space._jacobians()
+    nloc = gphi.shape[1]
+    S = np.einsum("q,qnj,qmk->jknm", qw, gphi, gphi).reshape(4, nloc * nloc)
+    G = 0.5 * detJ[:, None, None] * (Jinv @ Jinv.transpose(0, 2, 1))
+    return _matrix(space, space.element_dofs, G.reshape(-1, 4) @ S)
 
 
 def mass(space: Space, coeff=None):
-    """Weighted mass matrix; coeff is a constant or a vectorized callable."""
-    return _assemble_cells(space, "mass", coeff)
+    """Weighted mass matrix; coeff is a constant or a vectorized callable.
+
+    Per element, the pointwise coefficient times 1/2 detJ contracts the
+    reference tensor P[q,(n,m)] = w_q phi_n(q) phi_m(q).
+    """
+    _, qw, phi, _ = space._rule()
+    _, _, detJ = space._jacobians()
+    M, Q, nloc = detJ.size, qw.size, phi.shape[1]
+    P = np.einsum("q,qn,qm->qnm", qw, phi, phi).reshape(Q, nloc * nloc)
+    if callable(coeff):
+        pts, _ = space.quad_global()
+        cval = np.asarray(coeff(pts[:, 0], pts[:, 1])).reshape(M, Q)
+    else:
+        cval = np.broadcast_to(1.0 if coeff is None else coeff, (M, Q))
+    loc = (cval * (0.5 * detJ)[:, None]) @ P
+    return _matrix(space, space.element_dofs, loc)
 
 
 def volume_load(space: Space, f):
-    qp, qw = _tri_rule(_quad_order(space))
-    phi = space.ref.eval(qp)
+    _, qw, phi, _ = space._rule()
     _, _, detJ = space._jacobians()
-    area_w = 0.5 * detJ
-    pts, _ = space.quad_global(_quad_order(space))
-    Mel = space.mesh.num_elements
-    fv = np.asarray(f(pts[:, 0], pts[:, 1]), dtype=complex).reshape(Mel, -1)
-    loc = np.einsum("qn,q,eq,e->en", phi, qw, fv, area_w)
+    pts, _ = space.quad_global()
+    fv = np.asarray(f(pts[:, 0], pts[:, 1]), dtype=complex)
+    loc = np.einsum("qn,q,eq,e->en", phi, qw, fv.reshape(-1, qw.size),
+                    0.5 * detJ)
     return _scatter(space, space.element_dofs, loc)
+
+
+def _matrix(space: Space, rows, loc):
+    """Complex CSR matrix summing the local matrices loc (K, n*n) into the
+    dof rows (K, n): one COO -> CSR build in loc's dtype, converted once."""
+    n = rows.shape[1]
+    ij = (np.repeat(rows, n, axis=1).reshape(-1),
+          np.tile(rows, (1, n)).reshape(-1))
+    A = sp.coo_matrix((loc.reshape(-1), ij), shape=(space.ndof, space.ndof))
+    return A.tocsr().astype(complex)
 
 
 def _scatter(space: Space, rows, loc):
@@ -391,12 +390,7 @@ def _edge_rule(space: Space, tag: str, nq: int) -> _EdgeRule:
 def boundary_mass(space: Space, tag: str):
     r = _edge_rule(space, tag, space.p + 2)
     loc = np.einsum("qn,qm,q,e->enm", r.phi, r.phi, r.w, r.lens)
-    nloc = r.phi.shape[1]
-    rows = np.repeat(r.rows, nloc, axis=1).reshape(-1)
-    cols = np.tile(r.rows, (1, nloc)).reshape(-1)
-    A = sp.coo_matrix((loc.reshape(-1), (rows, cols)),
-                      shape=(space.ndof, space.ndof), dtype=complex)
-    return A.tocsr()
+    return _matrix(space, r.rows, loc)
 
 
 def boundary_load(space: Space, tag: str, g):
@@ -603,17 +597,13 @@ class Field:
         dofs = self.space.element_dofs[elem]
         return np.einsum("qni,qn->qi", g, self.coeffs[dofs])
 
-    def values_at_own_quad(self, order=None):
-        order = order if order is not None else _quad_order(self.space)
-        qp, _ = _tri_rule(order)
-        phi = self.space.ref.eval(qp)
+    def values_at_own_quad(self):
+        _, _, phi, _ = self.space._rule()
         vals = np.einsum("qn,en->eq", phi, self.coeffs[self.space.element_dofs])
         return vals.reshape(-1)
 
-    def grads_at_own_quad(self, order=None):
-        order = order if order is not None else _quad_order(self.space)
-        qp, _ = _tri_rule(order)
-        gphi = self.space.ref.grad(qp)
+    def grads_at_own_quad(self):
+        _, _, _, gphi = self.space._rule()
         _, Jinv, _ = self.space._jacobians()
         g = np.einsum("eji,qnj->eqni", Jinv, gphi)
         vals = np.einsum("eqni,en->eqi", g, self.coeffs[self.space.element_dofs])

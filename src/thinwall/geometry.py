@@ -24,6 +24,8 @@ __all__ = [
     "build_cone_geometry",
 ]
 
+ARC_STEP = 0.02  # largest angular step of the cone's truncation arc
+
 
 @dataclass
 class GeometrySpec:
@@ -149,10 +151,10 @@ def _clears_chamber_walls(p: DomainParams, poly: np.ndarray) -> bool:
     """Check every polygon vertex lies on the domain side of both walls."""
     ct, st = math.cos(p.theta), math.sin(p.theta)
     walls = (
-        ((p.L, 0.0), (ct, st), (st, -ct)),      # corner +, inward normal
-        ((-p.L, 0.0), (-ct, st), (-st, -ct)),   # corner -, mirrored
+        ((p.L, 0.0), (st, -ct)),      # corner +, inward normal
+        ((-p.L, 0.0), (-st, -ct)),    # corner -, mirrored
     )
-    for corner, _d, nrm in walls:
+    for corner, nrm in walls:
         rel = poly - np.asarray(corner)
         below = poly[:, 1] < 1e-15
         if np.any(below & (rel @ np.asarray(nrm) < 1e-12)):
@@ -174,8 +176,7 @@ def build_cell_geometry(h: HoleSpec, T: float) -> GeometrySpec:
 
 
 def build_cone_geometry(side: str, theta: float, Rmax: float,
-                        hole: HoleSpec | None = None,
-                        arc_step: float = 0.02) -> GeometrySpec:
+                        hole: HoleSpec | None = None) -> GeometrySpec:
     """Truncated perforated cone for the near-field problems.
 
     side 'plus': sector angles (0, theta), holes on the negative X1 axis.
@@ -186,7 +187,7 @@ def build_cone_geometry(side: str, theta: float, Rmax: float,
     if Rmax < 20:
         raise ValueError("Rmax >= 20 required")
     a, b = (0.0, theta) if side == "plus" else (math.pi - theta, math.pi)
-    n_arc = max(64, int(math.ceil((b - a) / arc_step)))
+    n_arc = max(64, int(math.ceil((b - a) / ARC_STEP)))
     ang = np.linspace(a, b, n_arc + 1)
     arc = Rmax * np.column_stack([np.cos(ang), np.sin(ang)])
     pts = np.vstack([[0.0, 0.0], arc])

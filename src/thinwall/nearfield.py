@@ -26,6 +26,10 @@ from .triangulate import GradingSpec, triangulate
 
 __all__ = ["NearFieldSolution", "solve_S", "extract_L", "arc_data"]
 
+L_MODES = (0, 1, 2, 3)   # sector modes fitted by extract_L
+L_EXCLUDE = 3.0          # half-width of the layer strip left out of the fit
+L_N_RADII = 8            # fit radii in (Rmax/4, Rmax/2)
+
 
 def _piece_eval(piece, theta):
     _lo, _hi, amp, mu, ref = piece
@@ -152,8 +156,7 @@ def _window_panels(frame: CornerFrame, R, exclude):
     return panels
 
 
-def extract_L(u, frame: CornerFrame, n, w0, w1, Rmax,
-              modes=(0, 1, 2, 3), exclude=3.0, n_radii=8):
+def extract_L(u, frame: CornerFrame, n, w0, w1, Rmax):
     """Amplitudes of the decaying sector modes inside the matching window.
 
     At each radius in (Rmax/4, Rmax/2) the residual of u against the known
@@ -165,15 +168,15 @@ def extract_L(u, frame: CornerFrame, n, w0, w1, Rmax,
     """
     exps = SingularExponents(frame.theta)
     lam_n = exps.lambda_n(n)
-    radii = np.linspace(Rmax / 4.0, Rmax / 2.0, n_radii)
+    radii = np.linspace(Rmax / 4.0, Rmax / 2.0, L_N_RADII)
     profs = {m: (w_base(m, frame.side, exps) if m > 0 else None)
-             for m in modes}
+             for m in L_MODES}
     cx, cy = frame.corner
     evaluate = u.evaluate if hasattr(u, "evaluate") else u
 
-    coeff = {m: [] for m in modes}
+    coeff = {m: [] for m in L_MODES}
     for R in radii:
-        panels = _window_panels(frame, R, exclude)
+        panels = _window_panels(frame, R, L_EXCLUDE)
         thetas = np.concatenate([p[0] for p in panels])
         wts = np.concatenate([p[1] for p in panels])
         pts = np.column_stack([cx + R * np.cos(thetas),
@@ -182,18 +185,18 @@ def extract_L(u, frame: CornerFrame, n, w0, w1, Rmax,
         resid = vals - (R ** lam_n * w0(thetas)
                         + R ** (lam_n - 1.0) * w1(thetas))
         cols = []
-        for m in modes:
+        for m in L_MODES:
             cols.append(np.ones_like(thetas) if m == 0
                         else np.real(profs[m](thetas)))
         Amat = np.column_stack(cols) * np.sqrt(wts)[:, None]
         rhs = resid * np.sqrt(wts)
         c, *_ = np.linalg.lstsq(Amat, rhs, rcond=None)
-        for i, m in enumerate(modes):
+        for i, m in enumerate(L_MODES):
             coeff[m].append(c[i])
 
     ell, res_rel, log_rel = {}, {}, {}
     lnR = np.log(radii)
-    for m in modes:
+    for m in L_MODES:
         cm = np.array(coeff[m])
         lam = exps.lambda_n(m)
         # decaying target power plus a growing power absorbing the

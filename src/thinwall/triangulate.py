@@ -20,6 +20,9 @@ from .mesh import Mesh
 
 __all__ = ["GradingSpec", "triangulate"]
 
+MIN_ANGLE_DEG = 26.0     # refinement splits triangles with a smaller angle
+MAX_INSERT = 400_000     # refinement insertions before MeshFailure
+
 
 @dataclass(frozen=True)
 class GradingSpec:
@@ -358,8 +361,8 @@ class _Triangulation:
         uy = ay + ((bx - ax) * c2 - (cx - ax) * b2) / d
         return ux, uy, math.hypot(ux - ax, uy - ay)
 
-    def refine(self, sizing, min_angle_deg=26.0, max_insert=400_000):
-        ratio_bound = 0.5 / math.sin(math.radians(min_angle_deg))
+    def refine(self, sizing):
+        ratio_bound = 0.5 / math.sin(math.radians(MIN_ANGLE_DEG))
         inserted = 0
         stack = [t for t in range(len(self.tris))
                  if not self.dead[t] and self.status[t] == _ALIVE]
@@ -386,7 +389,7 @@ class _Triangulation:
             bad_shape = R > ratio_bound * lmin and lmin > 1e-12
             if not (bad_size or bad_shape):
                 continue
-            if inserted >= max_insert:
+            if inserted >= MAX_INSERT:
                 raise MeshFailure("refinement exceeded the insertion budget")
             # walk from t towards the circumcenter, watching constraints
             blocked = self._walk_blocked(t, ux, uy)
@@ -514,8 +517,7 @@ def _sample_edge(a, b, sizing):
 
 
 def triangulate(geo: GeometrySpec, h0: float,
-                grading: GradingSpec | None = None,
-                min_angle_deg: float = 26.0) -> Mesh:
+                grading: GradingSpec | None = None) -> Mesh:
     """Mesh a GeometrySpec at background size h0 and return a tagged Mesh."""
     if not h0 > 0:
         raise ValueError("h0 must be positive")
@@ -551,7 +553,7 @@ def triangulate(geo: GeometrySpec, h0: float,
     for ia, ib, info in req:
         tri.recover_segment(actual[ia], actual[ib], info)
     tri.carve(geo.hole_seeds)
-    tri.refine(sizing, min_angle_deg)
+    tri.refine(sizing)
     return _extract(tri)
 
 

@@ -154,9 +154,9 @@ class ManufacturedTransmission:
     def data(self):
         return TransmissionData(
             f=self.volume_load, g=self.jump_g, h=self.jump_h,
-            robin={"GammaR_plus": self.robin(+1.0),
-                   "GammaR_minus": self.robin(-1.0)},
-            neumann={"GammaN": self.neumann})
+            boundary={"GammaR_plus": self.robin(+1.0),
+                      "GammaR_minus": self.robin(-1.0),
+                      "GammaN": self.neumann})
 
 
 def transmission_solve(h0, degree, k0=2.0):

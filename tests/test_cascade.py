@@ -66,7 +66,7 @@ def test_continuous_interface_ties_dofs():
     p = DomainParams(k0=2.0)
     space = build_limit_space(p, h0=0.17, degree=2)
     u = solve_transmission(space, p, TransmissionData(
-        robin={"GammaR_minus": lambda x, y: np.ones(np.shape(x), complex)}))
+        boundary={"GammaR_minus": lambda x, y: np.ones(np.shape(x), complex)}))
     xs, top, bot = _interface_pairs(space)
     np.testing.assert_allclose(u.coeffs[top], u.coeffs[bot], atol=1e-13)
 

@@ -190,8 +190,7 @@ def test_extract_ell_exact_recovery(side):
         return out
 
     for m, c in cs.items():
-        ell, scatter, used = extract_ell(field, frame, m, K0,
-                                         return_scatter=True)
+        ell, scatter, used = extract_ell(field, frame, m, K0)
         assert len(used) >= 2
         np.testing.assert_allclose(ell, c, rtol=1e-10)
         assert scatter < 1e-10

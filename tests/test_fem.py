@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from helpers import helmholtz_square_solve, l2_error, square_space
 from thinwall import fem
 from thinwall.errors import SingularSystem
+from thinwall.exact import kdelta_field
 from thinwall.geometry import build_limit_domain, build_perforated_domain
 from thinwall.params import DomainParams
 from thinwall.triangulate import GradingSpec, triangulate
@@ -66,6 +68,65 @@ def test_edge_table_matches_first_appearance():
             np.testing.assert_array_equal(space.element_dofs, element_dofs)
             assert space.ndof == ndof
             np.testing.assert_array_equal(space.dof_coords, coords)
+
+
+def _oracle_matrix(space, coeff=None, stiff=False):
+    """Reference assembly: physical gradients and values contracted point by
+    point over the same rule, summed by one COO build."""
+    qp, qw = fem._tri_rule(5 if space.p <= 2 else 8)
+    phi, gphi = space.ref.eval(qp), space.ref.grad(qp)
+    _, Jinv, detJ = space._jacobians()
+    area_w = 0.5 * detJ
+    if stiff:
+        g = np.einsum("eji,qnj->eqni", Jinv, gphi)
+        loc = np.einsum("eqni,eqmi,q,e->enm", g, g, qw, area_w)
+    else:
+        pts, _ = space.quad_global()
+        cval = (np.ones((detJ.size, qw.size)) if coeff is None
+                else coeff(pts[:, 0], pts[:, 1]).reshape(detJ.size, -1))
+        loc = np.einsum("qn,qm,q,eq,e->enm", phi, phi, qw, cval, area_w)
+    ed, n = space.element_dofs, phi.shape[1]
+    rows = np.repeat(ed, n, axis=1).reshape(-1)
+    cols = np.tile(ed, (1, n)).reshape(-1)
+    return sp.coo_matrix((loc.reshape(-1), (rows, cols)),
+                         shape=(space.ndof, space.ndof)).tocsr()
+
+
+def test_assembly_matches_quadrature_oracle():
+    # a varying coefficient: the cell wavenumber profile inside the layer
+    p = DomainParams(k0=2.0,
+                     khat=lambda X1, X2: 3.0 + np.cos(2 * np.pi * X1) * X2)
+    k2 = kdelta_field(p, 0.25)
+    for geo in (build_limit_domain(p), build_perforated_domain(p, 0.25)):
+        mesh = triangulate(geo, 0.2, GradingSpec(sigma=0.5, n_layers=4))
+        for degree in (1, 2, 3):
+            space = fem.Space(mesh, degree)
+            for got, want in ((fem.stiffness(space),
+                               _oracle_matrix(space, stiff=True)),
+                              (fem.mass(space), _oracle_matrix(space)),
+                              (fem.mass(space, coeff=k2),
+                               _oracle_matrix(space, coeff=k2))):
+                assert got.dtype == complex
+                scale = np.abs(want).max()
+                assert np.abs(got - want).max() <= 1e-13 * scale
+
+
+def test_space_tabulates_rule_once(monkeypatch):
+    calls = []
+    rule = fem._tri_rule
+
+    def counted(order):
+        calls.append(order)
+        return rule(order)
+
+    monkeypatch.setattr(fem, "_tri_rule", counted)
+    space = square_space(0.3, 3)
+    fem.stiffness(space)
+    fem.mass(space)
+    b = fem.volume_load(space, lambda x, y: x)
+    space.quad_global()
+    fem.Field(space, b).values_at_own_quad()
+    assert len(calls) == 1
 
 
 def test_mass_and_stiffness_basics(degree):

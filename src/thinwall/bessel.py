@@ -3,7 +3,9 @@
 The values come from `scipy.special.jv` and `yv` (Amos, ACM TOMS 12 (1986),
 Algorithm 644); tests/data/bessel_oracle.csv, a frozen mpmath table, checks
 them.  The wrappers raise DomainError where scipy would silently answer nan
-or inf: Y_nu at x <= 0, J_nu at x < 0 and J_nu(0) for nu < 0.
+or inf: Y_nu at x <= 0, J_nu at x < 0 and J_nu(0) for nu < 0.  `yv`
+answers 0 at a subnormal order (|nu| < 2.2e-308), so such an order is read
+as nu = 0; Y_nu is continuous in nu, and Y_0 is its value to round-off.
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ def bessel_y_array(nu: float, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0.0):
         raise DomainError("Y_nu requires x > 0")
+    if abs(nu) < np.finfo(float).tiny:
+        nu = 0.0
     return yv(nu, x)
 
 

@@ -76,6 +76,8 @@ def test_small_argument_power_law(nu):
 @given(st.floats(-1.0, 3.0), st.floats(0.05, 90.0))
 @settings(max_examples=80, deadline=None)
 @example(nu=0.99999, x=1.0)  # order just below an integer
+@example(nu=5e-324, x=1.0)  # subnormal order
+@example(nu=-5e-324, x=1.0)
 def test_wronskian(nu, x):
     # cross-product identity J_{nu+1} Y_nu - J_nu Y_{nu+1} = 2/(pi x)
     j0, y0 = bessel_jy(nu, x)

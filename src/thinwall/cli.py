@@ -145,9 +145,9 @@ def cmd_cell_constants(args):
 def cmd_nearfield(args):
     cfg = _config_of(args)
     p = cfg.params
-    sol = solve_S(args.side, args.n, cell_constants(cfg), p.hole,
+    sol = solve_S((args.side,), args.n, cell_constants(cfg), p.hole,
                   theta=p.theta, Rmax=cfg.nf_Rmax, h0=cfg.nf_h0,
-                  degree=cfg.nf_degree, cutoff=cfg.cutoff)
+                  degree=cfg.nf_degree, cutoff=cfg.cutoff)[args.side]
     print(json.dumps(sol.as_dict(), indent=2))
     return 0
 

@@ -300,8 +300,13 @@ def stiffness(space: Space):
     _, Jinv, detJ = space._jacobians()
     nloc = gphi.shape[1]
     S = np.einsum("q,qnj,qmk->jknm", qw, gphi, gphi).reshape(4, nloc * nloc)
+    # couplings that vanish for every triangle stay out of the pattern; for
+    # P2 these are a vertex and its opposite edge's midpoint, since the
+    # integral of (4 l_i - 1) l_k is zero, and quadrature leaves round-off
+    keep = np.abs(S).max(axis=0) > 1e-12 * np.abs(S).max()
     G = 0.5 * detJ[:, None, None] * (Jinv @ Jinv.transpose(0, 2, 1))
-    return _matrix(space, space.element_dofs, G.reshape(-1, 4) @ S)
+    return _matrix(space, space.element_dofs, G.reshape(-1, 4) @ S[:, keep],
+                   keep)
 
 
 def mass(space: Space, coeff=None):
@@ -333,13 +338,15 @@ def volume_load(space: Space, f):
     return _scatter(space, space.element_dofs, loc)
 
 
-def _matrix(space: Space, rows, loc):
+def _matrix(space: Space, rows, loc, keep=None):
     """Complex CSR matrix summing the local matrices loc (K, n*n) into the
-    dof rows (K, n): one COO -> CSR build in loc's dtype, converted once."""
+    dof rows (K, n): one COO -> CSR build in loc's dtype, converted once.
+    With the mask keep (n*n,), loc holds only the kept local entries."""
     n = rows.shape[1]
-    ij = (np.repeat(rows, n, axis=1).reshape(-1),
-          np.tile(rows, (1, n)).reshape(-1))
-    A = sp.coo_matrix((loc.reshape(-1), ij), shape=(space.ndof, space.ndof))
+    k = np.arange(n * n) if keep is None else np.flatnonzero(keep)
+    A = sp.coo_matrix((loc.reshape(-1), (rows[:, k // n].reshape(-1),
+                                         rows[:, k % n].reshape(-1))),
+                      shape=(space.ndof, space.ndof))
     return A.tocsr().astype(complex)
 
 

@@ -175,34 +175,30 @@ def build_cell_geometry(h: HoleSpec, T: float) -> GeometrySpec:
     return geo
 
 
-def build_cone_geometry(side: str, theta: float, Rmax: float,
-                        hole: HoleSpec | None = None) -> GeometrySpec:
-    """Truncated perforated cone for the near-field problems.
+def build_cone_geometry(theta: float, Rmax: float,
+                        polygon: np.ndarray) -> GeometrySpec:
+    """Truncated perforated cone of the plus corner, for the near-field problems.
 
-    side 'plus': sector angles (0, theta), holes on the negative X1 axis.
-    side 'minus': sector angles (pi - theta, pi), holes on the positive axis.
+    The sector spans the angles (0, theta) about the origin, with a copy of
+    the counter-clockwise cell polygon (cell units) in each period
+    (-ell, 1 - ell) of the negative X1 axis.  The minus corner's cone is the
+    image under x -> -x of this cone built on the polygon mirrored about
+    X1 = 1/2 (nearfield.side_polygon).
     """
-    if side not in ("plus", "minus"):
-        raise ValueError("side must be 'plus' or 'minus'")
     if Rmax < 20:
         raise ValueError("Rmax >= 20 required")
-    a, b = (0.0, theta) if side == "plus" else (math.pi - theta, math.pi)
-    n_arc = max(64, int(math.ceil((b - a) / ARC_STEP)))
-    ang = np.linspace(a, b, n_arc + 1)
+    n_arc = max(64, int(math.ceil(theta / ARC_STEP)))
+    ang = np.linspace(0.0, theta, n_arc + 1)
     arc = Rmax * np.column_stack([np.cos(ang), np.sin(ang)])
     pts = np.vstack([[0.0, 0.0], arc])
     tags = ["GammaN"] + ["Truncation"] * n_arc + ["GammaN"]
     geo = GeometrySpec(loops=[(pts, tags)], corner_vertices=[(0.0, 0.0)])
-    if hole is not None and not hole.is_empty:
-        canon = hole.polygon()
-        for ell in range(1, int(math.floor(Rmax)) + 1):
-            if side == "plus":
-                poly = np.column_stack([canon[:, 0] - ell, canon[:, 1]])
-            else:
-                poly = np.column_stack([canon[:, 0] + (ell - 1), canon[:, 1]])
-            if np.max(np.hypot(poly[:, 0], poly[:, 1])) >= Rmax - 0.3:
-                continue
-            if np.min(np.hypot(poly[:, 0], poly[:, 1])) <= 0.3:
-                continue
-            _add_hole(geo, poly, _wide_plateau)
+    n_holes = int(math.floor(Rmax)) if len(polygon) else 0
+    for ell in range(1, n_holes + 1):
+        poly = np.column_stack([polygon[:, 0] - ell, polygon[:, 1]])
+        if np.max(np.hypot(poly[:, 0], poly[:, 1])) >= Rmax - 0.3:
+            continue
+        if np.min(np.hypot(poly[:, 0], poly[:, 1])) <= 0.3:
+            continue
+        _add_hole(geo, poly, _wide_plateau)
     return geo

@@ -144,13 +144,14 @@ def build_model(cfg: StudyConfig, log=print):
     log(f"[cell] constants {constants.as_dict()}")
 
     t1 = time.time()
-    L_minus_1 = {}
-    for side in ("plus", "minus"):
-        nf = solve_S(side, 1, constants, p.hole, theta=p.theta,
-                     Rmax=cfg.nf_Rmax, h0=cfg.nf_h0, degree=cfg.nf_degree,
-                     cutoff=cfg.cutoff)
-        L_minus_1[side] = nf.ell[1]
-        log(f"[nearfield] {side}: L_-1 = {nf.ell[1]:.6f}")
+    sols = solve_S(("plus", "minus"), 1, constants, p.hole, theta=p.theta,
+                   Rmax=cfg.nf_Rmax, h0=cfg.nf_h0, degree=cfg.nf_degree,
+                   cutoff=cfg.cutoff)
+    L_minus_1 = {side: nf.ell[1] for side, nf in sols.items()}
+    for side, nf in sols.items():
+        log(f"[nearfield] {side}: L_-1 = {nf.ell[1]:.6f}, {nf.ndof} dofs, "
+            + ("reused factorisation" if nf.reused_factorization
+               else "own factorisation"))
     walltimes["nearfield"] = time.time() - t1
 
     t2 = time.time()

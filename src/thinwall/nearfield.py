@@ -7,6 +7,15 @@ R^lambda_n w_{n,0} + R^(lambda_n - 1) w_{n,1}.  Because the cone is
 connected through the hole row, the jumping second term is blended across
 the layer before being imposed.  The quantity of interest is the
 coefficient of the decaying mode R^(-lambda_m) w_{m,0} in S_n.
+
+Every cone is meshed in the plus orientation (sector (0, Theta), holes on
+the negative X1 axis).  Side s's cone is the image under x -> sigma_s x
+(sigma = +1 plus, -1 minus) of the plus-orientation cone built on the
+hole polygon P_s, the cell polygon mirrored about X1 = 1/2 for the minus
+side.  Side s's arc data and extraction are evaluated at the mirrored
+points (sigma_s x, y).  Sides whose polygons coincide, as for a hole
+symmetric under X1 -> 1 - X1, share one mesh and one factorisation, and
+each is one load on it.
 """
 
 from __future__ import annotations
@@ -24,7 +33,11 @@ from .errors import ExtractionUnstable
 from .geometry import build_cone_geometry
 from .triangulate import GradingSpec, triangulate
 
-__all__ = ["NearFieldSolution", "solve_S", "extract_L", "arc_data"]
+__all__ = ["NearFieldSolution", "solve_S", "extract_L", "arc_data",
+           "side_polygon"]
+
+MIRROR = {"plus": 1.0, "minus": -1.0}   # sigma_s of the map x -> sigma_s x
+SAME_VERTEX_TOL = 1e-12  # polygons this close share one cone
 
 L_MODES = (0, 1, 2, 3)   # sector modes fitted by extract_L
 L_EXCLUDE = 3.0          # half-width of the layer strip left out of the fit
@@ -70,17 +83,70 @@ def arc_data(n, frame: CornerFrame, w0: AngularProfile, w1: AngularProfile,
     return data
 
 
+def side_polygon(side, hole):
+    """Hole polygon P_s of side's cone in the plus orientation: the cell
+    polygon, mirrored about X1 = 1/2 (and reversed to stay counter-clockwise)
+    for the minus side."""
+    poly = hole.polygon()
+    if side == "minus":
+        poly = np.column_stack([1.0 - poly[:, 0], poly[:, 1]])[::-1]
+    return poly
+
+
+def _same_vertices(p, q):
+    """Whether polygons p and q have the same vertex set within
+    SAME_VERTEX_TOL, in any order."""
+    if p.shape != q.shape:
+        return False
+    if p.size == 0:
+        return True
+    dist = np.abs(p[:, None, :] - q[None, :, :]).max(axis=2)
+    return bool(dist.min(axis=0).max() <= SAME_VERTEX_TOL
+                and dist.min(axis=1).max() <= SAME_VERTEX_TOL)
+
+
+@dataclass
+class _Cone:
+    """One meshed plus-orientation cone, factored with zero arc data."""
+
+    polygon: np.ndarray
+    space: fem.Space
+    arc_dofs: np.ndarray
+    solver: fem.Solver
+
+
+def _build_cone(polygon, theta, Rmax, h0, degree):
+    geo = build_cone_geometry(theta, Rmax, polygon)
+    mesh = triangulate(geo, h0, GradingSpec(sigma=0.5, n_layers=6))
+    space = fem.Space(mesh, degree)
+    arc_dofs = space.boundary_dofs("Truncation")
+    cons = fem.Constraints(space)
+    cons.dirichlet(arc_dofs, 0.0)
+    return _Cone(polygon, space, arc_dofs,
+                 fem.Solver(fem.stiffness(space), cons))
+
+
 @dataclass
 class NearFieldSolution:
+    """S_n of one side: field holds the plus-orientation cone's solution and
+    sigma the side's mirror, so that evaluate(points) is S_n at points of
+    the side's own cone."""
+
     side: str
     n: int
     Rmax: float
     theta: float
     field: fem.Field
+    sigma: float
     ell: dict = field(default_factory=dict)
     radial_residual: dict = field(default_factory=dict)
     log_coefficient: dict = field(default_factory=dict)
     ndof: int = 0
+    reused_factorization: bool = False
+
+    def evaluate(self, points):
+        pts = np.asarray(points, dtype=float).reshape(-1, 2)
+        return self.field.evaluate(pts * (self.sigma, 1.0))
 
     def as_dict(self):
         return {
@@ -88,6 +154,7 @@ class NearFieldSolution:
             "n": self.n,
             "Rmax": self.Rmax,
             "ndof": self.ndof,
+            "reused_factorization": self.reused_factorization,
             "ell": {str(m): float(np.real(v)) for m, v in self.ell.items()},
             "radial_residual": {str(m): float(v)
                                 for m, v in self.radial_residual.items()},
@@ -96,42 +163,51 @@ class NearFieldSolution:
         }
 
 
-def solve_S(side, n, constants, hole, theta=1.5 * math.pi, Rmax=20.0,
-            h0=0.45, degree=2, cutoff="exp") -> NearFieldSolution:
-    """Solve the cone problem for S_n and extract decaying-mode amplitudes.
+def solve_S(sides, n, constants, hole, theta=1.5 * math.pi, Rmax=20.0,
+            h0=0.45, degree=2, cutoff="exp"):
+    """Solve the cone problem for S_n at each corner in sides and extract
+    its decaying-mode amplitudes; returns {side: NearFieldSolution}.
 
-    constants supplies the layer jump data (D1, D2, N2, N3).
+    constants supplies the layer jump data (D1, D2, N2, N3).  Sides whose
+    hole polygons coincide share one cone mesh and factorisation; each side
+    is still its own load and its own extraction.
     """
     exps = SingularExponents(theta)
     lam_n = exps.lambda_n(n)
-    frame = CornerFrame(side, 0.0, theta)
     cut = make_cutoff(cutoff)
-    w0 = w_base(n, side, exps)
-    jv, jd = jump_data(lam_n, side, constants)
-    w1 = solve_angular_profile(n, 1, side, jv, jd, exps)
-
-    geo = build_cone_geometry(side, theta, Rmax, hole)
-    mesh = triangulate(geo, h0, GradingSpec(sigma=0.5, n_layers=6))
-    space = fem.Space(mesh, degree)
-
-    A = fem.stiffness(space)
-    b = np.zeros(space.ndof, dtype=complex)
-    cons = fem.Constraints(space)
-    data = arc_data(n, frame, w0, w1, cut)
-    arc_dofs = space.boundary_dofs("Truncation")
-    xy = space.dof_coords[arc_dofs]
-    cons.dirichlet(arc_dofs, data(xy[:, 0], xy[:, 1]))
-    u = fem.solve(A, b, cons)
-    sol = NearFieldSolution(side=side, n=n, Rmax=Rmax, theta=theta,
-                            field=fem.Field(space, u), ndof=space.ndof)
-    ell, res, logc = extract_L(sol.field, frame, n, w0, w1, Rmax)
-    sol.ell, sol.radial_residual, sol.log_coefficient = ell, res, logc
-    lead = max(abs(v) for v in ell.values())
-    for m in ell:
-        if abs(ell[m]) > 1e-3 * lead and res[m] > 0.1:
-            raise ExtractionUnstable(
-                f"radial fit of mode {m} has relative residual {res[m]:.3f}")
-    return sol
+    cones, sols = [], {}
+    for side in sides:
+        poly = side_polygon(side, hole)
+        cone = next((c for c in cones if _same_vertices(c.polygon, poly)),
+                    None)
+        reused = cone is not None
+        if not reused:
+            cone = _build_cone(poly, theta, Rmax, h0, degree)
+            cones.append(cone)
+        sigma = MIRROR[side]
+        frame = CornerFrame(side, 0.0, theta)
+        w0 = w_base(n, side, exps)
+        jv, jd = jump_data(lam_n, side, constants)
+        w1 = solve_angular_profile(n, 1, side, jv, jd, exps)
+        data = arc_data(n, frame, w0, w1, cut)
+        xy = cone.space.dof_coords[cone.arc_dofs]
+        d = np.zeros(cone.space.ndof, dtype=complex)
+        d[cone.arc_dofs] = data(sigma * xy[:, 0], xy[:, 1])
+        u, _ = cone.solver.solve(0, d)
+        sol = NearFieldSolution(side=side, n=n, Rmax=Rmax, theta=theta,
+                                field=fem.Field(cone.space, u), sigma=sigma,
+                                ndof=cone.space.ndof,
+                                reused_factorization=reused)
+        ell, res, logc = extract_L(sol, frame, n, w0, w1, Rmax)
+        sol.ell, sol.radial_residual, sol.log_coefficient = ell, res, logc
+        lead = max(abs(v) for v in ell.values())
+        for m in ell:
+            if abs(ell[m]) > 1e-3 * lead and res[m] > 0.1:
+                raise ExtractionUnstable(
+                    f"{side} cone: radial fit of mode {m} has relative "
+                    f"residual {res[m]:.3f}")
+        sols[side] = sol
+    return sols
 
 
 def _window_panels(frame: CornerFrame, R, exclude):

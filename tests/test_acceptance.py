@@ -197,13 +197,13 @@ def test_6_extraction_stability(base_constants):
     # (b) leading decaying amplitude stable under doubling the cone radius,
     # and no spurious logarithmic content in its radial fit
     worst_drift, worst_log = 0.0, 0.0
+    sols = {R: solve_S(("plus", "minus"), 1, constants, HoleSpec(), Rmax=R,
+                       h0=0.45, degree=2) for R in (20.0, 40.0)}
     for side in ("plus", "minus"):
-        sols = {R: solve_S(side, 1, constants, HoleSpec(), Rmax=R,
-                           h0=0.45, degree=2) for R in (20.0, 40.0)}
-        drift = (abs(sols[40.0].ell[1] - sols[20.0].ell[1])
-                 / abs(sols[40.0].ell[1]))
+        near, far = sols[20.0][side], sols[40.0][side]
+        drift = abs(far.ell[1] - near.ell[1]) / abs(far.ell[1])
         worst_drift = max(worst_drift, drift)
-        worst_log = max(worst_log, sols[40.0].log_coefficient[1])
+        worst_log = max(worst_log, far.log_coefficient[1])
     ok = ok and worst_drift <= 0.02 and worst_log <= 1e-3
     notes.append(f"Rmax 20->40 drift {worst_drift:.2e}")
     notes.append(f"log coeff {worst_log:.2e}")

@@ -111,6 +111,14 @@ def test_assembly_matches_quadrature_oracle():
                 assert np.abs(got - want).max() <= 1e-13 * scale
 
 
+def test_p2_stiffness_has_no_roundoff_entries():
+    # a P2 vertex and the midpoint of its opposite edge never couple:
+    # the integral of (4 l_i - 1) l_k vanishes on every triangle
+    A = fem.stiffness(square_space(0.3, 2))
+    a = np.abs(A.data)
+    assert np.count_nonzero(a < 1e-12 * a.max()) == 0
+
+
 def test_space_tabulates_rule_once(monkeypatch):
     calls = []
     rule = fem._tri_rule

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from thinwall.errors import HoleCollision, NonIntegerPeriod
 from thinwall.geometry import (build_cell_geometry, build_cone_geometry,
                                build_limit_domain, build_perforated_domain)
+from thinwall.nearfield import side_polygon
 from thinwall.params import DomainParams, HoleSpec
 
 
@@ -89,7 +90,7 @@ def test_cell_geometry_tags_and_bounds():
 
 
 def test_cone_geometry_holes_clear_corner_and_arc():
-    geo = build_cone_geometry("plus", 1.5 * np.pi, 20.0, HoleSpec())
+    geo = build_cone_geometry(1.5 * np.pi, 20.0, HoleSpec().polygon())
     assert geo.corner_vertices == [(0.0, 0.0)]
     for poly, tags in geo.loops[1:]:
         assert set(tags) == {"GammaHole"}
@@ -98,16 +99,20 @@ def test_cone_geometry_holes_clear_corner_and_arc():
         assert r.max() < 20.0 - 0.3 + 1e-12
         assert np.all(poly[:, 0] < 0)  # plus side: holes on the negative axis
     with pytest.raises(ValueError):
-        build_cone_geometry("plus", 1.5 * np.pi, 10.0, HoleSpec())
-    with pytest.raises(ValueError):
-        build_cone_geometry("north", 1.5 * np.pi, 20.0, HoleSpec())
+        build_cone_geometry(1.5 * np.pi, 10.0, HoleSpec().polygon())
 
 
 def test_cone_sides_mirror():
-    gp = build_cone_geometry("plus", 1.5 * np.pi, 20.0, HoleSpec())
-    gm = build_cone_geometry("minus", 1.5 * np.pi, 20.0, HoleSpec())
-    # same number of holes, mirrored in x up to the half-period shift
-    assert len(gp.loops) == len(gm.loops)
-    xs_p = sorted(poly.mean(axis=0)[0] for poly, _ in gp.loops[1:])
-    xs_m = sorted(poly.mean(axis=0)[0] for poly, _ in gm.loops[1:])
-    np.testing.assert_allclose(xs_p, -np.array(xs_m)[::-1], atol=1e-12)
+    # mapped by x -> -x, the plus-orientation cone on the minus side's
+    # polygon has its holes at canon + (ell - 1), the minus corner's layout
+    hole = HoleSpec(center=(0.45, 0.0))
+    canon = hole.polygon()
+    want = [canon + (ell - 1, 0.0) for ell in range(1, 21)]
+    want = [q for q in want if 0.3 < np.hypot(*q.T).min()
+            and np.hypot(*q.T).max() < 19.7]
+    gm = build_cone_geometry(1.5 * np.pi, 20.0, side_polygon("minus", hole))
+    assert len(gm.loops) == 1 + len(want)
+    for (poly, _), q in zip(gm.loops[1:], want):
+        # reversed back to the cell polygon's counter-clockwise order
+        mirrored = np.column_stack([-poly[:, 0], poly[:, 1]])[::-1]
+        np.testing.assert_allclose(mirrored, q, atol=1e-12)

@@ -4,12 +4,16 @@ import math
 import numpy as np
 import pytest
 
-from thinwall.corner import (CornerFrame, SingularExponents,
+from thinwall import fem, nearfield
+from thinwall.corner import (CornerFrame, SingularExponents, jump_data,
                              solve_angular_profile, w_base)
 from thinwall.cutoff import make_cutoff
+from thinwall.geometry import (ARC_STEP, GeometrySpec, _add_hole,
+                               _wide_plateau)
 from thinwall.nearfield import (_window_panels, arc_data, blended_w1,
                                 extract_L, solve_S)
 from thinwall.params import HoleSpec
+from thinwall.triangulate import GradingSpec, triangulate
 
 THETA = 1.5 * math.pi
 EXPS = SingularExponents(THETA)
@@ -96,13 +100,105 @@ def test_extract_L_synthetic_injection(side):
         assert logc[m] < 1e-3
 
 
-def test_solve_S_smoke_and_serialization():
-    sol = solve_S("plus", 1, StubConstants, HoleSpec(), Rmax=20.0,
-                  h0=0.6, degree=2)
-    assert sol.ndof > 0
-    assert set(sol.ell) == {0, 1, 2, 3}
-    # the leading decaying amplitude is a clean O(0.01-0.1) real number
-    assert 1e-3 < abs(sol.ell[1]) < 0.5
-    assert abs(sol.ell[1].imag) < 1e-3 * abs(sol.ell[1])
-    assert sol.radial_residual[1] < 0.05
-    json.dumps(sol.as_dict())
+def _count_cones(monkeypatch):
+    """Count the meshes and factorisations solve_S makes."""
+    calls = {"triangulate": 0, "splu": 0}
+    tri, splu = nearfield.triangulate, fem.splu
+
+    def counted_tri(*args, **kwargs):
+        calls["triangulate"] += 1
+        return tri(*args, **kwargs)
+
+    def counted_splu(A):
+        calls["splu"] += 1
+        return splu(A)
+
+    monkeypatch.setattr(nearfield, "triangulate", counted_tri)
+    monkeypatch.setattr(fem, "splu", counted_splu)
+    return calls
+
+
+@pytest.fixture(scope="module")
+def symmetric_cones():
+    """Both corners of the mirror-symmetric default hole, and the meshes
+    and factorisations it took."""
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _count_cones(mp)
+        sols = solve_S(("plus", "minus"), 1, StubConstants, HoleSpec(),
+                       Rmax=20.0, h0=0.6, degree=2)
+    return sols, calls
+
+
+def test_solve_S_smoke_and_serialization(symmetric_cones):
+    sols, _ = symmetric_cones
+    assert set(sols) == {"plus", "minus"}
+    for side, sol in sols.items():
+        assert sol.side == side
+        assert sol.ndof > 0
+        assert set(sol.ell) == {0, 1, 2, 3}
+        # the leading decaying amplitude is a clean O(0.01-0.1) real number
+        assert 1e-3 < abs(sol.ell[1]) < 0.5
+        assert abs(sol.ell[1].imag) < 1e-3 * abs(sol.ell[1])
+        assert sol.radial_residual[1] < 0.05
+        out = json.loads(json.dumps(sol.as_dict()))
+        assert out["reused_factorization"] is (side == "minus")
+
+
+def test_symmetric_hole_meshes_and_factors_one_cone(symmetric_cones):
+    sols, calls = symmetric_cones
+    assert calls == {"triangulate": 1, "splu": 1}
+    assert sols["minus"].ndof == sols["plus"].ndof
+
+
+def test_asymmetric_hole_meshes_two_cones(monkeypatch):
+    calls = _count_cones(monkeypatch)
+    sols = solve_S(("plus", "minus"), 1, StubConstants,
+                   HoleSpec(center=(0.45, 0.0)), Rmax=20.0, h0=0.6, degree=2)
+    assert calls == {"triangulate": 2, "splu": 2}
+    assert not any(s.reused_factorization for s in sols.values())
+
+
+def test_symmetric_sides_agree(symmetric_cones):
+    # with D1 = N3 = 0 the two corner problems are mirror images; this fails
+    # if either side's arc data or extraction points are not mirrored
+    sols, _ = symmetric_cones
+    lp, lm = sols["plus"].ell[1], sols["minus"].ell[1]
+    assert abs(lp - lm) <= 1e-8 * abs(lp)
+
+
+def _own_minus_cone_L(constants, hole, Rmax, h0, degree):
+    """L_-1 of the minus corner on a cone meshed in its own orientation
+    (sector (pi - theta, pi), holes at canon + ell - 1), with no mirror map."""
+    a, b = math.pi - THETA, math.pi
+    n_arc = max(64, int(math.ceil((b - a) / ARC_STEP)))
+    ang = np.linspace(a, b, n_arc + 1)
+    pts = np.vstack([[0.0, 0.0],
+                     Rmax * np.column_stack([np.cos(ang), np.sin(ang)])])
+    geo = GeometrySpec(
+        loops=[(pts, ["GammaN"] + ["Truncation"] * n_arc + ["GammaN"])],
+        corner_vertices=[(0.0, 0.0)])
+    canon = hole.polygon()
+    for ell in range(1, int(Rmax) + 1):
+        poly = canon + (ell - 1, 0.0)
+        r = np.hypot(poly[:, 0], poly[:, 1])
+        if 0.3 < r.min() and r.max() < Rmax - 0.3:
+            _add_hole(geo, poly, _wide_plateau)
+    space = fem.Space(triangulate(geo, h0, GradingSpec(sigma=0.5,
+                                                       n_layers=6)), degree)
+    frame = CornerFrame("minus", 0.0, THETA)
+    w0 = w_base(1, "minus", EXPS)
+    jv, jd = jump_data(EXPS.lambda_n(1), "minus", constants)
+    w1 = solve_angular_profile(1, 1, "minus", jv, jd, EXPS)
+    arc = space.boundary_dofs("Truncation")
+    xy = space.dof_coords[arc]
+    cons = fem.Constraints(space)
+    cons.dirichlet(arc, arc_data(1, frame, w0, w1, CUT)(xy[:, 0], xy[:, 1]))
+    u = fem.solve(fem.stiffness(space), np.zeros(space.ndof), cons)
+    ell, _, _ = extract_L(fem.Field(space, u), frame, 1, w0, w1, Rmax)
+    return ell[1]
+
+
+def test_minus_side_matches_its_own_cone(symmetric_cones):
+    want = _own_minus_cone_L(StubConstants, HoleSpec(), 20.0, 0.6, 2)
+    got = symmetric_cones[0]["minus"].ell[1]
+    assert abs(got - want) <= 1e-2 * abs(want)

@@ -224,8 +224,8 @@ def compute_u01(p: DomainParams, space: fem.Space, u00: fem.Field,
     lifts = []
     for side in ("plus", "minus"):
         frame = CornerFrame(side, p.L, p.theta)
-        jv, jd = jump_data(lam1, side, constants)
-        w11 = solve_angular_profile(1, 1, side, jv, jd, exps)
+        w11 = solve_angular_profile(1, *jump_data(lam1, side, constants),
+                                    exps)
         coeff = (p.k0 / (2.0 * lam1)) * corners[side].ell[1]
         lifts.append(build_lift_J(frame, w11, cut, p.k0, coeff=coeff))
 
@@ -282,7 +282,7 @@ def compute_u20(p: DomainParams, space: fem.Space, corners: dict,
              / (math.gamma(lam1) * math.gamma(lam1 + 1.0))
              * (p.k0 / 2.0) ** lam2)
         coeffs[side] = c
-        lifts.append(build_lift_Y(1, frame, cut, p.k0, coeff=c))
+        lifts.append(build_lift_Y(frame, cut, p.k0, coeff=c))
 
     def fhat(x, y):
         out = np.zeros(np.shape(x), dtype=complex)

@@ -1,10 +1,13 @@
 """Corner machinery: angular profiles, singular lifts, coefficient extraction.
 
-Polar conventions.  At the right corner (L, 0) the angle theta+ is measured
-counterclockwise from the outward interface-free half-axis, theta+ in
-(0, Theta); the slit sits at theta+ = pi (top face: theta -> pi-, bottom
-face: theta -> pi+).  At the left corner (-L, 0) the angle theta- runs in
-(pi - Theta, pi); the slit sits at theta- = 0 (top face 0+, bottom 0-).
+Polar convention.  At the right (plus) corner (L, 0) the angle theta is
+measured counterclockwise from the outward interface-free half-axis, theta
+in (0, Theta); the slit sits at theta = pi (top face: theta -> pi-, bottom
+face: theta -> pi+).  The left (minus) corner (-L, 0) is the plus corner
+under the mirror x -> -x: its (r, theta) at (x, y) are the plus corner's
+at (-x, y), so every profile and lift is written once, in the plus frame.
+The mirror reverses X1, so the constants odd in X1, D1 and N3, change sign
+in the minus corner's slit jumps (jump_data).
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bessel import bessel_j, bessel_j_array, bessel_y_array
-from .errors import IllConditioned, IndexUnsupported, ResonantCase
+from .errors import IllConditioned, ResonantCase
 
 __all__ = ["SingularExponents", "AngularProfile", "solve_angular_profile",
            "jump_data", "w_base", "CornerFrame", "LiftField", "build_lift_J",
@@ -43,42 +46,33 @@ class SingularExponents:
 
 @dataclass(frozen=True)
 class CornerFrame:
-    """Polar frame of one corner of the interface."""
+    """Polar frame of one corner of the interface: the plus corner's frame,
+    applied to the point mirrored by sigma (+1 plus, -1 minus)."""
 
     side: str           # "plus" | "minus"
     L: float
     theta: float        # opening angle
 
     @property
-    def corner(self):
-        return (self.L, 0.0) if self.side == "plus" else (-self.L, 0.0)
-
-    @property
-    def interval(self):
-        return (0.0, self.theta) if self.side == "plus" \
-            else (math.pi - self.theta, math.pi)
-
-    @property
-    def slit_angle(self):
-        return math.pi if self.side == "plus" else 0.0
+    def sigma(self):
+        return 1.0 if self.side == "plus" else -1.0
 
     def polar(self, x, y, bottom=None):
         """(r, theta) about the corner; 'bottom' resolves on-slit points."""
-        cx, cy = self.corner
-        dx = np.asarray(x, dtype=float) - cx
-        dy = np.asarray(y, dtype=float) - cy
+        dx = self.sigma * np.asarray(x, dtype=float) - self.L
+        dy = np.asarray(y, dtype=float)
         r = np.hypot(dx, dy)
-        th = np.arctan2(dy, dx)
-        if self.side == "plus":
-            th = np.mod(th, 2.0 * math.pi)
-            if bottom is not None:
-                on = (np.abs(dy) == 0.0) & (dx < 0)
-                th = np.where(on, math.pi + (1e-9 if bottom else -1e-9), th)
-        else:
-            if bottom is not None:
-                on = (np.abs(dy) == 0.0) & (dx > 0)
-                th = np.where(on, (-1e-9 if bottom else 1e-9), th)
+        th = np.mod(np.arctan2(dy, dx), 2.0 * math.pi)
+        if bottom is not None:
+            on = (np.abs(dy) == 0.0) & (dx < 0)
+            th = np.where(on, math.pi + (1e-9 if bottom else -1e-9), th)
         return r, th
+
+    def point(self, r, theta):
+        """The points (x, y), stacked on the last axis, whose polar
+        coordinates are (r, theta)."""
+        return np.stack([self.sigma * (self.L + r * np.cos(theta)),
+                         r * np.sin(theta)], axis=-1)
 
 
 @dataclass
@@ -89,7 +83,6 @@ class AngularProfile:
     amplitude * cos(mu * (theta - ref)) for lo <= theta <= hi.
     """
 
-    side: str
     pieces: list = field(default_factory=list)
 
     def __call__(self, theta):
@@ -117,28 +110,21 @@ class AngularProfile:
         return all(abs(p[2]) < 1e-300 for p in self.pieces)
 
 
-def w_base(n, side, exponents: SingularExponents) -> AngularProfile:
+def w_base(n, exponents: SingularExponents) -> AngularProfile:
     """The continuous sector modes w_{n,0}: Neumann ends, no slit jump."""
-    lam_n = exponents.lambda_n(n)
-    th = exponents.theta
-    if side == "plus":
-        return AngularProfile(side, [(0.0, th, 1.0, lam_n, 0.0)])
-    return AngularProfile(side, [(math.pi - th, math.pi, 1.0, lam_n, math.pi)])
+    return AngularProfile([(0.0, exponents.theta, 1.0, exponents.lambda_n(n),
+                            0.0)])
 
 
-def solve_angular_profile(n, q, side, jump_val, jump_der,
+def solve_angular_profile(n, jump_val, jump_der,
                           exponents: SingularExponents) -> AngularProfile:
-    """Profile w_{n,q} with prescribed value/derivative jumps at the slit.
+    """Profile w_{n,1} with prescribed value/derivative jumps at the slit.
 
-    The associated separated solution is r^(lambda_n - q) * w(theta); the
+    The associated separated solution is r^(lambda_n - 1) * w(theta); the
     two cosine pieces satisfy Neumann conditions at the sector ends, and the
     2x2 system matches [w] = jump_val and [w'] = jump_der at the slit
     (top minus bottom).
     """
-    if q not in (0, 1):
-        raise IndexUnsupported("only q in {0, 1} profiles are supported")
-    if q == 0:
-        return w_base(n, side, exponents)
     th = exponents.theta
     mu = exponents.lambda_n(n) - 1.0
     det_ang = math.sin(mu * th)
@@ -147,21 +133,12 @@ def solve_angular_profile(n, q, side, jump_val, jump_der,
     cp, sp = math.cos(mu * math.pi), math.sin(mu * math.pi)
     cq = math.cos(mu * (math.pi - th))
     sq = math.sin(mu * (math.pi - th))
-    if side == "plus":
-        # up: A cos(mu t) on (0, pi); low: B cos(mu (t - Theta)) on (pi, Theta)
-        M = np.array([[cp, -cq], [-mu * sp, mu * sq]])
-        rhs = np.array([jump_val, jump_der], dtype=complex)
-        A, B = np.linalg.solve(M, rhs)
-        return AngularProfile(side, [(0.0, math.pi, A, mu, 0.0),
-                                     (math.pi, th, B, mu, th)])
-    # minus side: up A cos(mu (t - pi)) on (0, pi);
-    # low B cos(mu (t - (pi - Theta))) on (pi - Theta, 0); slit at t = 0
-    M = np.array([[cp, -math.cos(mu * (th - math.pi))],
-                  [mu * sp, mu * math.sin(mu * (th - math.pi))]])
+    # up: A cos(mu t) on (0, pi); low: B cos(mu (t - Theta)) on (pi, Theta)
+    M = np.array([[cp, -cq], [-mu * sp, mu * sq]])
     rhs = np.array([jump_val, jump_der], dtype=complex)
     A, B = np.linalg.solve(M, rhs)
-    return AngularProfile(side, [(0.0, math.pi, A, mu, math.pi),
-                                 (math.pi - th, 0.0, B, mu, math.pi - th)])
+    return AngularProfile([(0.0, math.pi, A, mu, 0.0),
+                           (math.pi, th, B, mu, th)])
 
 
 def jump_data(lam_n, side, constants):
@@ -169,14 +146,15 @@ def jump_data(lam_n, side, constants):
 
     Obtained by applying the effective transmission conditions to the
     separated mode r^lambda_n cos(lambda_n theta): the value jump feeds on
-    D1, D2 and the normal-trace jump on N2, N3, with the x2-to-theta
-    conversion absorbing a sign flip between the two corners.
+    D1, D2 and the normal-trace jump on N2, N3.  The minus corner is the
+    plus corner under x -> -x, which flips the sign of the X1-odd
+    constants D1 and N3.
     """
     c, s = math.cos(lam_n * math.pi), math.sin(lam_n * math.pi)
     sgn = 1.0 if side == "plus" else -1.0
-    jump_val = lam_n * (-sgn * constants.D1 * c + constants.D2 * s)
-    jump_der = -sgn * lam_n * (lam_n - 1.0) * (constants.N2 * c
-                                               - sgn * constants.N3 * s)
+    D1, N3 = sgn * constants.D1, sgn * constants.N3
+    jump_val = lam_n * (-D1 * c + constants.D2 * s)
+    jump_der = -lam_n * (lam_n - 1.0) * (constants.N2 * c - N3 * s)
     return jump_val, jump_der
 
 
@@ -232,30 +210,11 @@ class LiftField:
                         * self.w(th[act]))
         return out
 
-    def gradient(self, x, y, bottom=None):
-        """Cartesian gradient of the cut lift (vectorized)."""
-        r, th = self.frame.polar(x, y, bottom=bottom)
-        out = np.zeros(np.shape(r) + (2,), dtype=complex)
-        act = (r < self.L) & (r > 0)
-        if not np.any(act):
-            return out
-        ra, tha = r[act], th[act]
-        chi, dchi, _ = self._chiL(ra)
-        Z = self._bessel(ra)
-        dZ = self.k0 * self._bessel_deriv(ra)
-        wv, dwv = self.w(tha), self.w.dtheta(tha)
-        dr = self.coeff * (dchi * Z + chi * dZ) * wv
-        dt = self.coeff * chi * Z * dwv / ra
-        ct, st = np.cos(tha), np.sin(tha)
-        out[act, 0] = dr * ct - dt * st
-        out[act, 1] = dr * st + dt * ct
-        return out
-
     def dx2_on_slit(self, x1, bottom):
         """Vertical derivative of the lift on the slit face.
 
-        On the slit the x2 direction is purely angular: d/dx2 = -1/r d/dtheta
-        at theta = pi (right corner) and +1/r d/dtheta at theta = 0 (left).
+        On the slit the x2 direction is purely angular, d/dx2 = -1/r d/dtheta
+        at theta = pi; the mirror x -> -x leaves x2 alone.
         """
         x1 = np.asarray(x1, dtype=float)
         r, th = self.frame.polar(x1, np.zeros_like(x1), bottom=bottom)
@@ -264,9 +223,8 @@ class LiftField:
         if not np.any(act):
             return out
         chi, _, _ = self._chiL(r[act])
-        sgn = -1.0 if self.frame.side == "plus" else 1.0
-        out[act] = (self.coeff * sgn * chi * self._bessel(r[act])
-                    * self.w.dtheta(th[act]) / r[act])
+        out[act] = -(self.coeff * chi * self._bessel(r[act])
+                     * self.w.dtheta(th[act]) / r[act])
         return out
 
     def commutator_load(self, x, y, bottom=None):
@@ -285,16 +243,6 @@ class LiftField:
         out[act] = self.coeff * wv * (Z * lap_chi + 2.0 * dchi * dZ)
         return out
 
-    def near_corner_amplitude(self):
-        """Leading small-r coefficient of the radial factor.
-
-        J: (k0/2)^nu / Gamma(nu + 1) * r^nu
-        Y: -(Gamma(nu)/pi) (k0/2)^(-nu) * r^(-nu)
-        """
-        if self.kind == "J":
-            return (self.k0 / 2.0) ** self.nu / math.gamma(self.nu + 1.0)
-        return -(math.gamma(self.nu) / math.pi) * (self.k0 / 2.0) ** (-self.nu)
-
 
 def build_lift_J(frame: CornerFrame, w11: AngularProfile, cut, k0,
                  coeff=1.0) -> LiftField:
@@ -304,13 +252,11 @@ def build_lift_J(frame: CornerFrame, w11: AngularProfile, cut, k0,
                      frame.L, k0, coeff)
 
 
-def build_lift_Y(i, frame: CornerFrame, cut, k0, coeff=1.0) -> LiftField:
-    """Decaying-mode lift Y_{lambda_i}(k0 r) w_{i,0}(theta) with cutoff."""
-    if i not in (1, 2):
-        raise IndexUnsupported("Y lifts available for i in {1, 2}")
+def build_lift_Y(frame: CornerFrame, cut, k0, coeff=1.0) -> LiftField:
+    """Decaying-mode lift Y_{lambda_1}(k0 r) w_{1,0}(theta) with cutoff."""
     exps = SingularExponents(frame.theta)
-    w = w_base(i, frame.side, exps)
-    return LiftField(frame, "Y", exps.lambda_n(i), w, cut, frame.L, k0, coeff)
+    return LiftField(frame, "Y", exps.lambda_n(1), w_base(1, exps), cut,
+                     frame.L, k0, coeff)
 
 
 def extract_ell(evaluate, frame: CornerFrame, m, k0):
@@ -326,22 +272,16 @@ def extract_ell(evaluate, frame: CornerFrame, m, k0):
     lam_m = exps.lambda_n(m)
     th = exps.theta
     c_m = th if m == 0 else th / 2.0
-    wm = w_base(m, frame.side, exps)
-    a, b = frame.interval
-    gamma = frame.slit_angle
-    cx, cy = frame.corner
+    wm = w_base(m, exps)
 
-    # Gauss panels on (a, gamma) and (gamma, b), branch chosen per panel
+    # Gauss panels on (0, pi) and (pi, Theta), branch chosen per panel
     xg, wg = np.polynomial.legendre.leggauss(ELL_N_THETA // 2)
 
     def panel(lo, hi):
         mid, hl = 0.5 * (hi + lo), 0.5 * (hi - lo)
         return mid + hl * xg, hl * wg
 
-    if frame.side == "plus":
-        panels = [(panel(a, gamma), False), (panel(gamma, b), True)]
-    else:
-        panels = [(panel(gamma, b), False), (panel(a, gamma), True)]
+    panels = [(panel(0.0, math.pi), False), (panel(math.pi, th), True)]
 
     vals = []
     used = []
@@ -351,9 +291,7 @@ def extract_ell(evaluate, frame: CornerFrame, m, k0):
             continue
         proj = 0.0
         for (thetas, wts), bottom in panels:
-            pts = np.column_stack([cx + r * np.cos(thetas),
-                                   cy + r * np.sin(thetas)])
-            u = evaluate(pts, bottom)
+            u = evaluate(frame.point(r, thetas), bottom)
             proj = proj + np.sum(wts * u * wm(thetas))
         vals.append(proj / (c_m * Jm))
         used.append(r)

@@ -8,12 +8,11 @@ connected through the hole row, the jumping second term is blended across
 the layer before being imposed.  The quantity of interest is the
 coefficient of the decaying mode R^(-lambda_m) w_{m,0} in S_n.
 
-Every cone is meshed in the plus orientation (sector (0, Theta), holes on
-the negative X1 axis).  Side s's cone is the image under x -> sigma_s x
-(sigma = +1 plus, -1 minus) of the plus-orientation cone built on the
-hole polygon P_s, the cell polygon mirrored about X1 = 1/2 for the minus
-side.  Side s's arc data and extraction are evaluated at the mirrored
-points (sigma_s x, y).  Sides whose polygons coincide, as for a hole
+Every side is solved in the plus corner's frame (sector (0, Theta) about
+the origin, holes on the negative X1 axis): the minus corner is the plus
+corner under x -> -x, so its cone is the plus-orientation cone built on
+the cell polygon mirrored about X1 = 1/2 (side_polygon), loaded with the
+minus side's jump_data.  Sides with the same polygon, as for a hole
 symmetric under X1 -> 1 - X1, share one mesh and one factorisation, and
 each is one load on it.
 """
@@ -36,8 +35,7 @@ from .triangulate import GradingSpec, triangulate
 __all__ = ["NearFieldSolution", "solve_S", "extract_L", "arc_data",
            "side_polygon"]
 
-MIRROR = {"plus": 1.0, "minus": -1.0}   # sigma_s of the map x -> sigma_s x
-SAME_VERTEX_TOL = 1e-12  # polygons this close share one cone
+SAME_VERTEX_TOL = 1e-12  # a hole this close to its mirror keeps one cone
 
 L_MODES = (0, 1, 2, 3)   # sector modes fitted by extract_L
 L_EXCLUDE = 3.0          # half-width of the layer strip left out of the fit
@@ -86,23 +84,16 @@ def arc_data(n, frame: CornerFrame, w0: AngularProfile, w1: AngularProfile,
 def side_polygon(side, hole):
     """Hole polygon P_s of side's cone in the plus orientation: the cell
     polygon, mirrored about X1 = 1/2 (and reversed to stay counter-clockwise)
-    for the minus side."""
+    for the minus side.  A hole whose mirror has the same vertex set within
+    SAME_VERTEX_TOL keeps its own polygon, so both sides mesh one cone."""
     poly = hole.polygon()
-    if side == "minus":
-        poly = np.column_stack([1.0 - poly[:, 0], poly[:, 1]])[::-1]
+    if side == "minus" and poly.size:
+        mirror = np.column_stack([1.0 - poly[:, 0], poly[:, 1]])[::-1]
+        dist = np.abs(poly[:, None, :] - mirror[None, :, :]).max(axis=2)
+        if max(dist.min(axis=0).max(), dist.min(axis=1).max()) \
+                > SAME_VERTEX_TOL:
+            poly = mirror
     return poly
-
-
-def _same_vertices(p, q):
-    """Whether polygons p and q have the same vertex set within
-    SAME_VERTEX_TOL, in any order."""
-    if p.shape != q.shape:
-        return False
-    if p.size == 0:
-        return True
-    dist = np.abs(p[:, None, :] - q[None, :, :]).max(axis=2)
-    return bool(dist.min(axis=0).max() <= SAME_VERTEX_TOL
-                and dist.min(axis=1).max() <= SAME_VERTEX_TOL)
 
 
 @dataclass
@@ -128,16 +119,15 @@ def _build_cone(polygon, theta, Rmax, h0, degree):
 
 @dataclass
 class NearFieldSolution:
-    """S_n of one side: field holds the plus-orientation cone's solution and
-    sigma the side's mirror, so that evaluate(points) is S_n at points of
-    the side's own cone."""
+    """S_n of one side, solved in the plus corner's frame.  field is a
+    solution on the plus-orientation cone; for the minus side, S_n at a
+    point (x, y) of its own cone is the field at (-x, y)."""
 
     side: str
     n: int
     Rmax: float
     theta: float
     field: fem.Field
-    sigma: float
     ell: dict = field(default_factory=dict)
     radial_residual: dict = field(default_factory=dict)
     log_coefficient: dict = field(default_factory=dict)
@@ -145,8 +135,8 @@ class NearFieldSolution:
     reused_factorization: bool = False
 
     def evaluate(self, points):
-        pts = np.asarray(points, dtype=float).reshape(-1, 2)
-        return self.field.evaluate(pts * (self.sigma, 1.0))
+        """S_n at points of the plus-orientation cone."""
+        return self.field.evaluate(points)
 
     def as_dict(self):
         return {
@@ -169,33 +159,31 @@ def solve_S(sides, n, constants, hole, theta=1.5 * math.pi, Rmax=20.0,
     its decaying-mode amplitudes; returns {side: NearFieldSolution}.
 
     constants supplies the layer jump data (D1, D2, N2, N3).  Sides whose
-    hole polygons coincide share one cone mesh and factorisation; each side
+    hole polygons are equal share one cone mesh and factorisation; each side
     is still its own load and its own extraction.
     """
     exps = SingularExponents(theta)
     lam_n = exps.lambda_n(n)
     cut = make_cutoff(cutoff)
+    frame = CornerFrame("plus", 0.0, theta)
+    w0 = w_base(n, exps)
     cones, sols = [], {}
     for side in sides:
         poly = side_polygon(side, hole)
-        cone = next((c for c in cones if _same_vertices(c.polygon, poly)),
+        cone = next((c for c in cones if np.array_equal(c.polygon, poly)),
                     None)
         reused = cone is not None
         if not reused:
             cone = _build_cone(poly, theta, Rmax, h0, degree)
             cones.append(cone)
-        sigma = MIRROR[side]
-        frame = CornerFrame(side, 0.0, theta)
-        w0 = w_base(n, side, exps)
-        jv, jd = jump_data(lam_n, side, constants)
-        w1 = solve_angular_profile(n, 1, side, jv, jd, exps)
-        data = arc_data(n, frame, w0, w1, cut)
+        w1 = solve_angular_profile(n, *jump_data(lam_n, side, constants),
+                                   exps)
         xy = cone.space.dof_coords[cone.arc_dofs]
         d = np.zeros(cone.space.ndof, dtype=complex)
-        d[cone.arc_dofs] = data(sigma * xy[:, 0], xy[:, 1])
+        d[cone.arc_dofs] = arc_data(n, frame, w0, w1, cut)(xy[:, 0], xy[:, 1])
         u, _ = cone.solver.solve(0, d)
         sol = NearFieldSolution(side=side, n=n, Rmax=Rmax, theta=theta,
-                                field=fem.Field(cone.space, u), sigma=sigma,
+                                field=fem.Field(cone.space, u),
                                 ndof=cone.space.ndof,
                                 reused_factorization=reused)
         ell, res, logc = extract_L(sol, frame, n, w0, w1, Rmax)
@@ -210,16 +198,16 @@ def solve_S(sides, n, constants, hole, theta=1.5 * math.pi, Rmax=20.0,
     return sols
 
 
-def _window_panels(frame: CornerFrame, R, exclude):
-    """Angular Gauss panels at radius R avoiding the layer strip |y| <= exclude."""
-    a, b = frame.interval
+def _window_panels(theta, R, exclude):
+    """Angular Gauss panels on (0, theta) at radius R avoiding the layer
+    strip |y| <= exclude."""
     a0 = math.asin(min(0.999, exclude / R))
-    cuts = [a]
+    cuts = [0.0]
     for c in (0.0, math.pi):
         for e in (c - a0, c + a0):
-            if a < e < b:
+            if 0.0 < e < theta:
                 cuts.append(e)
-    cuts.append(b)
+    cuts.append(theta)
     cuts = sorted(cuts)
     xg, wg = np.polynomial.legendre.leggauss(24)
     panels = []
@@ -245,19 +233,15 @@ def extract_L(u, frame: CornerFrame, n, w0, w1, Rmax):
     exps = SingularExponents(frame.theta)
     lam_n = exps.lambda_n(n)
     radii = np.linspace(Rmax / 4.0, Rmax / 2.0, L_N_RADII)
-    profs = {m: (w_base(m, frame.side, exps) if m > 0 else None)
-             for m in L_MODES}
-    cx, cy = frame.corner
+    profs = {m: (w_base(m, exps) if m > 0 else None) for m in L_MODES}
     evaluate = u.evaluate if hasattr(u, "evaluate") else u
 
     coeff = {m: [] for m in L_MODES}
     for R in radii:
-        panels = _window_panels(frame, R, L_EXCLUDE)
+        panels = _window_panels(frame.theta, R, L_EXCLUDE)
         thetas = np.concatenate([p[0] for p in panels])
         wts = np.concatenate([p[1] for p in panels])
-        pts = np.column_stack([cx + R * np.cos(thetas),
-                               cy + R * np.sin(thetas)])
-        vals = evaluate(pts)
+        vals = evaluate(frame.point(R, thetas))
         resid = vals - (R ** lam_n * w0(thetas)
                         + R ** (lam_n - 1.0) * w1(thetas))
         cols = []

@@ -1,4 +1,4 @@
-"""Manufactured-solution utilities shared by the FEM and acceptance tests."""
+"""Manufactured solutions and closed-form oracles shared by the tests."""
 
 import math
 
@@ -186,3 +186,35 @@ def transmission_rate(degree):
     pairs = [(h0, transmission_solve(h0, degree))
              for h0 in TRANSMISSION_LADDER]
     return fit_slope(pairs)[0]
+
+
+def minus_corner_profiles(n, constants, theta):
+    """The minus corner's sector profiles in its own polar convention, as
+    an oracle for the library's mirrored plus convention.
+
+    Here theta- = atan2(x2, x1 + L) runs over (pi - Theta, pi) and the slit
+    sits at theta- = 0 (top face 0+).  Returns (w0, up, low): the mode
+    cos(lambda_n (t - pi)) and the two cosine pieces of w_{n,1}, up on
+    (0, pi) and low on (pi - Theta, 0), whose slit jumps (top minus bottom)
+    are the minus corner's transmission conditions written in theta-.
+    """
+    lam = n * math.pi / theta
+    mu = lam - 1.0
+    c, s = math.cos(lam * math.pi), math.sin(lam * math.pi)
+    jump_val = lam * (constants.D1 * c + constants.D2 * s)
+    jump_der = lam * (lam - 1.0) * (constants.N2 * c + constants.N3 * s)
+    M = np.array([[math.cos(mu * math.pi), -math.cos(mu * (theta - math.pi))],
+                  [mu * math.sin(mu * math.pi),
+                   mu * math.sin(mu * (theta - math.pi))]])
+    A, B = np.linalg.solve(M, np.array([jump_val, jump_der], dtype=complex))
+
+    def w0(t):
+        return np.cos(lam * (np.asarray(t) - math.pi)) + 0j
+
+    def up(t):
+        return A * np.cos(mu * (np.asarray(t) - math.pi))
+
+    def low(t):
+        return B * np.cos(mu * (np.asarray(t) - (math.pi - theta)))
+
+    return w0, up, low

@@ -94,7 +94,7 @@ def test_2_transparent_layer():
     exps = SingularExponents(p.theta)
     for side in ("plus", "minus"):
         jv, jd = jump_data(exps.lambda_n(1), side, c)
-        w11 = solve_angular_profile(1, 1, side, jv, jd, exps)
+        w11 = solve_angular_profile(1, jv, jd, exps)
         ok = ok and w11.is_zero
     expansion = build_expansion(p, c, {"plus": 0.0, "minus": 0.0},
                                 h0=0.1, degree=2)
@@ -216,9 +216,9 @@ def test_6_extraction_stability(base_constants):
     worst_inj = 0.0
     for side in ("plus", "minus"):
         frame = CornerFrame(side, 0.0, THETA)
-        w0 = w_base(1, side, exps)
-        w1 = solve_angular_profile(1, 1, side, 0.4 - 0.1j, 0.2j, exps)
-        modes = {m: w_base(m, side, exps) for m in amps}
+        w0 = w_base(1, exps)
+        w1 = solve_angular_profile(1, 0.4 - 0.1j, 0.2j, exps)
+        modes = {m: w_base(m, exps) for m in amps}
 
         def u(pts):
             r, th = frame.polar(pts[:, 0], pts[:, 1])

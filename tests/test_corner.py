@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from thinwall.bessel import bessel_j, bessel_j_array
+from helpers import minus_corner_profiles
+from thinwall.bessel import bessel_j_array
 from thinwall.corner import (CornerFrame, SingularExponents, build_lift_J,
-                             build_lift_Y, extract_ell, jump_data,
-                             solve_angular_profile, w_base)
+                             extract_ell, jump_data, solve_angular_profile,
+                             w_base)
 from thinwall.cutoff import make_cutoff
-from thinwall.errors import IndexUnsupported
 
 THETA = 1.5 * math.pi
 K0 = 5 * math.pi
@@ -25,71 +25,121 @@ def test_singular_exponents():
         SingularExponents(2.0 * math.pi)
 
 
+def _corner_walls(side):
+    """Points on the two walls of a corner of the unit-half-width wall:
+    the interface-free face the angle is measured from, then the
+    chamber wall."""
+    cx, out = (0.5, 1.0) if side == "plus" else (-0.5, -1.0)
+    return np.array([cx + 0.2 * out, cx]), np.array([0.0, -0.2])
+
+
 @pytest.mark.parametrize("side", ["plus", "minus"])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_base_profiles_neumann_ends(side, n):
-    w = w_base(n, side, EXPS)
-    frame = CornerFrame(side, 0.5, THETA)
-    a, b = frame.interval
-    np.testing.assert_allclose(np.abs(w.dtheta(np.array([a, b]))), 0.0,
-                               atol=1e-12)
-    # unit value at the interface-free face the angle is measured from
-    ref = b if side == "minus" else a
-    np.testing.assert_allclose(w(np.array([ref])).real, 1.0, rtol=1e-15)
+    _, th = CornerFrame(side, 0.5, THETA).polar(*_corner_walls(side))
+    np.testing.assert_allclose(th, [0.0, THETA], rtol=1e-15)
+    w = w_base(n, EXPS)
+    np.testing.assert_allclose(np.abs(w.dtheta(th)), 0.0, atol=1e-12)
+    # unit value at the interface-free face
+    np.testing.assert_allclose(w(th[:1]).real, 1.0, rtol=1e-15)
 
 
 @pytest.mark.parametrize("side", ["plus", "minus"])
 def test_jump_profile_matches_prescribed_jumps(side):
     gv, gd = 0.7 + 0.2j, -0.3j
-    w = solve_angular_profile(1, 1, side, gv, gd, EXPS)
-    gamma = math.pi if side == "plus" else 0.0
-    eps = 1e-9
-    top, bot = gamma - eps, gamma + eps
-    if side == "minus":
-        top, bot = gamma + eps, gamma - eps
-    jv = complex(w(np.array([top]))[0] - w(np.array([bot]))[0])
-    jd = complex(w.dtheta(np.array([top]))[0] - w.dtheta(np.array([bot]))[0])
-    np.testing.assert_allclose(jv, gv, rtol=1e-8)
-    np.testing.assert_allclose(jd, gd, rtol=1e-8)
-    # ends stay Neumann
+    w = solve_angular_profile(1, gv, gd, EXPS)
     frame = CornerFrame(side, 0.5, THETA)
-    a, b = frame.interval
-    np.testing.assert_allclose(np.abs(w.dtheta(np.array([a, b]))), 0.0,
-                               atol=1e-12)
+    x1 = np.array([0.3 if side == "plus" else -0.3])
+    _, top = frame.polar(x1, np.zeros(1), bottom=False)
+    _, bot = frame.polar(x1, np.zeros(1), bottom=True)
+    np.testing.assert_allclose(w(top) - w(bot), [gv], rtol=1e-8)
+    np.testing.assert_allclose(w.dtheta(top) - w.dtheta(bot), [gd], rtol=1e-8)
+    # ends stay Neumann
+    _, ends = frame.polar(*_corner_walls(side))
+    np.testing.assert_allclose(np.abs(w.dtheta(ends)), 0.0, atol=1e-12)
 
 
 def test_zero_jump_data_gives_zero_profile():
-    w = solve_angular_profile(1, 1, "plus", 0.0, 0.0, EXPS)
-    assert w.is_zero
-    with pytest.raises(IndexUnsupported):
-        solve_angular_profile(1, 2, "plus", 1.0, 0.0, EXPS)
+    assert solve_angular_profile(1, 0.0, 0.0, EXPS).is_zero
+
+
+class OddConstants:
+    D1, D2, N2, N3 = 0.031 + 0.002j, 0.151, 0.13 - 0.01j, -0.024
+
+
+class OddNegated(OddConstants):
+    D1, N3 = -OddConstants.D1, -OddConstants.N3
 
 
 def test_jump_data_symmetry():
     class C:
         D1, D2, N2, N3 = 0.0, 0.151, 0.13, 0.0
 
-    vp, dp = jump_data(EXPS.lambda_n(1), "plus", C)
-    vm, dm = jump_data(EXPS.lambda_n(1), "minus", C)
-    # mirror-symmetric constants: equal value jumps, opposite trace jumps
-    np.testing.assert_allclose(vp, vm, rtol=1e-15)
-    np.testing.assert_allclose(dp, -dm, rtol=1e-15)
+    lam1 = EXPS.lambda_n(1)
+    # mirror-symmetric constants: both corners get the same slit jumps
+    np.testing.assert_allclose(jump_data(lam1, "minus", C),
+                               jump_data(lam1, "plus", C), rtol=1e-15)
+    # the mirror flips the X1-odd constants D1 and N3
+    np.testing.assert_allclose(jump_data(lam1, "minus", OddConstants),
+                               jump_data(lam1, "plus", OddNegated), rtol=1e-15)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_minus_closed_forms_match_mirrored_plus_profile(n):
+    # the minus corner's profiles in its own convention (theta- in
+    # (pi - Theta, pi), slit at 0) are the library's plus-frame profiles at
+    # theta+ = pi - theta-, with the minus side's jump data
+    w0, up, low = minus_corner_profiles(n, OddConstants, THETA)
+    lam = EXPS.lambda_n(n)
+    w1 = solve_angular_profile(n, *jump_data(lam, "minus", OddConstants),
+                               EXPS)
+    for t in (np.linspace(1e-6, math.pi - 1e-6, 41),
+              np.linspace(math.pi - THETA + 1e-6, -1e-6, 41)):
+        oracle = up(t) if t[0] > 0 else low(t)
+        scale = np.max(np.abs(oracle))
+        assert scale > 1e-3
+        np.testing.assert_allclose(w1(math.pi - t), oracle, rtol=0,
+                                   atol=1e-14 * scale)
+        np.testing.assert_allclose(w_base(n, EXPS)(math.pi - t), w0(t),
+                                   rtol=0, atol=1e-14)
 
 
 def test_polar_branch_resolution():
+    for side, x1 in (("plus", 0.0), ("minus", 0.0), ("minus", -0.3)):
+        frame = CornerFrame(side, 0.5, THETA)
+        _, th_t = frame.polar(np.array([x1]), np.array([0.0]), bottom=False)
+        _, th_b = frame.polar(np.array([x1]), np.array([0.0]), bottom=True)
+        assert th_t[0] < math.pi < th_b[0]
+
+
+def test_minus_frame_is_plus_frame_mirrored():
     fp = CornerFrame("plus", 0.5, THETA)
-    _, th_t = fp.polar(np.array([0.0]), np.array([0.0]), bottom=False)
-    _, th_b = fp.polar(np.array([0.0]), np.array([0.0]), bottom=True)
-    assert th_t[0] < math.pi < th_b[0]
     fm = CornerFrame("minus", 0.5, THETA)
-    _, th_t = fm.polar(np.array([0.0]), np.array([0.0]), bottom=False)
-    _, th_b = fm.polar(np.array([0.0]), np.array([0.0]), bottom=True)
-    assert th_b[0] < 0.0 < th_t[0]
+    rng = np.random.default_rng(3)
+    x = np.concatenate([rng.uniform(-1.0, 1.0, 40), [-0.4, 0.1, 0.3]])
+    y = np.concatenate([rng.uniform(-1.0, 1.0, 40), [0.0, 0.0, 0.0]])
+    for bottom in (None, False, True):
+        rm, tm = fm.polar(x, y, bottom=bottom)
+        rp, tp = fp.polar(-x, y, bottom=bottom)
+        np.testing.assert_array_equal(rm, rp)
+        np.testing.assert_array_equal(tm, tp)
+    # the minus corner (-1/2, 0): up is pi/2, the chamber wall Theta
+    r, th = fm.polar(np.array([-0.5, -0.5]), np.array([0.2, -0.2]))
+    np.testing.assert_allclose(r, [0.2, 0.2], rtol=1e-15)
+    np.testing.assert_allclose(th, [0.5 * math.pi, THETA], rtol=1e-15)
+    # point inverts polar in both frames
+    rr, tt = np.meshgrid(np.linspace(0.05, 0.4, 5),
+                         np.linspace(0.01, THETA - 0.01, 7))
+    for frame in (fp, fm):
+        pts = frame.point(rr, tt)
+        r, th = frame.polar(pts[..., 0], pts[..., 1])
+        np.testing.assert_allclose(r, rr, rtol=1e-14)
+        np.testing.assert_allclose(th, tt, rtol=1e-14)
 
 
 def _plus_lift(k0=K0):
     frame = CornerFrame("plus", 0.5, THETA)
-    w11 = solve_angular_profile(1, 1, "plus", 0.4, -0.25, EXPS)
+    w11 = solve_angular_profile(1, 0.4, -0.25, EXPS)
     return build_lift_J(frame, w11, make_cutoff("exp"), k0, coeff=1.3)
 
 
@@ -135,52 +185,26 @@ def test_commutator_load_matches_fd():
 
 
 def test_dx2_on_slit_matches_fd():
-    lift = _plus_lift()
-    x1 = np.array([0.2, 0.35, 0.42])
-    for bottom, sgn in ((False, 1.0), (True, -1.0)):
-        got = lift.dx2_on_slit(x1, bottom)
-        h = 1e-4
-        v0 = lift.value(x1, np.zeros_like(x1), bottom=bottom)
-        v1 = lift.value(x1, sgn * h * np.ones_like(x1))
-        v2 = lift.value(x1, 2 * sgn * h * np.ones_like(x1))
-        fd = sgn * (4 * v1 - v2 - 3 * v0) / (2 * h)
-        np.testing.assert_allclose(got, fd, rtol=1e-5, atol=1e-8)
-
-
-def test_lift_gradient_matches_fd():
-    # the second point has k0 r = 9: the J lift's derivative needs J_{-4/3} there
-    for k0, r in ((K0, 0.3), (20.0, 0.45)):
-        lift = _plus_lift(k0)
-        x, y = 0.5 + r * math.cos(2.0), r * math.sin(2.0)
-        g = lift.gradient(np.array([x]), np.array([y]))[0]
-        h = 1e-6
-        vx = lift.value(np.array([x + h, x - h]), np.array([y, y]))
-        vy = lift.value(np.array([x, x]), np.array([y + h, y - h]))
-        np.testing.assert_allclose(g[0], (vx[0] - vx[1]) / (2 * h), rtol=1e-7)
-        np.testing.assert_allclose(g[1], (vy[0] - vy[1]) / (2 * h), rtol=1e-7)
-
-
-def test_near_corner_amplitudes():
-    lift = _plus_lift()
-    r = 1e-6
-    np.testing.assert_allclose(bessel_j(lift.nu, K0 * r) / r**lift.nu,
-                               lift.near_corner_amplitude(), rtol=1e-5)
-    frame = CornerFrame("plus", 0.5, THETA)
-    ylift = build_lift_Y(1, frame, make_cutoff("exp"), K0)
-    from thinwall.bessel import bessel_y_array
-    yv = bessel_y_array(ylift.nu, np.array([K0 * r]))[0]
-    np.testing.assert_allclose(yv * r**ylift.nu,
-                               ylift.near_corner_amplitude(), rtol=1e-5)
-    with pytest.raises(IndexUnsupported):
-        build_lift_Y(3, frame, make_cutoff("exp"), K0)
+    w11 = solve_angular_profile(1, 0.4, -0.25, EXPS)
+    for side, sgn_x in (("plus", 1.0), ("minus", -1.0)):
+        lift = build_lift_J(CornerFrame(side, 0.5, THETA), w11,
+                            make_cutoff("exp"), K0, coeff=1.3)
+        x1 = sgn_x * np.array([0.2, 0.35, 0.42])
+        for bottom, sgn in ((False, 1.0), (True, -1.0)):
+            got = lift.dx2_on_slit(x1, bottom)
+            h = 1e-4
+            v0 = lift.value(x1, np.zeros_like(x1), bottom=bottom)
+            v1 = lift.value(x1, sgn * h * np.ones_like(x1))
+            v2 = lift.value(x1, 2 * sgn * h * np.ones_like(x1))
+            fd = sgn * (4 * v1 - v2 - 3 * v0) / (2 * h)
+            np.testing.assert_allclose(got, fd, rtol=1e-5, atol=1e-8)
 
 
 @pytest.mark.parametrize("side", ["plus", "minus"])
 def test_extract_ell_exact_recovery(side):
     frame = CornerFrame(side, 0.5, THETA)
     cs = {0: 0.8 - 0.1j, 1: 1.5 + 0.4j, 2: -0.6j, 3: 0.25}
-    modes = {m: w_base(m, side, EXPS) for m in cs}
-    cx, cy = frame.corner
+    modes = {m: w_base(m, EXPS) for m in cs}
 
     def field(pts, bottom):
         r, th = frame.polar(pts[:, 0], pts[:, 1], bottom=bottom)

@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from helpers import minus_corner_profiles
 from thinwall import fem, nearfield
-from thinwall.corner import (CornerFrame, SingularExponents, jump_data,
+from thinwall.corner import (CornerFrame, SingularExponents,
                              solve_angular_profile, w_base)
 from thinwall.cutoff import make_cutoff
 from thinwall.geometry import (ARC_STEP, GeometrySpec, _add_hole,
@@ -24,12 +25,12 @@ class StubConstants:
     D1, D2, N2, N3 = 0.0, 0.15, 0.13, 0.0
 
 
-def _w1(side):
-    return solve_angular_profile(1, 1, side, 0.4 - 0.1j, 0.2j, EXPS)
+def _w1():
+    return solve_angular_profile(1, 0.4 - 0.1j, 0.2j, EXPS)
 
 
 def test_blended_w1_branches_and_continuity():
-    w1 = _w1("plus")
+    w1 = _w1()
     thetas = np.full(5, math.pi - 0.3)
     # far above the layer: pure upper branch; far below: same angle still
     # picks the upper cosine piece, so blending only acts inside the layer
@@ -45,15 +46,15 @@ def test_blended_w1_branches_and_continuity():
     mid_low = blended_w1(w1, thetas, -1e-14 * np.ones(5), CUT)
     np.testing.assert_allclose(mid_up, mid_low, atol=1e-12)
     # a jump-free profile passes through unchanged
-    w0 = w_base(1, "plus", EXPS)
+    w0 = w_base(1, EXPS)
     np.testing.assert_allclose(blended_w1(w0, thetas, np.full(5, -5.0), CUT),
                                w0(thetas))
 
 
 def test_arc_data_continuous_across_layer():
     frame = CornerFrame("plus", 0.0, THETA)
-    w0 = w_base(1, "plus", EXPS)
-    data = arc_data(1, frame, w0, _w1("plus"), CUT)
+    w0 = w_base(1, EXPS)
+    data = arc_data(1, frame, w0, _w1(), CUT)
     R = 20.0
     x = -math.sqrt(R * R - 1e-8)
     assert abs(data(np.array([x]), np.array([1e-4]))[0]
@@ -64,27 +65,30 @@ def test_arc_data_continuous_across_layer():
 def test_window_panels_avoid_layer(side):
     frame = CornerFrame(side, 0.0, THETA)
     R, exclude = 8.0, 3.0
-    panels = _window_panels(frame, R, exclude)
+    panels = _window_panels(THETA, R, exclude)
     assert panels
     total = 0.0
-    a, b = frame.interval
     for thetas, wts in panels:
-        assert np.all(np.abs(R * np.sin(thetas)) > exclude)
-        assert np.all((thetas > a) & (thetas < b))
+        pts = frame.point(R, thetas)
+        assert np.all(np.abs(pts[:, 1]) > exclude)
+        # the points lie in this corner's own sector
+        r, th = frame.polar(pts[:, 0], pts[:, 1])
+        np.testing.assert_allclose(r, R, rtol=1e-14)
+        assert np.all((th > 0.0) & (th < THETA))
         total += wts.sum()
     # three excluded arcs of half-width asin(exclude/R) land in the sector
-    expected = (b - a) - 3.0 * math.asin(exclude / R)
+    expected = THETA - 3.0 * math.asin(exclude / R)
     np.testing.assert_allclose(total, expected, rtol=1e-12)
 
 
 @pytest.mark.parametrize("side", ["plus", "minus"])
 def test_extract_L_synthetic_injection(side):
     frame = CornerFrame(side, 0.0, THETA)
-    w0 = w_base(1, side, EXPS)
-    w1 = _w1(side)
+    w0 = w_base(1, EXPS)
+    w1 = _w1()
     lam1 = EXPS.lambda_n(1)
     amps = {0: 0.31, 1: -0.042, 2: 0.0075, 3: -0.0011}
-    modes = {m: w_base(m, side, EXPS) for m in amps}
+    modes = {m: w_base(m, EXPS) for m in amps}
 
     def u(pts):
         r, th = frame.polar(pts[:, 0], pts[:, 1])
@@ -158,9 +162,40 @@ def test_asymmetric_hole_meshes_two_cones(monkeypatch):
     assert not any(s.reused_factorization for s in sols.values())
 
 
+class _ConeBuilt(Exception):
+    pass
+
+
+def _minus_cone_polygon(monkeypatch, hole):
+    """The polygon solve_S meshes for the minus corner asked alone."""
+    seen = []
+
+    def capture(theta, Rmax, polygon):
+        seen.append(polygon)
+        raise _ConeBuilt
+
+    monkeypatch.setattr(nearfield, "build_cone_geometry", capture)
+    with pytest.raises(_ConeBuilt):
+        solve_S(("minus",), 1, StubConstants, hole)
+    return seen[0]
+
+
+def test_minus_cone_alone_meshes_the_plus_polygon(monkeypatch):
+    # asked alone, the minus side of a symmetric hole meshes the same
+    # polygon, in the same vertex order, as when it shares the plus cone
+    sym = HoleSpec()
+    np.testing.assert_array_equal(_minus_cone_polygon(monkeypatch, sym),
+                                  sym.polygon())
+    asym = HoleSpec(center=(0.45, 0.0))
+    poly = asym.polygon()
+    np.testing.assert_array_equal(
+        _minus_cone_polygon(monkeypatch, asym),
+        np.column_stack([1.0 - poly[:, 0], poly[:, 1]])[::-1])
+
+
 def test_symmetric_sides_agree(symmetric_cones):
-    # with D1 = N3 = 0 the two corner problems are mirror images; this fails
-    # if either side's arc data or extraction points are not mirrored
+    # with D1 = N3 = 0 the two corner problems are mirror images and are
+    # the same load on the shared cone
     sols, _ = symmetric_cones
     lp, lm = sols["plus"].ell[1], sols["minus"].ell[1]
     assert abs(lp - lm) <= 1e-8 * abs(lp)
@@ -168,7 +203,9 @@ def test_symmetric_sides_agree(symmetric_cones):
 
 def _own_minus_cone_L(constants, hole, Rmax, h0, degree):
     """L_-1 of the minus corner on a cone meshed in its own orientation
-    (sector (pi - theta, pi), holes at canon + ell - 1), with no mirror map."""
+    (sector (pi - theta, pi), holes at canon + ell - 1), loaded with the
+    closed-form minus-convention profiles of helpers and solved with no
+    mirror map."""
     a, b = math.pi - THETA, math.pi
     n_arc = max(64, int(math.ceil((b - a) / ARC_STEP)))
     ang = np.linspace(a, b, n_arc + 1)
@@ -185,16 +222,27 @@ def _own_minus_cone_L(constants, hole, Rmax, h0, degree):
             _add_hole(geo, poly, _wide_plateau)
     space = fem.Space(triangulate(geo, h0, GradingSpec(sigma=0.5,
                                                        n_layers=6)), degree)
-    frame = CornerFrame("minus", 0.0, THETA)
-    w0 = w_base(1, "minus", EXPS)
-    jv, jd = jump_data(EXPS.lambda_n(1), "minus", constants)
-    w1 = solve_angular_profile(1, 1, "minus", jv, jd, EXPS)
-    arc = space.boundary_dofs("Truncation")
-    xy = space.dof_coords[arc]
+    lam = EXPS.lambda_n(1)
+    w0, up, low = minus_corner_profiles(1, constants, THETA)
+
+    def arc(x, y):
+        # the slit jump of w_{1,1} smeared over the layer |y| < 2
+        r, th = np.hypot(x, y), np.arctan2(y, x)
+        s = 0.5 * (1.0 + np.sign(y) * CUT.chi(y))
+        return (r ** lam * w0(th)
+                + r ** (lam - 1.0) * (s * up(th) + (1.0 - s) * low(th)))
+
+    arc_dofs = space.boundary_dofs("Truncation")
+    xy = space.dof_coords[arc_dofs]
     cons = fem.Constraints(space)
-    cons.dirichlet(arc, arc_data(1, frame, w0, w1, CUT)(xy[:, 0], xy[:, 1]))
+    cons.dirichlet(arc_dofs, arc(xy[:, 0], xy[:, 1]))
     u = fem.solve(fem.stiffness(space), np.zeros(space.ndof), cons)
-    ell, _, _ = extract_L(fem.Field(space, u), frame, 1, w0, w1, Rmax)
+    # the minus frame samples the own-orientation cone at theta- = pi - theta
+    ell, _, _ = extract_L(
+        fem.Field(space, u), CornerFrame("minus", 0.0, THETA), 1,
+        lambda t: w0(math.pi - t),
+        lambda t: np.where(t <= math.pi, up(math.pi - t), low(math.pi - t)),
+        Rmax)
     return ell[1]
 
 

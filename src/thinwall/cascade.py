@@ -122,13 +122,6 @@ def solve_transmission(space: fem.Space, p: DomainParams,
     return fem.Field(space, u)
 
 
-def _field_evaluator(fld: fem.Field):
-    """extract_ell adapter: interface-side hint is irrelevant off the slit."""
-    def ev(pts, bottom):
-        return fld.evaluate(pts)
-    return ev
-
-
 def compute_u00(p: DomainParams, space: fem.Space, solver=None):
     """Limit solve (continuous interface) plus corner coefficients."""
     data = TransmissionData(boundary={"GammaR_minus": incident_robin_load(p)})
@@ -138,8 +131,7 @@ def compute_u00(p: DomainParams, space: fem.Space, solver=None):
         frame = CornerFrame(side, p.L, p.theta)
         cd = CornerData(side=side)
         for m in range(4):
-            ell, scatter, _ = extract_ell(_field_evaluator(u00), frame, m,
-                                          p.k0)
+            ell, scatter, _ = extract_ell(u00.evaluate, frame, m, p.k0)
             cd.ell[m] = ell
             cd.ell_scatter[m] = scatter
         corners[side] = cd

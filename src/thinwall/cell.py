@@ -110,15 +110,8 @@ def _energy_pairing(K, a: fem.Field, b: fem.Field) -> complex:
 def build_cell(hole: HoleSpec, T: float = 6.0, h0: float = 0.06,
                degree: int = 3, cutoff="exp") -> CellSolution:
     cut = cutoff if isinstance(cutoff, CutoffSpec) else make_cutoff(cutoff)
-    geo = build_cell_geometry(hole, T)
-    grading = None
-    if not hole.is_empty:
-        # grade into the hole's polygon vertices: the kernel gradients have
-        # mild r^(lambda-1) singularities there that otherwise dominate the
-        # error of the energy pairings
-        grading = GradingSpec(sigma=0.5, n_layers=4,
-                              corners=[tuple(v) for v in hole.polygon()])
-    mesh = triangulate(geo, h0, grading)
+    mesh = triangulate(build_cell_geometry(hole, T), h0,
+                       GradingSpec(sigma=0.5, n_layers=4))
     space = fem.Space(mesh, degree)
     if hole.is_empty:
         return CellSolution(hole, T, cut, space, None, 0.0, None, None)

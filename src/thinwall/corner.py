@@ -227,9 +227,9 @@ class LiftField:
                      * self.w.dtheta(th[act]) / r[act])
         return out
 
-    def commutator_load(self, x, y, bottom=None):
+    def commutator_load(self, x, y):
         """[Lap, chi_L] v = v Lap(chi_L) + 2 grad(chi_L) . grad(v)."""
-        r, th = self.frame.polar(x, y, bottom=bottom)
+        r, th = self.frame.polar(x, y)
         out = np.zeros(np.shape(r), dtype=complex)
         act = (r > 0.25 * self.L) & (r < self.L)
         if not np.any(act):
@@ -262,8 +262,8 @@ def build_lift_Y(frame: CornerFrame, cut, k0, coeff=1.0) -> LiftField:
 def extract_ell(evaluate, frame: CornerFrame, m, k0):
     """Corner coefficient of J_{lambda_m}(k0 r) w_{m,0}(theta) in a field.
 
-    evaluate(points, bottom) -> complex values; the angular projection is
-    done on both slit branches (Gauss panels split at the slit), then each
+    evaluate(points) -> complex values; the angular projection uses Gauss
+    panels split at the slit, whose points never lie on it, then each
     radius of ELL_RADII gives an estimate ell(r); radii near Bessel zeros
     are skipped and the rest combined by least squares.  Returns (ell, its
     relative scatter over the radii, the radii used).
@@ -274,14 +274,14 @@ def extract_ell(evaluate, frame: CornerFrame, m, k0):
     c_m = th if m == 0 else th / 2.0
     wm = w_base(m, exps)
 
-    # Gauss panels on (0, pi) and (pi, Theta), branch chosen per panel
+    # Gauss panels on (0, pi) and (pi, Theta)
     xg, wg = np.polynomial.legendre.leggauss(ELL_N_THETA // 2)
 
     def panel(lo, hi):
         mid, hl = 0.5 * (hi + lo), 0.5 * (hi - lo)
         return mid + hl * xg, hl * wg
 
-    panels = [(panel(0.0, math.pi), False), (panel(math.pi, th), True)]
+    panels = [panel(0.0, math.pi), panel(math.pi, th)]
 
     vals = []
     used = []
@@ -290,8 +290,8 @@ def extract_ell(evaluate, frame: CornerFrame, m, k0):
         if abs(Jm) <= 1e-8:
             continue
         proj = 0.0
-        for (thetas, wts), bottom in panels:
-            u = evaluate(frame.point(r, thetas), bottom)
+        for thetas, wts in panels:
+            u = evaluate(frame.point(r, thetas))
             proj = proj + np.sum(wts * u * wm(thetas))
         vals.append(proj / (c_m * Jm))
         used.append(r)

@@ -36,7 +36,10 @@ class GeometrySpec:
     holes, each with a seed point in hole_seeds.
     chains: list of (points (n,2), tag) - open internal constraint chains;
     slit chains are doubled into node-disjoint copies after triangulation.
-    size_hints: list of (center, radius, h_local) - local sizing overrides.
+    corner_vertices: points the mesh is graded into when triangulate is
+    given a GradingSpec.
+    size_hints: list of (center, radius, h_local) - local sizing overrides,
+    one per hole (_add_hole).
     """
 
     loops: list
@@ -57,23 +60,20 @@ def _rect_loop(x0, x1, y0, y1, tags):
     return pts, [tags[0], tags[1], tags[2], tags[3]]
 
 
-def _add_hole(geo: GeometrySpec, poly: np.ndarray, plateau):
+def _add_hole(geo: GeometrySpec, poly: np.ndarray):
     """Append a hole loop, its carve seed and its size hint to geo.
 
     The hint holds the hole's longest edge h_loc out to the radius
-    plateau(rad, h_loc), with rad the hole's half-width.
+    rad + 2 h_loc, with rad the hole's half-width.  Every domain sizes its
+    holes by this one rule, so a cell or cone hole is meshed as the
+    reference meshes it at scale delta.
     """
     geo.loops.append((poly, ["GammaHole"] * len(poly)))
     seed = tuple(poly.mean(axis=0))
     geo.hole_seeds.append(seed)
     h_loc = float(np.max(np.linalg.norm(np.roll(poly, -1, 0) - poly, axis=1)))
     rad = 0.5 * float(poly[:, 0].max() - poly[:, 0].min())
-    geo.size_hints.append((seed, plateau(rad, h_loc), h_loc))
-
-
-def _wide_plateau(rad, h_loc):
-    """Plateau of an isolated unit hole: three half-widths."""
-    return 3.0 * rad
+    geo.size_hints.append((seed, rad + 2.0 * h_loc, h_loc))
 
 
 def _chamber_wall_points(p: DomainParams):
@@ -143,7 +143,7 @@ def build_perforated_domain(p: DomainParams, delta: float) -> GeometrySpec:
         # chamber walls can slant inward for theta < 3 pi / 2
         if not _clears_chamber_walls(p, poly):
             raise HoleCollision(f"hole {ell} crosses a chamber wall")
-        _add_hole(geo, poly, lambda rad, h_loc: rad + 2 * h_loc)
+        _add_hole(geo, poly)
     return geo
 
 
@@ -163,15 +163,22 @@ def _clears_chamber_walls(p: DomainParams, poly: np.ndarray) -> bool:
 
 
 def build_cell_geometry(h: HoleSpec, T: float) -> GeometrySpec:
-    """Periodicity cell (0,1) x (-T,T) minus the canonical hole."""
+    """Periodicity cell (0,1) x (-T,T) minus the canonical hole.
+
+    The hole polygon's vertices are the graded corners: the kernel gradients
+    have mild r^(lambda-1) singularities there that otherwise dominate the
+    error of the cell's energy pairings.
+    """
     if T < 4:
         raise ValueError("cell truncation must satisfy T >= 4")
     h.validate_in_cell()
     pts, tags = _rect_loop(0.0, 1.0, -T, T,
                            ("Truncation", "Periodic_right", "Truncation", "Periodic_left"))
-    geo = GeometrySpec(loops=[(pts, tags)])
+    poly = h.polygon()
+    geo = GeometrySpec(loops=[(pts, tags)],
+                       corner_vertices=[tuple(v) for v in poly])
     if not h.is_empty:
-        _add_hole(geo, h.polygon(), _wide_plateau)
+        _add_hole(geo, poly)
     return geo
 
 
@@ -200,5 +207,5 @@ def build_cone_geometry(theta: float, Rmax: float,
             continue
         if np.min(np.hypot(poly[:, 0], poly[:, 1])) <= 0.3:
             continue
-        _add_hole(geo, poly, _wide_plateau)
+        _add_hole(geo, poly)
     return geo

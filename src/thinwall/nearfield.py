@@ -134,10 +134,6 @@ class NearFieldSolution:
     ndof: int = 0
     reused_factorization: bool = False
 
-    def evaluate(self, points):
-        """S_n at points of the plus-orientation cone."""
-        return self.field.evaluate(points)
-
     def as_dict(self):
         return {
             "side": self.side,
@@ -186,7 +182,8 @@ def solve_S(sides, n, constants, hole, theta=1.5 * math.pi, Rmax=20.0,
                                 field=fem.Field(cone.space, u),
                                 ndof=cone.space.ndof,
                                 reused_factorization=reused)
-        ell, res, logc = extract_L(sol, frame, n, w0, w1, Rmax)
+        ell, res, logc = extract_L(sol.field.evaluate, frame, n, w0, w1,
+                                   Rmax)
         sol.ell, sol.radial_residual, sol.log_coefficient = ell, res, logc
         lead = max(abs(v) for v in ell.values())
         for m in ell:
@@ -220,21 +217,21 @@ def _window_panels(theta, R, exclude):
     return panels
 
 
-def extract_L(u, frame: CornerFrame, n, w0, w1, Rmax):
+def extract_L(evaluate, frame: CornerFrame, n, w0, w1, Rmax):
     """Amplitudes of the decaying sector modes inside the matching window.
 
-    At each radius in (Rmax/4, Rmax/2) the residual of u against the known
-    growing behaviour is projected (windowed least squares, layer strip
-    excluded) onto the sector modes; each coefficient track c_m(R) is then
-    fit with decaying + growing radial powers, the growing column absorbing
-    arc-truncation reflection.  A second fit with an R^(-lambda) log R
-    column reports the spurious-log diagnostic.
+    evaluate(points) -> complex values of the field u.  At each radius in
+    (Rmax/4, Rmax/2) the residual of u against the known growing behaviour
+    is projected (windowed least squares, layer strip excluded) onto the
+    sector modes; each coefficient track c_m(R) is then fit with decaying +
+    growing radial powers, the growing column absorbing arc-truncation
+    reflection.  A second fit with an R^(-lambda) log R column reports the
+    spurious-log diagnostic.
     """
     exps = SingularExponents(frame.theta)
     lam_n = exps.lambda_n(n)
     radii = np.linspace(Rmax / 4.0, Rmax / 2.0, L_N_RADII)
     profs = {m: (w_base(m, exps) if m > 0 else None) for m in L_MODES}
-    evaluate = u.evaluate if hasattr(u, "evaluate") else u
 
     coeff = {m: [] for m in L_MODES}
     for R in radii:

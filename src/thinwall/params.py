@@ -18,9 +18,10 @@ class HoleSpec:
     """Canonical obstacle in cell coordinates, strictly inside (0,1)x(-1,1).
 
     Disks are canonicalized to an inscribed regular polygon with ``n_seg``
-    sides; the *same* polygon is used everywhere (cell problems, cone
-    problems, scaled physical holes), so the discrete model is internally
-    consistent regardless of the polygonization error w.r.t. the ideal disk.
+    sides; the *same* polygon, meshed by the same sizing rule
+    (geometry._add_hole), is used everywhere (cell problems, cone problems,
+    scaled physical holes), so the discrete model is internally consistent
+    regardless of the polygonization error w.r.t. the ideal disk.
     """
 
     kind: str = "disk"                      # "disk" | "none"

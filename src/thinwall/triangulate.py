@@ -26,7 +26,7 @@ MAX_INSERT = 400_000     # refinement insertions before MeshFailure
 
 @dataclass(frozen=True)
 class GradingSpec:
-    """Geometric refinement towards marked corners.
+    """Geometric refinement towards the geometry's corner_vertices.
 
     Local target size max(h0 * sigma^n_layers, (1 - sigma) * distance),
     capped by the background size.
@@ -34,7 +34,6 @@ class GradingSpec:
 
     sigma: float = 0.5
     n_layers: int = 10
-    corners: tuple | None = None  # default: geometry corner_vertices
 
     def __post_init__(self):
         if not (0.0 < self.sigma < 1.0) or self.n_layers < 0:
@@ -475,12 +474,10 @@ def _make_sizing(geo: GeometrySpec, h0: float, grading: GradingSpec | None):
     else:
         hc = None
     corners = None
-    if grading is not None:
-        cs = grading.corners if grading.corners is not None else geo.corner_vertices
-        if cs:
-            corners = np.array(cs, dtype=float)
-            h_min = h0 * grading.sigma ** grading.n_layers
-            slope = 1.0 - grading.sigma
+    if grading is not None and geo.corner_vertices:
+        corners = np.array(geo.corner_vertices, dtype=float)
+        h_min = h0 * grading.sigma ** grading.n_layers
+        slope = 1.0 - grading.sigma
 
     def sizing(x, y):
         val = h0
@@ -536,10 +533,16 @@ def triangulate(geo: GeometrySpec, h0: float,
     req = []  # (provisional id a, provisional id b, _Seg)
     for loop, tags in geo.loops:
         n = len(loop)
-        for i in range(n):
-            tag = tags[i]
+        edges = [_sample_edge(loop[i], loop[(i + 1) % n], sizing)
+                 for i in range(n)]
+        if "Periodic_left" in tags:
+            # the sizing need not be periodic: the left edge is the right
+            # edge's samples, translated and reversed, so the two match
+            i, j = tags.index("Periodic_right"), tags.index("Periodic_left")
+            sx, sy = loop[j] - loop[(i + 1) % n]
+            edges[j] = [(x + sx, y + sy) for x, y in edges[i][::-1]]
+        for tag, samples in zip(tags, edges):
             splittable = tag not in ("Periodic_left", "Periodic_right")
-            samples = _sample_edge(loop[i], loop[(i + 1) % n], sizing)
             for s0, s1 in zip(samples[:-1], samples[1:]):
                 req.append((pid(s0), pid(s1), _Seg(tag, splittable, False)))
     for chain, tag in geo.chains:

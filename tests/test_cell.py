@@ -81,6 +81,24 @@ def test_symmetric_hole_kills_odd_constants(coarse_constants):
     assert abs(coarse_constants.N3) <= 1e-3 * scale
 
 
+@pytest.mark.parametrize("x1", [0.45, 0.4])
+def test_shifted_hole_gives_the_centred_constants(x1):
+    # a disk moved along X1 is the same periodic layer, translated: the
+    # periodic edges must still mesh congruently, and every constant must
+    # match the centred hole's (the odd ones vanish for both)
+    def constants(center):
+        cell = build_cell(HoleSpec(center=center), T=6.0, h0=0.15, degree=3)
+        return compute_constants(cell, K0)
+
+    want, got = constants((0.5, 0.0)), constants((x1, 0.0))
+    scale = max(abs(want.D2), abs(want.N2))
+    for name in ("D2", "N1", "N2"):
+        np.testing.assert_allclose(getattr(got, name), getattr(want, name),
+                                   rtol=1e-6)
+    assert abs(got.D1) <= 1e-6 * scale
+    assert abs(got.N3) <= 1e-6 * scale
+
+
 def test_kernel_profile_far_field(coarse_cell):
     # D = X2 + W approaches X2 +/- D_infty away from the hole
     for y, sgn in ((4.6, 1.0), (-4.6, -1.0)):

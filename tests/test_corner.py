@@ -206,8 +206,8 @@ def test_extract_ell_exact_recovery(side):
     cs = {0: 0.8 - 0.1j, 1: 1.5 + 0.4j, 2: -0.6j, 3: 0.25}
     modes = {m: w_base(m, EXPS) for m in cs}
 
-    def field(pts, bottom):
-        r, th = frame.polar(pts[:, 0], pts[:, 1], bottom=bottom)
+    def field(pts):
+        r, th = frame.polar(pts[:, 0], pts[:, 1])
         out = np.zeros(len(r), dtype=complex)
         for m, c in cs.items():
             out += c * bessel_j_array(EXPS.lambda_n(m), K0 * r) * modes[m](th)

@@ -8,6 +8,7 @@ from thinwall.geometry import (build_cell_geometry, build_cone_geometry,
                                build_limit_domain, build_perforated_domain)
 from thinwall.nearfield import side_polygon
 from thinwall.params import DomainParams, HoleSpec
+from thinwall.triangulate import GradingSpec, triangulate
 
 
 def test_limit_domain_outline_and_slit():
@@ -116,3 +117,39 @@ def test_cone_sides_mirror():
         # reversed back to the cell polygon's counter-clockwise order
         mirrored = np.column_stack([-poly[:, 0], poly[:, 1]])[::-1]
         np.testing.assert_allclose(mirrored, q, atol=1e-12)
+
+
+def test_every_hole_is_sized_by_one_rule():
+    # cell and cone holes are reference holes at delta = 1: each hint holds
+    # the canonical hole's h_loc out to rad + 2 h_loc, and a reference
+    # hint is that hint scaled by delta
+    poly = HoleSpec().polygon()
+    h_loc = np.max(np.linalg.norm(np.roll(poly, -1, 0) - poly, axis=1))
+    want = (0.5 * (poly[:, 0].max() - poly[:, 0].min()) + 2.0 * h_loc, h_loc)
+    delta = 0.125
+    for geo, scale in ((build_cell_geometry(HoleSpec(), T=6.0), 1.0),
+                       (build_cone_geometry(1.5 * np.pi, 20.0, poly), 1.0),
+                       (build_perforated_domain(DomainParams(), delta), delta)):
+        assert len(geo.size_hints) == len(geo.loops) - 1
+        for (hole, _), (seed, rad, h) in zip(geo.loops[1:], geo.size_hints):
+            np.testing.assert_allclose(seed, hole.mean(axis=0), atol=1e-12)
+            np.testing.assert_allclose((rad / scale, h / scale), want,
+                                       rtol=1e-9)
+
+
+def test_cell_geometry_grades_into_its_hole_vertices():
+    hole = HoleSpec()
+    geo = build_cell_geometry(hole, T=6.0)
+    np.testing.assert_array_equal(np.array(geo.corner_vertices),
+                                  hole.polygon())
+    assert build_cell_geometry(HoleSpec(kind="none"), 6.0).corner_vertices == []
+
+
+def test_cone_size_follows_its_background_mesh_size():
+    # with the holes' fine plateau held to rad + 2 h_loc, halving the
+    # background size must add elements between the holes as well
+    geo = build_cone_geometry(1.5 * np.pi, 20.0, HoleSpec().polygon())
+    grading = GradingSpec(sigma=0.5, n_layers=6)
+    coarse = triangulate(geo, 0.9, grading).elements.shape[0]
+    fine = triangulate(geo, 0.45, grading).elements.shape[0]
+    assert coarse <= 0.7 * fine

@@ -9,8 +9,7 @@ from thinwall import fem, nearfield
 from thinwall.corner import (CornerFrame, SingularExponents,
                              solve_angular_profile, w_base)
 from thinwall.cutoff import make_cutoff
-from thinwall.geometry import (ARC_STEP, GeometrySpec, _add_hole,
-                               _wide_plateau)
+from thinwall.geometry import ARC_STEP, GeometrySpec, _add_hole
 from thinwall.nearfield import (_window_panels, arc_data, blended_w1,
                                 extract_L, solve_S)
 from thinwall.params import HoleSpec
@@ -219,7 +218,7 @@ def _own_minus_cone_L(constants, hole, Rmax, h0, degree):
         poly = canon + (ell - 1, 0.0)
         r = np.hypot(poly[:, 0], poly[:, 1])
         if 0.3 < r.min() and r.max() < Rmax - 0.3:
-            _add_hole(geo, poly, _wide_plateau)
+            _add_hole(geo, poly)
     space = fem.Space(triangulate(geo, h0, GradingSpec(sigma=0.5,
                                                        n_layers=6)), degree)
     lam = EXPS.lambda_n(1)
@@ -239,7 +238,7 @@ def _own_minus_cone_L(constants, hole, Rmax, h0, degree):
     u = fem.solve(fem.stiffness(space), np.zeros(space.ndof), cons)
     # the minus frame samples the own-orientation cone at theta- = pi - theta
     ell, _, _ = extract_L(
-        fem.Field(space, u), CornerFrame("minus", 0.0, THETA), 1,
+        fem.Field(space, u).evaluate, CornerFrame("minus", 0.0, THETA), 1,
         lambda t: w0(math.pi - t),
         lambda t: np.where(t <= math.pi, up(math.pi - t), low(math.pi - t)),
         Rmax)

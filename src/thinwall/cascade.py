@@ -1,13 +1,17 @@
 """Iterative construction of the macroscopic expansion terms.
 
 The limit field u00 solves the waveguide problem with a continuous
-interface.  The first correction u01 carries the effective jump data built
-from the cell constants and the interface traces of u00; its corner-singular
-part (a J_{lambda1 - 1} lift) is subtracted before the finite element solve
-so the remaining transmission data is bounded.  The second correction u20
-is driven purely by the corners: its lift is the decaying Bessel mode
-Y_{lambda1}, with amplitude set by the corner coefficient of u00 and the
-reflection coefficient of the near-field problem.
+interface.  Each correction is a hat field plus a list of cut-off Bessel
+lifts, one per corner, and one routine (_solve_hat) solves for the hat:
+the lifts' commutator loads are its source, and their slit jumps, read in
+closed form from their angular profiles, are taken off the correction's
+interface data.  The first correction u01 carries the effective jump data
+built from the cell constants and the interface traces of u00; its
+corner-singular part is a J_{lambda1 - 1} lift, so the hat's data is
+bounded.  The second correction u20 is driven purely by the corners: its
+lift is the decaying, jump-free Bessel mode Y_{lambda1}, with amplitude set
+by the corner coefficient of u00 and the reflection coefficient of the
+near-field problem.
 """
 
 from __future__ import annotations
@@ -175,7 +179,6 @@ class CorrectionParts:
 
     hat: fem.Field
     lifts: list
-    coefficients: dict = field(default_factory=dict)
 
     def evaluate(self, points, loc=None):
         out = self.hat.evaluate(points, loc=loc)
@@ -185,15 +188,44 @@ class CorrectionParts:
         return out
 
 
+def _solve_hat(space: fem.Space, p: DomainParams, lifts, solver,
+               g=None, h=None) -> CorrectionParts:
+    """The correction hat + sum of lifts, with the hat solved on the shared
+    factorisation.
+
+    The hat's source is the sum of the lifts' commutator loads, and its
+    interface data are g (trace jump) and h (x2-derivative jump) less the
+    lifts' slit jumps, so hat + lifts carries g and h.  Without g and h the
+    interface stays continuous; the lifts must then be jump-free, as
+    u20's are.
+    """
+    def fhat(x, y):
+        return sum(lift.commutator_load(x, y) for lift in lifts)
+
+    data = TransmissionData(f=fhat)
+    if g is not None:
+        def jump(x, i):
+            return sum(lift.slit_jumps(x)[i] for lift in lifts)
+
+        # clamp only the tip stretch, twice the gap between the outermost
+        # sample and its corner; the corner-graded mesh keeps that gap tiny
+        xs = _interface_samples(space)[:, 0]
+        width = 2.0 * float(max(xs[0] + p.L, p.L - xs[-1]))
+        data.g = _Clamped(lambda x: g(x) - jump(x, 0), p.L, width)
+        data.h = _Clamped(lambda x: h(x) - jump(x, 1), p.L, width)
+    hat = solve_transmission(space, p, data, solver)
+    return CorrectionParts(hat=hat, lifts=lifts)
+
+
 def compute_u01(p: DomainParams, space: fem.Space, u00: fem.Field,
                 corners: dict, constants: EffectiveConstants,
                 cutoff="exp", solver=None) -> CorrectionParts:
     """First-order correction: effective-jump solve with singular lift.
 
-    The interface data is built from spline-fitted traces of u00; the
-    r^(lambda1 - 1)-singular content of that data is removed by cut-off
-    Bessel lifts whose slit jumps reproduce it, and the remaining hat
-    problem is solved with bounded data.
+    The interface data is built from spline-fitted traces of u00; its
+    r^(lambda1 - 1)-singular content is carried by one cut-off
+    J_{lambda1 - 1} lift per corner, whose profile has the slit jumps
+    jump_data prescribes and whose amplitude is (k0 / (2 lambda1)) ell_1.
     """
     exps = SingularExponents(p.theta)
     lam1 = exps.lambda_n(1)
@@ -215,42 +247,12 @@ def compute_u01(p: DomainParams, space: fem.Space, u00: fem.Field,
 
     lifts = []
     for side in ("plus", "minus"):
-        frame = CornerFrame(side, p.L, p.theta)
         w11 = solve_angular_profile(1, *jump_data(lam1, side, constants),
                                     exps)
         coeff = (p.k0 / (2.0 * lam1)) * corners[side].ell[1]
-        lifts.append(build_lift_J(frame, w11, cut, p.k0, coeff=coeff))
-
-    def lift_trace_jump(x):
-        x = np.asarray(x, dtype=float)
-        z = np.zeros_like(x)
-        out = np.zeros(x.shape, dtype=complex)
-        for lift in lifts:
-            out += (lift.value(x, z, bottom=False)
-                    - lift.value(x, z, bottom=True))
-        return out
-
-    def lift_dx2_jump(x):
-        out = np.zeros(np.shape(x), dtype=complex)
-        for lift in lifts:
-            out += lift.dx2_on_slit(x, False) - lift.dx2_on_slit(x, True)
-        return out
-
-    # clamp only the tip stretch, twice the gap between the outermost sample
-    # and its corner; the corner-graded mesh keeps that gap tiny
-    width = 2.0 * float(max(xs[0] + p.L, p.L - xs[-1]))
-    ghat = _Clamped(lambda x: g01(x) - lift_trace_jump(x), p.L, width)
-    hhat = _Clamped(lambda x: h01(x) - lift_dx2_jump(x), p.L, width)
-
-    def fhat(x, y):
-        out = np.zeros(np.shape(x), dtype=complex)
-        for lift in lifts:
-            out += lift.commutator_load(x, y)
-        return out
-
-    hat = solve_transmission(space, p,
-                             TransmissionData(f=fhat, g=ghat, h=hhat), solver)
-    return CorrectionParts(hat=hat, lifts=lifts)
+        lifts.append(build_lift_J(CornerFrame(side, p.L, p.theta), w11, cut,
+                                  p.k0, coeff=coeff))
+    return _solve_hat(space, p, lifts, solver, g=g01, h=h01)
 
 
 def compute_u20(p: DomainParams, space: fem.Space, corners: dict,
@@ -267,23 +269,14 @@ def compute_u20(p: DomainParams, space: fem.Space, corners: dict,
     lam2 = exps.lambda_n(2)
     cut = make_cutoff(cutoff)
 
-    lifts, coeffs = [], {}
+    lifts = []
     for side in ("plus", "minus"):
-        frame = CornerFrame(side, p.L, p.theta)
-        c = (-math.pi * corners[side].ell[1] * L_minus_1[side]
-             / (math.gamma(lam1) * math.gamma(lam1 + 1.0))
-             * (p.k0 / 2.0) ** lam2)
-        coeffs[side] = c
-        lifts.append(build_lift_Y(frame, cut, p.k0, coeff=c))
-
-    def fhat(x, y):
-        out = np.zeros(np.shape(x), dtype=complex)
-        for lift in lifts:
-            out += lift.commutator_load(x, y)
-        return out
-
-    hat = solve_transmission(space, p, TransmissionData(f=fhat), solver)
-    return CorrectionParts(hat=hat, lifts=lifts, coefficients=coeffs)
+        coeff = (-math.pi * corners[side].ell[1] * L_minus_1[side]
+                 / (math.gamma(lam1) * math.gamma(lam1 + 1.0))
+                 * (p.k0 / 2.0) ** lam2)
+        lifts.append(build_lift_Y(CornerFrame(side, p.L, p.theta), cut,
+                                  p.k0, coeff=coeff))
+    return _solve_hat(space, p, lifts, solver)
 
 
 @dataclass

@@ -13,14 +13,13 @@ import numpy as np
 
 from . import fem
 from .cutoff import CutoffSpec, make_cutoff
-from .errors import CompatibilityViolated, IndexUnsupported
+from .errors import CompatibilityViolated
 from .geometry import build_cell_geometry
 from .params import HoleSpec
 from .triangulate import GradingSpec, triangulate
 
 __all__ = ["CellSolution", "EffectiveConstants", "build_cell",
-           "compute_constants", "compatibility_residuals",
-           "evaluate_corrector"]
+           "compute_constants"]
 
 COMPAT_TOL = 1e-6
 
@@ -43,7 +42,6 @@ class EffectiveConstants:
 class CellSolution:
     hole: HoleSpec
     T: float
-    cut: CutoffSpec
     space: fem.Space
     W: fem.Field | None      # W = D - X2 (None when there is no hole)
     D_infty: float
@@ -52,9 +50,6 @@ class CellSolution:
     U1: fem.Field | None = None   # harmonic pairing field, hole data -e1.n
     K: object = None              # periodic-cell stiffness matrix
     D1: complex = 0.0
-
-    def V0(self, X2):
-        return 1.0 - self.cut.chi(X2)
 
     def D_value(self, pts):
         """Kernel profile D = X2 + W at cell points."""
@@ -114,7 +109,7 @@ def build_cell(hole: HoleSpec, T: float = 6.0, h0: float = 0.06,
                        GradingSpec(sigma=0.5, n_layers=4))
     space = fem.Space(mesh, degree)
     if hole.is_empty:
-        return CellSolution(hole, T, cut, space, None, 0.0, None, None)
+        return CellSolution(hole, T, space, None, 0.0, None, None)
     # one periodic pure-Neumann Laplace operator, factored once, serves
     # every profile; its stiffness also gives the energy pairings
     K = fem.stiffness(space)
@@ -151,7 +146,7 @@ def build_cell(hole: HoleSpec, T: float = 6.0, h0: float = 0.06,
         return 2.0 * cut.dchi(y) + y * cut.d2chi(y)
 
     V12 = solve(_balanced_load(space, f12, 1.0, "V12"))
-    return CellSolution(hole, T, cut, space, W, D_inf, V11, V12,
+    return CellSolution(hole, T, space, W, D_inf, V11, V12,
                         U1=U1, K=K, D1=D1)
 
 
@@ -196,53 +191,3 @@ def compute_constants(cell: CellSolution, k0: float,
 
     return EffectiveConstants(complex(D1), complex(D2), complex(N1),
                               complex(N2), complex(N3), cell.D_infty)
-
-
-def compatibility_residuals(F, G, cell: CellSolution):
-    """Solvability residuals (c_D, c_N) of volume data F and hole data G.
-
-    c_N pairs the data with the constant kernel element, c_D with the
-    kernel profile D; both must vanish for a decaying solution to exist.
-    """
-    space = cell.space
-    pts, w = space.quad_global()
-    Fv = np.asarray(F(pts[:, 0], pts[:, 1]), dtype=complex)
-    c_N = np.sum(w * Fv)
-    Dq = pts[:, 1] + (cell.W.values_at_own_quad() if cell.W is not None
-                      else 0.0)
-    c_D = np.sum(w * Fv * Dq)
-    if G is not None and cell.space.mesh.has_tag("GammaHole"):
-        hpts, hw, _ = fem.edge_quadrature(space, "GammaHole", nq=8)
-        flat = hpts.reshape(-1, 2)
-        Gv = np.asarray(G(flat[:, 0], flat[:, 1]), dtype=complex)
-        c_N = c_N + np.sum(hw.reshape(-1) * Gv)
-        c_D = c_D + np.sum(hw.reshape(-1) * Gv * cell.D_value(flat))
-    return complex(c_D), complex(c_N)
-
-
-def evaluate_corrector(n: int, q: int, traces: dict, cell: CellSolution,
-                       x1, X):
-    """Boundary-layer corrector value Pi_{n,q}(x1; X), X1 reduced mod 1.
-
-    traces supplies the interface data of the macroscopic terms as callables
-    of x1: 'mean_u00', 'dx1_mean_u00', 'mean_dx2_u00', 'mean_u01',
-    'mean_u20' (only the ones the requested index needs).
-    """
-    X = np.asarray(X, dtype=float).reshape(-1, 2)
-    Xr = np.column_stack([np.mod(X[:, 0], 1.0), X[:, 1]])
-    if (n, q) in ((1, 0), (1, 1)):
-        return np.zeros(X.shape[0], dtype=complex)
-    V0 = cell.V0(Xr[:, 1])
-    if (n, q) == (0, 0):
-        return np.asarray(traces["mean_u00"](x1), dtype=complex) * V0
-    if (n, q) == (0, 1):
-        out = np.asarray(traces["mean_u01"](x1), dtype=complex) * V0
-        if cell.V11 is not None:
-            out = out + (np.asarray(traces["dx1_mean_u00"](x1), dtype=complex)
-                         * cell.V11.evaluate(Xr))
-            out = out + (np.asarray(traces["mean_dx2_u00"](x1), dtype=complex)
-                         * cell.V12.evaluate(Xr))
-        return out
-    if (n, q) == (2, 0):
-        return np.asarray(traces["mean_u20"](x1), dtype=complex) * V0
-    raise IndexUnsupported(f"no corrector table entry for (n,q)=({n},{q})")

@@ -18,6 +18,7 @@ import argparse
 import dataclasses
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -50,13 +51,17 @@ def _floats(s):
     return tuple(float(_eval_number(v)) for v in s.split(",") if v.strip())
 
 
+_PI_MULTIPLE = re.compile(r"(?:(.+)\*)?pi(?:/(.+))?")
+
+
 def _eval_number(s):
-    """Float literal, fraction 'a/b', or multiples of pi like '5*pi'."""
-    s = s.strip()
-    if "pi" in s:
-        s = s.replace("pi", repr(math.pi))
-        head, _, tail = s.partition("*")
-        return float(head) * float(tail) if tail else float(s)
+    """Float literal, fraction 'a/b', or a multiple of pi '[a*]pi[/b]'
+    such as '5*pi', 'pi/2' or '11*pi/8'."""
+    s = "".join(s.split())
+    m = _PI_MULTIPLE.fullmatch(s)
+    if m:
+        a, b = m.groups()
+        return (float(a) if a else 1.0) * math.pi / (float(b) if b else 1.0)
     if "/" in s:
         num, den = s.split("/")
         return float(num) / float(den)
@@ -184,8 +189,7 @@ def cmd_cascade(args):
         "corner_ell_minus": np.array([exp.corners["minus"].ell[m]
                                       for m in range(4)]),
         "L_minus_1": np.array([L_minus_1["plus"], L_minus_1["minus"]]),
-        "u20_lift_coeffs": np.array([exp.u20.coefficients["plus"],
-                                     exp.u20.coefficients["minus"]]),
+        "u20_lift_coeffs": np.array([lift.coeff for lift in exp.u20.lifts]),
     }
     path = _save_npz(args.out, **payload)
     print(f"wrote {path} ({space.ndof} dofs per field)")

@@ -8,6 +8,12 @@ under the mirror x -> -x: its (r, theta) at (x, y) are the plus corner's
 at (-x, y), so every profile and lift is written once, in the plus frame.
 The mirror reverses X1, so the constants odd in X1, D1 and N3, change sign
 in the minus corner's slit jumps (jump_data).
+
+A point on the slit reads theta = pi, and a profile there its top piece.
+The jumps across the slit are never evaluated on the two faces: they are
+read in closed form from the profile's two cosine pieces at theta = pi
+(AngularProfile.slit_jumps), and a lift's from its profile's
+(LiftField.slit_jumps).
 """
 
 from __future__ import annotations
@@ -57,15 +63,13 @@ class CornerFrame:
     def sigma(self):
         return 1.0 if self.side == "plus" else -1.0
 
-    def polar(self, x, y, bottom=None):
-        """(r, theta) about the corner; 'bottom' resolves on-slit points."""
+    def polar(self, x, y):
+        """(r, theta) about the corner; a point on the slit (y = 0, left of
+        the corner) reads theta = pi, the top face's limit."""
         dx = self.sigma * np.asarray(x, dtype=float) - self.L
         dy = np.asarray(y, dtype=float)
         r = np.hypot(dx, dy)
         th = np.mod(np.arctan2(dy, dx), 2.0 * math.pi)
-        if bottom is not None:
-            on = (np.abs(dy) == 0.0) & (dx < 0)
-            th = np.where(on, math.pi + (1e-9 if bottom else -1e-9), th)
         return r, th
 
     def point(self, r, theta):
@@ -85,25 +89,39 @@ class AngularProfile:
 
     pieces: list = field(default_factory=list)
 
-    def __call__(self, theta):
+    def branch(self, i, theta, d=0):
+        """Piece i's cosine (d = 0) or its theta-derivative (d = 1),
+        continued to any theta."""
+        _lo, _hi, amp, mu, ref = self.pieces[i]
+        t = mu * (np.asarray(theta, dtype=float) - ref)
+        return amp * np.cos(t) if d == 0 else -amp * mu * np.sin(t)
+
+    def _select(self, theta, d):
+        """Each theta read from the first piece whose [lo, hi] holds it (so
+        the slit theta = pi reads the top piece), 0 outside every piece."""
         theta = np.asarray(theta, dtype=float)
         out = np.zeros(theta.shape, dtype=complex)
         hit = np.zeros(theta.shape, dtype=bool)
-        for lo, hi, amp, mu, ref in self.pieces:
+        for i, (lo, hi, *_) in enumerate(self.pieces):
             m = (~hit) & (theta >= lo - 1e-13) & (theta <= hi + 1e-13)
-            out[m] = amp * np.cos(mu * (theta[m] - ref))
+            out[m] = self.branch(i, theta[m], d)
             hit |= m
         return out
 
+    def __call__(self, theta):
+        return self._select(theta, 0)
+
     def dtheta(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        out = np.zeros(theta.shape, dtype=complex)
-        hit = np.zeros(theta.shape, dtype=bool)
-        for lo, hi, amp, mu, ref in self.pieces:
-            m = (~hit) & (theta >= lo - 1e-13) & (theta <= hi + 1e-13)
-            out[m] = -amp * mu * np.sin(mu * (theta[m] - ref))
-            hit |= m
-        return out
+        return self._select(theta, 1)
+
+    def slit_jumps(self):
+        """([w], [w']) at the slit theta = pi, top face minus bottom face:
+        the top piece (on (0, pi)) minus the bottom piece (on (pi, Theta)),
+        both read at pi.  A one-piece profile is continuous: (0, 0)."""
+        if len(self.pieces) == 1:
+            return 0.0, 0.0
+        return tuple(complex(self.branch(0, math.pi, d)
+                             - self.branch(1, math.pi, d)) for d in (0, 1))
 
     @property
     def is_zero(self):
@@ -161,14 +179,16 @@ def jump_data(lam_n, side, constants):
 class LiftField:
     """Cut-off radial-Bessel singular lift around one corner.
 
-    value = coeff * chi_L(r) * Z_nu(k0 r) * w(theta) with Z = J or Y; the
-    commutator load [Lap, chi_L] v is what the hat problems see.
+    value = coeff * chi_L(r) * Z_nu(k0 r) * w(theta), with Z the Bessel
+    function bessel (bessel_j_array or bessel_y_array; both obey
+    Z_nu' = (Z_{nu-1} - Z_{nu+1}) / 2).  The hat problems see the lift
+    through its commutator load [Lap, chi_L] v and its slit jumps.
     """
 
-    def __init__(self, frame: CornerFrame, kind, nu, w: AngularProfile,
+    def __init__(self, frame: CornerFrame, bessel, nu, w: AngularProfile,
                  cut, L, k0, coeff=1.0):
         self.frame = frame
-        self.kind = kind        # "J" | "Y"
+        self.bessel = bessel
         self.nu = float(nu)
         self.w = w
         self.cut = cut
@@ -185,23 +205,15 @@ class LiftField:
                 -s * s * self.cut.d2chi(t))
 
     def _bessel(self, r):
-        x = self.k0 * np.asarray(r, dtype=float)
-        if self.kind == "J":
-            return bessel_j_array(self.nu, x)
-        return bessel_y_array(self.nu, x)
+        return self.bessel(self.nu, self.k0 * np.asarray(r, dtype=float))
 
     def _bessel_deriv(self, r):
         x = self.k0 * np.asarray(r, dtype=float)
-        if self.kind == "J":
-            zm = bessel_j_array(self.nu - 1.0, x)
-            zp = bessel_j_array(self.nu + 1.0, x)
-        else:
-            zm = bessel_y_array(self.nu - 1.0, x)
-            zp = bessel_y_array(self.nu + 1.0, x)
-        return 0.5 * (zm - zp)
+        return 0.5 * (self.bessel(self.nu - 1.0, x)
+                      - self.bessel(self.nu + 1.0, x))
 
-    def value(self, x, y, bottom=None):
-        r, th = self.frame.polar(x, y, bottom=bottom)
+    def value(self, x, y):
+        r, th = self.frame.polar(x, y)
         out = np.zeros(np.shape(r), dtype=complex)
         act = (r < self.L) & (r > 0)
         if np.any(act):
@@ -210,22 +222,27 @@ class LiftField:
                         * self.w(th[act]))
         return out
 
-    def dx2_on_slit(self, x1, bottom):
-        """Vertical derivative of the lift on the slit face.
+    def slit_jumps(self, x1):
+        """(trace jump, x2-derivative jump) of the lift across the slit at
+        the points x1, top face minus bottom face.
 
-        On the slit the x2 direction is purely angular, d/dx2 = -1/r d/dtheta
-        at theta = pi; the mirror x -> -x leaves x2 alone.
+        On the slit theta = pi and d/dx2 = -1/r d/dtheta (the mirror
+        x -> -x leaves x2 alone, and d(chi_L)/dx2 vanishes there), so the
+        jumps are coeff chi_L Z_nu(k0 r) [w] and -coeff chi_L Z_nu [w'] / r
+        with [w], [w'] the profile's slit jumps.
         """
         x1 = np.asarray(x1, dtype=float)
-        r, th = self.frame.polar(x1, np.zeros_like(x1), bottom=bottom)
-        out = np.zeros(x1.shape, dtype=complex)
+        r, _ = self.frame.polar(x1, np.zeros_like(x1))
+        trace = np.zeros(x1.shape, dtype=complex)
+        dx2 = np.zeros(x1.shape, dtype=complex)
         act = (r < self.L) & (r > 0)
-        if not np.any(act):
-            return out
-        chi, _, _ = self._chiL(r[act])
-        out[act] = -(self.coeff * chi * self._bessel(r[act])
-                     * self.w.dtheta(th[act]) / r[act])
-        return out
+        if np.any(act):
+            jump_w, jump_dw = self.w.slit_jumps()
+            chi, _, _ = self._chiL(r[act])
+            amp = self.coeff * chi * self._bessel(r[act])
+            trace[act] = amp * jump_w
+            dx2[act] = -amp * jump_dw / r[act]
+        return trace, dx2
 
     def commutator_load(self, x, y):
         """[Lap, chi_L] v = v Lap(chi_L) + 2 grad(chi_L) . grad(v)."""
@@ -248,15 +265,15 @@ def build_lift_J(frame: CornerFrame, w11: AngularProfile, cut, k0,
                  coeff=1.0) -> LiftField:
     """Singular lift J_{lambda_1 - 1}(k0 r) w_{1,1}(theta) with cutoff."""
     exps = SingularExponents(frame.theta)
-    return LiftField(frame, "J", exps.lambda_n(1) - 1.0, w11, cut,
+    return LiftField(frame, bessel_j_array, exps.lambda_n(1) - 1.0, w11, cut,
                      frame.L, k0, coeff)
 
 
 def build_lift_Y(frame: CornerFrame, cut, k0, coeff=1.0) -> LiftField:
     """Decaying-mode lift Y_{lambda_1}(k0 r) w_{1,0}(theta) with cutoff."""
     exps = SingularExponents(frame.theta)
-    return LiftField(frame, "Y", exps.lambda_n(1), w_base(1, exps), cut,
-                     frame.L, k0, coeff)
+    return LiftField(frame, bessel_y_array, exps.lambda_n(1),
+                     w_base(1, exps), cut, frame.L, k0, coeff)
 
 
 def extract_ell(evaluate, frame: CornerFrame, m, k0):

@@ -413,8 +413,11 @@ def boundary_load(space: Space, tag: str, g):
     return _scatter(space, r.rows, loc)
 
 
-def _outward_quadrature(space: Space, r: _EdgeRule, tag: str):
-    """(points (E,Q,2), weights (E,Q), outward unit normals (E,2)) of r."""
+def boundary_load_normal(space: Space, tag: str, g):
+    """Load vector int_tag g(x, y, nx, ny) v ds with outward normals: each
+    normal points away from its edge's one adjacent element, out of the
+    meshed domain."""
+    r = _edge_rule(space, tag, space.p + 3)
     if len(r.edges) == 0:
         raise OutsideRegion(f"no boundary edges tagged {tag!r}")
     elem = space.edge_element[space._edge_numbers(r.edges)]
@@ -424,22 +427,7 @@ def _outward_quadrature(space: Space, r: _EdgeRule, tag: str):
     cent = space.mesh.nodes[space.mesh.elements[elem]].mean(axis=1)
     inward = np.einsum("ei,ei->e", normals, cent - 0.5 * (r.pa + r.pb)) > 0
     normals[inward] = -normals[inward]
-    return r.points(), wts, normals
-
-
-def edge_quadrature(space: Space, tag: str, nq: int = 6):
-    """Gauss points, weights and outward unit normals on a tagged boundary.
-
-    Returns (pts (E,Q,2), w (E,Q), normals (E,2)); normals point away from
-    the unique adjacent element (i.e. out of the meshed domain).
-    """
-    return _outward_quadrature(space, _edge_rule(space, tag, nq), tag)
-
-
-def boundary_load_normal(space: Space, tag: str, g):
-    """Load vector int_tag g(x, y, nx, ny) v ds with outward normals."""
-    r = _edge_rule(space, tag, space.p + 3)
-    pts, wts, normals = _outward_quadrature(space, r, tag)
+    pts = r.points()
     E, Q = wts.shape
     nn = np.broadcast_to(normals[:, None, :], (E, Q, 2))
     gv = np.asarray(g(pts[..., 0].ravel(), pts[..., 1].ravel(),

@@ -55,7 +55,7 @@ class StudyConfig:
     nf_h0: float = 0.45
     nf_degree: int = 2
     cutoff: str = "exp"
-    # cap on the reference-system size; degree falls back to 2 above it
+    # cap on the reference-system size; solve_exact raises above it
     exact_max_dofs: int = 800_000
 
     def __post_init__(self):

@@ -188,6 +188,11 @@ def transmission_rate(degree):
     return fit_slope(pairs)[0]
 
 
+class OddConstants:
+    """Layer constants with the X1-odd D1 and N3 switched on."""
+    D1, D2, N2, N3 = 0.031 + 0.002j, 0.151, 0.13 - 0.01j, -0.024
+
+
 def minus_corner_profiles(n, constants, theta):
     """The minus corner's sector profiles in its own polar convention, as
     an oracle for the library's mirrored plus convention.

@@ -2,9 +2,7 @@ import numpy as np
 import pytest
 
 from thinwall import fem
-from thinwall.cell import (build_cell, compatibility_residuals,
-                           compute_constants, evaluate_corrector)
-from thinwall.errors import IndexUnsupported
+from thinwall.cell import build_cell, compute_constants
 from thinwall.params import HoleSpec
 
 K0 = 5 * np.pi
@@ -118,41 +116,3 @@ def test_correctors_flatten_in_far_bands(coarse_cell):
         bot = f.evaluate(np.column_stack([xs, np.full(7, -4.6)])).real
         assert top.std() < 1e-4 and bot.std() < 1e-4
         np.testing.assert_allclose(top.mean(), -bot.mean(), atol=5e-4)
-
-
-def test_compatibility_residuals_constant_load(coarse_cell):
-    area = 2.0 * 5.0 - np.pi * 0.15 ** 2
-    c_D, c_N = compatibility_residuals(lambda x, y: np.ones(np.shape(x)),
-                                       None, coarse_cell)
-    np.testing.assert_allclose(c_N.real, area, rtol=3e-3)
-    # the kernel profile is odd-normalized, so the pairing nearly cancels
-    assert abs(c_D) < 1e-2
-
-
-def test_compatibility_residuals_balanced_data(coarse_cell):
-    # hole data G = e1.n style profile: G = x - 0.5 integrates to zero on the
-    # symmetric hole, and pairs to ~0 with the (even in X1) kernel profile
-    c_D, c_N = compatibility_residuals(
-        lambda x, y: np.zeros(np.shape(x)),
-        lambda x, y: x - 0.5, coarse_cell)
-    assert abs(c_N) < 1e-10
-    assert abs(c_D) < 1e-3
-
-
-def test_corrector_table(coarse_cell):
-    X = np.array([[0.3, 2.5], [1.3, 2.5], [0.7, -3.0]])
-    traces = {"mean_u00": lambda x1: 2.0 + 0.0j,
-              "dx1_mean_u00": lambda x1: 0.0j,
-              "mean_dx2_u00": lambda x1: 0.0j,
-              "mean_u01": lambda x1: 1.0 + 0.0j,
-              "mean_u20": lambda x1: -1.0 + 0.0j}
-    # order-1 correctors vanish identically
-    assert np.all(evaluate_corrector(1, 0, traces, coarse_cell, 0.0, X) == 0)
-    assert np.all(evaluate_corrector(1, 1, traces, coarse_cell, 0.0, X) == 0)
-    p00 = evaluate_corrector(0, 0, traces, coarse_cell, 0.0, X)
-    V0 = coarse_cell.V0(X[:, 1])
-    np.testing.assert_allclose(p00, 2.0 * V0)
-    # X1 periodicity: the first two points differ by one period
-    assert p00[0] == p00[1]
-    with pytest.raises(IndexUnsupported):
-        evaluate_corrector(3, 0, traces, coarse_cell, 0.0, X)

@@ -15,6 +15,13 @@ from thinwall.harness import ConvergenceReport, StudyConfig
 def test_eval_number():
     np.testing.assert_allclose(_eval_number("5*pi"), 5 * math.pi, rtol=1e-15)
     np.testing.assert_allclose(_eval_number("pi"), math.pi, rtol=1e-15)
+    np.testing.assert_allclose(_eval_number("11*pi/8"), 11 * math.pi / 8,
+                               rtol=1e-15)
+    np.testing.assert_allclose(_eval_number("pi/2"), math.pi / 2, rtol=1e-15)
+    np.testing.assert_allclose(_eval_number(" 7 * pi / 4"), 1.75 * math.pi,
+                               rtol=1e-15)
+    with pytest.raises(ValueError):
+        _eval_number("pi*2")
     np.testing.assert_allclose(_eval_number("1/8"), 0.125, rtol=1e-15)
     np.testing.assert_allclose(_eval_number(" 0.3 "), 0.3, rtol=1e-15)
     assert _floats("1/8, 1/16,0.5") == (0.125, 0.0625, 0.5)

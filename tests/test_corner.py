@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from helpers import minus_corner_profiles
+from helpers import OddConstants, minus_corner_profiles
 from thinwall.bessel import bessel_j_array
 from thinwall.corner import (CornerFrame, SingularExponents, build_lift_J,
-                             extract_ell, jump_data, solve_angular_profile,
-                             w_base)
+                             build_lift_Y, extract_ell, jump_data,
+                             solve_angular_profile, w_base)
 from thinwall.cutoff import make_cutoff
 
 THETA = 1.5 * math.pi
@@ -48,23 +48,24 @@ def test_base_profiles_neumann_ends(side, n):
 def test_jump_profile_matches_prescribed_jumps(side):
     gv, gd = 0.7 + 0.2j, -0.3j
     w = solve_angular_profile(1, gv, gd, EXPS)
+    np.testing.assert_allclose(w.slit_jumps(), (gv, gd), rtol=1e-13)
+    # the faces just above and below the slit read the two pieces
     frame = CornerFrame(side, 0.5, THETA)
-    x1 = np.array([0.3 if side == "plus" else -0.3])
-    _, top = frame.polar(x1, np.zeros(1), bottom=False)
-    _, bot = frame.polar(x1, np.zeros(1), bottom=True)
-    np.testing.assert_allclose(w(top) - w(bot), [gv], rtol=1e-8)
-    np.testing.assert_allclose(w.dtheta(top) - w.dtheta(bot), [gd], rtol=1e-8)
+    x1 = np.full(2, 0.3 if side == "plus" else -0.3)
+    _, th = frame.polar(x1, np.array([1e-12, -1e-12]))
+    np.testing.assert_allclose(w(th[0]) - w(th[1]), gv, rtol=1e-8)
+    np.testing.assert_allclose(w.dtheta(th[0]) - w.dtheta(th[1]), gd,
+                               rtol=1e-8)
     # ends stay Neumann
     _, ends = frame.polar(*_corner_walls(side))
     np.testing.assert_allclose(np.abs(w.dtheta(ends)), 0.0, atol=1e-12)
 
 
 def test_zero_jump_data_gives_zero_profile():
-    assert solve_angular_profile(1, 0.0, 0.0, EXPS).is_zero
-
-
-class OddConstants:
-    D1, D2, N2, N3 = 0.031 + 0.002j, 0.151, 0.13 - 0.01j, -0.024
+    w = solve_angular_profile(1, 0.0, 0.0, EXPS)
+    assert w.is_zero
+    assert w.slit_jumps() == (0.0, 0.0)
+    assert w_base(1, EXPS).slit_jumps() == (0.0, 0.0)
 
 
 class OddNegated(OddConstants):
@@ -105,11 +106,12 @@ def test_minus_closed_forms_match_mirrored_plus_profile(n):
 
 
 def test_polar_branch_resolution():
+    # the top face is theta -> pi-, the bottom face theta -> pi+, and the
+    # slit itself reads pi
     for side, x1 in (("plus", 0.0), ("minus", 0.0), ("minus", -0.3)):
         frame = CornerFrame(side, 0.5, THETA)
-        _, th_t = frame.polar(np.array([x1]), np.array([0.0]), bottom=False)
-        _, th_b = frame.polar(np.array([x1]), np.array([0.0]), bottom=True)
-        assert th_t[0] < math.pi < th_b[0]
+        _, th = frame.polar(np.full(3, x1), np.array([1e-12, 0.0, -1e-12]))
+        assert th[0] < th[1] == math.pi < th[2]
 
 
 def test_minus_frame_is_plus_frame_mirrored():
@@ -118,11 +120,10 @@ def test_minus_frame_is_plus_frame_mirrored():
     rng = np.random.default_rng(3)
     x = np.concatenate([rng.uniform(-1.0, 1.0, 40), [-0.4, 0.1, 0.3]])
     y = np.concatenate([rng.uniform(-1.0, 1.0, 40), [0.0, 0.0, 0.0]])
-    for bottom in (None, False, True):
-        rm, tm = fm.polar(x, y, bottom=bottom)
-        rp, tp = fp.polar(-x, y, bottom=bottom)
-        np.testing.assert_array_equal(rm, rp)
-        np.testing.assert_array_equal(tm, tp)
+    rm, tm = fm.polar(x, y)
+    rp, tp = fp.polar(-x, y)
+    np.testing.assert_array_equal(rm, rp)
+    np.testing.assert_array_equal(tm, tp)
     # the minus corner (-1/2, 0): up is pi/2, the chamber wall Theta
     r, th = fm.polar(np.array([-0.5, -0.5]), np.array([0.2, -0.2]))
     np.testing.assert_allclose(r, [0.2, 0.2], rtol=1e-15)
@@ -184,20 +185,37 @@ def test_commutator_load_matches_fd():
                                    rtol=2e-4, atol=1e-7)
 
 
-def test_dx2_on_slit_matches_fd():
+def test_lift_slit_jumps_match_one_sided_fd():
+    # each face's trace and x2-derivative, extrapolated from three points
+    # off the slit on that side; r runs through the cut-off's transition
     w11 = solve_angular_profile(1, 0.4, -0.25, EXPS)
+    assert len(w11.pieces) == 2
+    h = 2e-5
     for side, sgn_x in (("plus", 1.0), ("minus", -1.0)):
         lift = build_lift_J(CornerFrame(side, 0.5, THETA), w11,
                             make_cutoff("exp"), K0, coeff=1.3)
         x1 = sgn_x * np.array([0.2, 0.35, 0.42])
-        for bottom, sgn in ((False, 1.0), (True, -1.0)):
-            got = lift.dx2_on_slit(x1, bottom)
-            h = 1e-4
-            v0 = lift.value(x1, np.zeros_like(x1), bottom=bottom)
-            v1 = lift.value(x1, sgn * h * np.ones_like(x1))
-            v2 = lift.value(x1, 2 * sgn * h * np.ones_like(x1))
-            fd = sgn * (4 * v1 - v2 - 3 * v0) / (2 * h)
-            np.testing.assert_allclose(got, fd, rtol=1e-5, atol=1e-8)
+        faces = []
+        for sgn in (1.0, -1.0):
+            f1, f2, f3 = (lift.value(x1, np.full(3, sgn * k * h))
+                          for k in (1, 2, 3))
+            faces.append((3 * f1 - 3 * f2 + f3,
+                          sgn * (-5 * f1 + 8 * f2 - 3 * f3) / (2 * h)))
+        trace, dx2 = lift.slit_jumps(x1)
+        np.testing.assert_allclose(trace, faces[0][0] - faces[1][0],
+                                   rtol=1e-9)
+        np.testing.assert_allclose(dx2, faces[0][1] - faces[1][1],
+                                   rtol=2e-6)
+        # outside its support the lift has no jump
+        far = lift.slit_jumps(-x1)
+        assert np.all(far[0] == 0) and np.all(far[1] == 0)
+
+
+def test_y_lift_has_no_slit_jumps():
+    lift = build_lift_Y(CornerFrame("minus", 0.5, THETA), make_cutoff("exp"),
+                        K0, coeff=0.7 - 0.2j)
+    trace, dx2 = lift.slit_jumps(np.array([-0.45, -0.3, -0.1, 0.2]))
+    assert np.all(trace == 0) and np.all(dx2 == 0)
 
 
 @pytest.mark.parametrize("side", ["plus", "minus"])

@@ -1,8 +1,9 @@
 import cmath
 
 import numpy as np
+import pytest
 
-from thinwall import fem
+from thinwall import exact, fem
 from thinwall.exact import incident_robin_load, kdelta_field, solve_exact
 from thinwall.geometry import build_perforated_domain
 from thinwall.params import DomainParams, HoleSpec
@@ -28,15 +29,19 @@ def test_incident_robin_load_value():
         -4.0j * cmath.exp(-10.0j), rtol=1e-15)
 
 
-def test_degree_fallback_under_dof_cap():
+def test_dof_cap_raises(monkeypatch):
     p = DomainParams(k0=2.0)
     grading = GradingSpec(sigma=0.5, n_layers=8)
     mesh = triangulate(build_perforated_domain(p, 0.25), 0.15, grading)
-    cap = (fem.Space(mesh, 2).ndof + fem.Space(mesh, 3).ndof) // 2
-    res = solve_exact(p, 0.25, h0=0.15, degree=3, grading=grading,
-                      max_dofs=cap)
-    assert res.degree == 2
-    assert res.ndof <= cap
+    ndof = fem.Space(mesh, 3).ndof
+
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("assembled past the dof cap")
+
+    monkeypatch.setattr(exact, "helmholtz_matrix", no_assembly)
+    with pytest.raises(ValueError, match=f"{ndof} P3 dofs.*cap of {ndof - 1}"):
+        solve_exact(p, 0.25, h0=0.15, degree=3, grading=grading,
+                    max_dofs=ndof - 1)
 
 
 def test_no_hole_solve_matches_continuous_limit():

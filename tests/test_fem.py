@@ -254,15 +254,17 @@ def test_gradient_consistency():
     np.testing.assert_allclose(g[:, 1].real, pts[:, 0], rtol=1e-11, atol=1e-12)
 
 
-def test_edge_quadrature_normals():
+def test_boundary_load_normal_is_outward():
+    # the load's entries sum to int g ds (the basis sums to one)
     space = square_space(0.3, 2)
-    pts, wts, normals = fem.edge_quadrature(space, "GammaN", nq=4)
-    np.testing.assert_allclose(np.linalg.norm(normals, axis=1), 1.0,
-                               rtol=1e-12)
-    # outward: normal points away from the square's center
-    centers = pts.mean(axis=1)
-    out = np.einsum("ei,ei->e", centers - 0.5, normals)
-    assert np.all(out > 0)
+    unit = fem.boundary_load_normal(space, "GammaN",
+                                    lambda x, y, nx, ny: nx ** 2 + ny ** 2)
+    np.testing.assert_allclose(unit.sum(), 4.0, rtol=1e-12)
+    # outward: int n . (x - c) ds = 2 |square| by the divergence theorem,
+    # and n . (x - c) = +1/2 on every edge
+    out = fem.boundary_load_normal(
+        space, "GammaN", lambda x, y, nx, ny: nx * (x - 0.5) + ny * (y - 0.5))
+    np.testing.assert_allclose(out.sum(), 2.0, rtol=1e-12)
 
 
 def test_misspelt_tag_raises():

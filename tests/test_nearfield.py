@@ -4,11 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from helpers import minus_corner_profiles
+from helpers import OddConstants, minus_corner_profiles
 from thinwall import fem, nearfield
 from thinwall.corner import (CornerFrame, SingularExponents,
                              solve_angular_profile, w_base)
 from thinwall.cutoff import make_cutoff
+from thinwall.errors import ExtractionUnstable
 from thinwall.geometry import ARC_STEP, GeometrySpec, _add_hole
 from thinwall.nearfield import (_window_panels, arc_data, blended_w1,
                                 extract_L, solve_S)
@@ -159,6 +160,26 @@ def test_asymmetric_hole_meshes_two_cones(monkeypatch):
                    HoleSpec(center=(0.45, 0.0)), Rmax=20.0, h0=0.6, degree=2)
     assert calls == {"triangulate": 2, "splu": 2}
     assert not any(s.reused_factorization for s in sols.values())
+
+
+def test_only_the_read_mode_is_gated():
+    # with D1, N3 != 0 the minus cone's mode-3 fit is poor; the model reads
+    # only ell[n], so the solve passes and records every residual
+    sol = solve_S(("minus",), 1, OddConstants, HoleSpec(), h0=0.9)["minus"]
+    assert sol.radial_residual[3] > 0.1
+    assert sol.radial_residual[1] < 0.1
+
+
+def test_poor_fit_of_the_read_mode_raises(monkeypatch):
+    extract = nearfield.extract_L
+
+    def poor_mode_1(*args):
+        ell, res, logc = extract(*args)
+        return ell, {**res, 1: 0.11}, logc
+
+    monkeypatch.setattr(nearfield, "extract_L", poor_mode_1)
+    with pytest.raises(ExtractionUnstable, match="mode 1"):
+        solve_S(("minus",), 1, OddConstants, HoleSpec(), h0=0.9)
 
 
 class _ConeBuilt(Exception):

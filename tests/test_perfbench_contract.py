@@ -1,0 +1,21 @@
+"""The benchmark runs against this tree: one traced round of its study
+workload exits 0 and reports every operation correct.  A library change
+that breaks a call the benchmark makes fails here first."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_traced_study_round_is_correct():
+    run = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "study",
+         "--seconds", "1", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=600)
+    assert run.returncode == 0, run.stderr[-2000:]
+    result = json.loads(run.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True, run.stderr[-2000:]
+    assert result["failed"] == 0

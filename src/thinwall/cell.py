@@ -41,7 +41,6 @@ class EffectiveConstants:
 @dataclass
 class CellSolution:
     hole: HoleSpec
-    T: float
     space: fem.Space
     W: fem.Field | None      # W = D - X2 (None when there is no hole)
     D_infty: float
@@ -109,15 +108,24 @@ def build_cell(hole: HoleSpec, T: float = 6.0, h0: float = 0.06,
                        GradingSpec(sigma=0.5, n_layers=4))
     space = fem.Space(mesh, degree)
     if hole.is_empty:
-        return CellSolution(hole, T, space, None, 0.0, None, None)
+        return CellSolution(hole, space, None, 0.0, None, None)
     # one periodic pure-Neumann Laplace operator, factored once, serves
-    # every profile; its stiffness also gives the energy pairings
+    # every profile; its stiffness also gives the energy pairings.  One dof
+    # on the top edge, off the periodic edges, is fixed to remove the
+    # constants from its kernel
     K = fem.stiffness(space)
     cons = fem.Constraints(space)
     cons.tie(*fem.paired_dofs(space, "Periodic_right", "Periodic_left", 1))
-    laplace = fem.Solver(K, cons, mean_zero_space=space)
+    xy = space.dof_coords
+    cons.dirichlet(int(np.argmin(np.hypot(xy[:, 0] - 0.5, xy[:, 1] - T))))
+    laplace = fem.Solver(K, cons)
+    w = fem.volume_load(space, lambda x, y: np.ones_like(x))
 
     def solve(b):
+        # quadrature leaves a balanced load a small discrete imbalance; take
+        # it off along the constants' load, so that every row of the periodic
+        # system holds, the fixed dof's included
+        b = b - b.sum() / w.sum() * w
         return _zero_far_bands(space, laplace.solve(b)[0], T)
 
     # W = D - X2: harmonic, dW/dn = -e2.n on the hole
@@ -146,7 +154,7 @@ def build_cell(hole: HoleSpec, T: float = 6.0, h0: float = 0.06,
         return 2.0 * cut.dchi(y) + y * cut.d2chi(y)
 
     V12 = solve(_balanced_load(space, f12, 1.0, "V12"))
-    return CellSolution(hole, T, space, W, D_inf, V11, V12,
+    return CellSolution(hole, space, W, D_inf, V11, V12,
                         U1=U1, K=K, D1=D1)
 
 

@@ -40,7 +40,7 @@ def kdelta_field(p: DomainParams, delta: float):
         if np.any(inside):
             X1 = np.mod((x[inside] + p.L) / delta, 1.0)
             X2 = y[inside] / delta
-            out[inside] = p.khat_value(X1, X2) ** 2
+            out[inside] = np.asarray(p.khat(X1, X2), dtype=float) ** 2
         return out
 
     return k2
@@ -115,7 +115,7 @@ def solve_exact(p: DomainParams, delta: float, h0: float = 0.05,
                          f"P{degree} dofs, over the cap of {max_dofs}")
     A = helmholtz_matrix(space, p, kdelta_field(p, delta))
     b = fem.boundary_load(space, "GammaR_minus", incident_robin_load(p))
-    u, residual = fem.solve(A, b, return_residual=True)
+    u, residual = fem.solve(A, b)
     return ExactSolveResult(field=fem.Field(space, u), delta=delta,
                             ndof=space.ndof, residual=residual,
                             h0=h0, degree=degree, params=p)

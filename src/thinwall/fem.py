@@ -5,10 +5,13 @@ Gauss-Legendre edge quadrature.  Each space tabulates its one Dunavant rule
 once.  A volume matrix is a reference tensor of that rule contracted with a
 few affine factors per element (Kirby & Logg, ACM TOMS 32, 2006), which is
 exact for straight triangles, and every matrix is summed by one sparse
-COO -> CSR build.  Linear constraints (Dirichlet, periodic ties, prescribed
-inter-face jumps) are eliminated through a sparse prolongation
-u_full = C u_free + d, and each reduced operator is factored once for all
-of its loads.
+COO -> CSR build.
+
+One solve contract: space -> operator -> constraint pattern -> factor once
+-> solve(b, d).  A Constraints object holds only which dofs are fixed and
+which are tied to which; it is eliminated through a sparse prolongation
+u_full = C u_free + d, and every constrained value (Dirichlet data, a
+prescribed inter-face jump) is the per-solve vector d.
 """
 
 from __future__ import annotations
@@ -440,36 +443,32 @@ def boundary_load_normal(space: Space, tag: str, g):
 # -- constraints -----------------------------------------------------------------------
 
 class Constraints:
-    """Affine relations u[slave] = u[master] + value, held as index arrays.
+    """The pattern of linear relations u[slave] = u[master] + d[slave],
+    held as index arrays; the values d are data of each solve (Solver.solve).
 
-    A master of -1 marks Dirichlet data u[slave] = value.  Every method
-    takes one dof or an array of them.
+    A master of -1 fixes the dof: u[slave] = d[slave].  Every method takes
+    one dof or an array of them.
     """
 
     def __init__(self, space: Space):
         self.space = space
         self.slave = np.zeros(0, dtype=np.int64)
         self.master = np.zeros(0, dtype=np.int64)
-        self.value = np.zeros(0, dtype=complex)
 
-    def _add(self, slave, master, value):
-        shape = np.shape(slave)
+    def _add(self, slave, master):
         self.slave = np.append(self.slave, slave)
-        self.master = np.append(self.master, np.broadcast_to(master, shape))
-        self.value = np.append(self.value, np.broadcast_to(value, shape))
+        self.master = np.append(self.master,
+                                np.broadcast_to(master, np.shape(slave)))
 
-    def dirichlet(self, dof, value):
-        self._add(dof, -1, value)
+    def dirichlet(self, dofs):
+        self._add(dofs, -1)
 
     def tie(self, slave, master):
-        self._add(slave, master, 0.0)
-
-    def jump(self, slave, master, g):
-        """u_slave = u_master + g."""
-        self._add(slave, master, g)
+        self._add(slave, master)
 
     def build(self):
-        """Prolongation u_full = C u_free + d."""
+        """(C, free): the prolongation u_full = C u_free + d, where d is zero
+        off the constrained dofs, and the free dofs in column order."""
         n = self.space.ndof
         constrained = np.zeros(n, dtype=bool)
         constrained[self.slave] = True
@@ -483,11 +482,9 @@ class Constraints:
         col_of = np.cumsum(~constrained) - 1
         rows = np.concatenate([free, slave])
         cols = np.concatenate([np.arange(free.size), col_of[master]])
-        d = np.zeros(n, dtype=complex)
-        d[self.slave] = self.value
         C = sp.coo_matrix((np.ones(rows.size), (rows, cols)),
                           shape=(n, free.size), dtype=complex).tocsr()
-        return C, d, free
+        return C, free
 
 
 def paired_dofs(space: Space, tag_a, tag_b, axis):
@@ -508,28 +505,20 @@ def paired_dofs(space: Space, tag_a, tag_b, axis):
 class Solver:
     """Direct sparse solver of A u = b, factored once for many loads.
 
-    Constraints are eliminated through u = C x + d, so splu factors the
-    reduced matrix C^T A C.  With mean_zero_space set, the one-dimensional
-    kernel of the pure-Neumann operator is removed by pinning a single dof
-    to zero (keeping the system fully sparse) and each solution is shifted
-    to a zero weighted mean afterwards; the data must be compatible for this
-    to be consistent.
+    The constraint pattern is eliminated through u = C x + d, so splu
+    factors the reduced matrix C^T A C.  A singular operator, such as a
+    pure-Neumann one, needs a fixed dof in the pattern to remove its kernel,
+    and compatible loads.
     """
 
-    def __init__(self, A, constraints: Constraints | None = None,
-                 mean_zero_space: Space | None = None):
-        self.A, self.C, self.d, self.w = A, None, None, None
+    def __init__(self, A, constraints: Constraints | None = None):
+        self.A, self.C = A, None
         if constraints is not None:
-            self.C, self.d, _ = constraints.build()
+            self.C, _ = constraints.build()
+            self.constrained = np.isin(np.arange(A.shape[0]), constraints.slave)
             A_red = (self.C.T @ (A @ self.C)).tocsc()
         else:
             A_red = sp.csc_matrix(A, dtype=complex)
-        if mean_zero_space is not None:
-            w = mass(mean_zero_space) @ np.ones(mean_zero_space.ndof)
-            self.w = w if self.C is None else self.C.T @ w
-            self.keep = np.ones(A_red.shape[0], dtype=bool)
-            self.keep[int(np.argmax(np.abs(self.w)))] = False
-            A_red = A_red[self.keep][:, self.keep].tocsc()
         self.A_red = A_red
         try:
             self.lu = splu(A_red)
@@ -539,36 +528,34 @@ class Solver:
     def solve(self, b, d=None):
         """(u, relative residual of the reduced system) for the load b.
 
-        d, if given, replaces the constant of the prolongation: the same
-        ties with other jump data.
+        d holds the constrained values: u[slave] = u[master] + d[slave] for
+        a tie and u[fixed] = d[fixed]; only those entries are read, and None
+        means all zero.
         """
-        d = self.d if d is None else d
-        if self.C is not None:
-            b_red = self.C.T @ (b - self.A @ d)
+        b = np.asarray(b, dtype=complex)
+        if self.C is None:
+            b_red = b
         else:
-            b_red = np.asarray(b, dtype=complex)
-        if self.w is not None:
-            b_red = b_red[self.keep]
+            if d is not None:
+                d = np.where(self.constrained, d, 0.0).astype(complex)
+                b = b - self.A @ d
+            b_red = self.C.T @ b
         x = self.lu.solve(b_red)
         res = (np.linalg.norm(self.A_red @ x - b_red)
                / max(np.linalg.norm(b_red), 1e-300))
         if not np.isfinite(res) or res > RTOL:
             raise SingularSystem(f"direct solve residual {res:.2e} exceeds "
                                  f"{RTOL}")
-        if self.w is not None:
-            full = np.zeros(self.keep.size, dtype=complex)
-            full[self.keep] = x
-            x = full - (self.w @ full) / self.w.sum()
         if self.C is not None:
-            x = self.C @ x + d
+            x = self.C @ x
+            if d is not None:
+                x = x + d
         return x, float(res)
 
 
-def solve(A, b, constraints: Constraints | None = None,
-          mean_zero_space: Space | None = None, return_residual=False):
-    """One-shot direct solve of A u = b (see Solver)."""
-    u, res = Solver(A, constraints, mean_zero_space).solve(b)
-    return (u, res) if return_residual else u
+def solve(A, b, constraints: Constraints | None = None, d=None):
+    """One-shot direct solve of A u = b: (u, residual) (see Solver)."""
+    return Solver(A, constraints).solve(b, d)
 
 
 class Field:

@@ -70,6 +70,3 @@ class Mesh:
             raise UnknownTag(f"unknown boundary tag {tag!r}")
         idx = [i for i, t in enumerate(self.boundary_tags) if t == tag]
         return self.boundary_edges[idx]
-
-    def has_tag(self, tag: str) -> bool:
-        return tag in self.boundary_tags

@@ -105,7 +105,7 @@ def _build_cone(polygon, theta, Rmax, h0, degree):
     space = fem.Space(mesh, degree)
     arc_dofs = space.boundary_dofs("Truncation")
     cons = fem.Constraints(space)
-    cons.dirichlet(arc_dofs, 0.0)
+    cons.dirichlet(arc_dofs)
     return _Cone(polygon, space, arc_dofs,
                  fem.Solver(fem.stiffness(space), cons))
 

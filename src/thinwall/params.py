@@ -85,13 +85,3 @@ class DomainParams:
             raise ValueError("opening angle must lie in (pi, 2 pi)")
         if not self.k0 > 0:
             raise ValueError("k0 must be positive")
-
-    @property
-    def corners(self):
-        return np.array([[-self.L, 0.0], [self.L, 0.0]])
-
-    def khat_value(self, X1, X2):
-        """Cell wavenumber at cell coordinates (X1, X2)."""
-        if self.khat is None:
-            return np.full_like(np.asarray(X1, dtype=float), self.k0)
-        return np.asarray(self.khat(X1, X2), dtype=float)

@@ -593,14 +593,14 @@ def _extract(tri: _Triangulation) -> Mesh:
             continue  # buried in a carved region
         u, v = (remap[key[0]], remap[key[1]])
         if info.slit and len(rows) == 2:
-            slit_items.append((u, v, rows, info))
+            slit_items.append((u, v))
         else:
             bedges.append((u, v))
             btags.append(info.tag)
 
     if slit_items:
         deg = {}
-        for u, v, _, _ in slit_items:
+        for u, v in slit_items:
             deg[u] = deg.get(u, 0) + 1
             deg[v] = deg.get(v, 0) + 1
         dup = {}
@@ -609,22 +609,14 @@ def _extract(tri: _Triangulation) -> Mesh:
                 dup[w] = len(nodes) + len(dup)
         if dup:
             nodes = np.vstack([nodes, nodes[list(dup.keys())]])
-        touched = set()
-        for _, _, rows, _ in slit_items:
-            touched.update(rows)
-        # all elements incident to a duplicated node choose a side by centroid
-        cand = set()
-        for row in range(elements.shape[0]):
-            if any(int(v) in dup for v in elements[row]):
-                cand.add(row)
-        for row in cand:
-            g = nodes[elements[row]].mean(axis=0)
-            if g[1] < 0.0:  # below the slit line
-                for j in range(3):
-                    v = int(elements[row, j])
-                    if v in dup:
-                        elements[row, j] = dup[v]
-        for u, v, rows, info in slit_items:
+        # every element incident to a duplicated node and with its centroid
+        # below the slit line takes the lower copies
+        copy = np.arange(len(nodes))
+        copy[list(dup.keys())] = list(dup.values())
+        below = (np.isin(elements, list(dup.keys())).any(axis=1)
+                 & (nodes[elements].mean(axis=1)[:, 1] < 0.0))
+        elements[below] = copy[elements[below]]
+        for u, v in slit_items:
             bedges.append((u, v))
             btags.append("GammaInterface_top")
             bedges.append((dup.get(u, u), dup.get(v, v)))

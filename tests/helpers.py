@@ -53,7 +53,7 @@ def helmholtz_square_solve(h0, degree):
     f = lambda x, y: (2.0 * np.pi ** 2 - KSQ) * u_ex(x, y)
     A = fem.stiffness(space) - KSQ * fem.mass(space)
     b = fem.volume_load(space, f)
-    u, res = fem.solve(A, b, return_residual=True)
+    u, res = fem.solve(A, b)
     return l2_error(space, u, u_ex), res
 
 

@@ -3,6 +3,7 @@ import pytest
 
 from thinwall import fem
 from thinwall.cell import build_cell, compute_constants
+from thinwall.cutoff import make_cutoff
 from thinwall.params import HoleSpec
 
 K0 = 5 * np.pi
@@ -116,3 +117,20 @@ def test_correctors_flatten_in_far_bands(coarse_cell):
         bot = f.evaluate(np.column_stack([xs, np.full(7, -4.6)])).real
         assert top.std() < 1e-4 and bot.std() < 1e-4
         np.testing.assert_allclose(top.mean(), -bot.mean(), atol=5e-4)
+
+
+def test_v12_holds_every_row_of_its_periodic_system(coarse_cell):
+    # V12's load is balanced only up to quadrature; with that remainder
+    # taken off along the constants' load, the solved field satisfies every
+    # row of the reduced periodic system, the fixed dof's row included
+    space = coarse_cell.space
+    cut = make_cutoff("exp")
+    b = fem.volume_load(space, lambda x, y: 2.0 * cut.dchi(y)
+                        + y * cut.d2chi(y))
+    w = fem.volume_load(space, lambda x, y: np.ones_like(x))
+    b = b - b.sum() / w.sum() * w
+    cons = fem.Constraints(space)
+    cons.tie(*fem.paired_dofs(space, "Periodic_right", "Periodic_left", 1))
+    C, _ = cons.build()
+    rows = C.T @ (coarse_cell.K @ coarse_cell.V12.coeffs - b)
+    assert np.abs(rows).max() <= 1e-10 * np.abs(C.T @ b).max()

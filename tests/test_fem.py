@@ -174,40 +174,42 @@ def test_dirichlet_constraint():
     space = square_space(0.3, 2)
     K = fem.stiffness(space)
     cons = fem.Constraints(space)
-    coords = space.dof_coords
-    for d in space.boundary_dofs("GammaN"):
-        cons.dirichlet(d, coords[d, 0])
-    u = fem.solve(K, np.zeros(space.ndof, dtype=complex), cons)
-    np.testing.assert_allclose(u.real, coords[:, 0], atol=1e-10)
+    cons.dirichlet(space.boundary_dofs("GammaN"))
+    u, _ = fem.solve(K, np.zeros(space.ndof, dtype=complex), cons,
+                     space.dof_coords[:, 0])
+    np.testing.assert_allclose(u.real, space.dof_coords[:, 0], atol=1e-10)
 
 
 def test_tie_and_jump_constraints():
+    # the pattern holds no values: a tie carries the jump d[slave], a fixed
+    # dof takes d, and d's free entries are not read
     space = square_space(0.4, 1)
     cons = fem.Constraints(space)
-    cons.tie(1, 0)
-    cons.jump(2, 0, 3.0)
-    C, d, free = cons.build()
-    x_free = np.zeros(len(free), dtype=complex)
-    x_free[list(free).index(0)] = 2.0
-    full = C @ x_free + d
-    assert full[1] == full[0] == 2.0
-    assert full[2] == full[0] + 3.0
+    cons.tie([1, 2], [0, 0])
+    cons.dirichlet(3)
+    C, free = cons.build()
+    assert C.shape == (space.ndof, free.size) and 0 in free
+    A = sp.identity(space.ndof, dtype=complex, format="csr")
+    b = np.zeros(space.ndof, dtype=complex)
+    b[0] = 6.0                       # the three tied rows share dof 0's column
+    d = np.zeros(space.ndof, dtype=complex)
+    d[[2, 3, 4]] = 3.0, -1.0j, 7.0
+    u, _ = fem.Solver(A, cons).solve(b, d)
+    assert u[1] == u[0] and u[2] == u[0] + 3.0 and u[3] == -1.0j
+    assert u[4] == 0.0
+    np.testing.assert_allclose(u[0], 1.0, rtol=1e-14)
 
 
 def test_array_constraints_match_scalar_calls():
     space = square_space(0.4, 1)
     slaves, masters = np.array([1, 2, 3]), np.array([0, 4, 5])
-    g = np.array([1.0, -2.0j, 0.5])
     one, many = fem.Constraints(space), fem.Constraints(space)
     for s, m in zip(slaves, masters):
         one.tie(s, m)
-    for s, m, v in zip(slaves + 5, masters + 5, g):
-        one.jump(s, m, v)
-    for s, v in zip(slaves + 10, g):
-        one.dirichlet(s, v)
+    for s in slaves + 10:
+        one.dirichlet(s)
     many.tie(slaves, masters)
-    many.jump(slaves + 5, masters + 5, g)
-    many.dirichlet(slaves + 10, g)
+    many.dirichlet(slaves + 10)
     for a, b in zip(one.build(), many.build()):
         a = a.toarray() if hasattr(a, "toarray") else a
         b = b.toarray() if hasattr(b, "toarray") else b
@@ -218,7 +220,7 @@ def test_constraint_misuse_raises():
     space = square_space(0.4, 1)
     twice = fem.Constraints(space)
     twice.tie([1, 2], [0, 0])
-    twice.dirichlet(2, 1.0)
+    twice.dirichlet(2)
     with pytest.raises(SingularSystem):
         twice.build()
     chain = fem.Constraints(space)
@@ -226,20 +228,49 @@ def test_constraint_misuse_raises():
     chain.tie(2, 1)
     with pytest.raises(SingularSystem):
         chain.build()
+    fixed_master = fem.Constraints(space)
+    fixed_master.tie(1, 0)
+    fixed_master.dirichlet(0)
+    with pytest.raises(SingularSystem):
+        fixed_master.build()
+
+
+def _neumann_laplace(space):
+    """Pure-Neumann Laplace operator and a load that sums to zero exactly:
+    the quadrature integrates x - 1/2 against the basis without error."""
+    return (fem.stiffness(space),
+            fem.volume_load(space, lambda x, y: x - 0.5))
 
 
 def test_pure_neumann_laplace_is_singular():
     space = square_space(0.4, 1)
-    K = fem.stiffness(space)
-    b = fem.volume_load(space, lambda x, y: np.ones(np.shape(x)))
+    K, b = _neumann_laplace(space)
     with pytest.raises(SingularSystem):
-        fem.solve(K, b)
-    # with the zero-mean gauge and compatible data it solves fine
-    b_ok = fem.volume_load(space, lambda x, y: x - 0.5)
-    u = fem.solve(K, b_ok, mean_zero_space=space)
-    M = fem.mass(space)
-    mean = np.ones(space.ndof) @ (M @ u)
-    assert abs(mean) < 1e-10
+        fem.solve(K, fem.volume_load(space, lambda x, y: np.ones_like(x)))
+    # one fixed dof removes the constants from the kernel; compatible data
+    # then solve fine, and the fixed dof takes its value from d
+    cons = fem.Constraints(space)
+    cons.dirichlet(0)
+    d = np.full(space.ndof, 2.5)
+    u, res = fem.solve(K, b, cons, d)
+    assert res <= 1e-12 and u[0] == 2.5
+    np.testing.assert_allclose(np.linalg.norm(K @ u - b), 0.0, atol=1e-12)
+
+
+def test_pure_neumann_gauge_is_a_constant():
+    # with compatible data, which dof is fixed changes the solution only by
+    # a constant
+    space = square_space(0.3, 2)
+    K, b = _neumann_laplace(space)
+    xy = space.dof_coords
+    fields = []
+    for corner in ((0.0, 0.0), (1.0, 1.0)):
+        cons = fem.Constraints(space)
+        cons.dirichlet(int(np.argmin(np.hypot(*(xy - corner).T))))
+        fields.append(fem.solve(K, b, cons)[0])
+    shift = fields[0] - fields[1]
+    assert abs(shift[0]) > 1e-2
+    np.testing.assert_allclose(shift, shift[0], atol=1e-12)
 
 
 def test_gradient_consistency():

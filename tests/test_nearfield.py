@@ -255,8 +255,10 @@ def _own_minus_cone_L(constants, hole, Rmax, h0, degree):
     arc_dofs = space.boundary_dofs("Truncation")
     xy = space.dof_coords[arc_dofs]
     cons = fem.Constraints(space)
-    cons.dirichlet(arc_dofs, arc(xy[:, 0], xy[:, 1]))
-    u = fem.solve(fem.stiffness(space), np.zeros(space.ndof), cons)
+    cons.dirichlet(arc_dofs)
+    d = np.zeros(space.ndof, dtype=complex)
+    d[arc_dofs] = arc(xy[:, 0], xy[:, 1])
+    u, _ = fem.solve(fem.stiffness(space), np.zeros(space.ndof), cons, d)
     # the minus frame samples the own-orientation cone at theta- = pi - theta
     ell, _, _ = extract_L(
         fem.Field(space, u).evaluate, CornerFrame("minus", 0.0, THETA), 1,

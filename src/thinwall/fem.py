@@ -1,17 +1,22 @@
-"""Complex-valued nodal Lagrange finite elements on tagged triangle meshes.
+"""Nodal Lagrange finite elements on tagged triangle meshes.
 
 Degrees 1-3 on straight triangles, Dunavant volume quadrature and
 Gauss-Legendre edge quadrature.  Each space tabulates its one Dunavant rule
 once.  A volume matrix is a reference tensor of that rule contracted with a
 few affine factors per element (Kirby & Logg, ACM TOMS 32, 2006), which is
 exact for straight triangles, and every matrix is summed by one sparse
-COO -> CSR build.
+COO -> CSR build.  An operator keeps its data's dtype: stiffness, boundary
+mass and a mass with a real coefficient are real, and only a complex term
+(a complex coefficient, the absorbing -i k0 M_R) makes a matrix complex.
+Loads and fields are complex.
 
 One solve contract: space -> operator -> constraint pattern -> factor once
 -> solve(b, d).  A Constraints object holds only which dofs are fixed and
 which are tied to which; it is eliminated through a sparse prolongation
 u_full = C u_free + d, and every constrained value (Dirichlet data, a
-prescribed inter-face jump) is the per-solve vector d.
+prescribed inter-face jump) is the per-solve vector d.  Every operator here
+is symmetric, so the reduced matrix is factored in its own dtype under a
+minimum-degree ordering of A + A^T (George & Liu, SIAM Review 31, 1989).
 """
 
 from __future__ import annotations
@@ -342,15 +347,15 @@ def volume_load(space: Space, f):
 
 
 def _matrix(space: Space, rows, loc, keep=None):
-    """Complex CSR matrix summing the local matrices loc (K, n*n) into the
-    dof rows (K, n): one COO -> CSR build in loc's dtype, converted once.
-    With the mask keep (n*n,), loc holds only the kept local entries."""
+    """CSR matrix summing the local matrices loc (K, n*n) into the dof rows
+    (K, n): one COO -> CSR build in loc's dtype.  With the mask keep (n*n,),
+    loc holds only the kept local entries."""
     n = rows.shape[1]
     k = np.arange(n * n) if keep is None else np.flatnonzero(keep)
     A = sp.coo_matrix((loc.reshape(-1), (rows[:, k // n].reshape(-1),
                                          rows[:, k % n].reshape(-1))),
                       shape=(space.ndof, space.ndof))
-    return A.tocsr().astype(complex)
+    return A.tocsr()
 
 
 def _scatter(space: Space, rows, loc):
@@ -467,8 +472,8 @@ class Constraints:
         self._add(slave, master)
 
     def build(self):
-        """(C, free): the prolongation u_full = C u_free + d, where d is zero
-        off the constrained dofs, and the free dofs in column order."""
+        """(C, free): the real prolongation u_full = C u_free + d, where d is
+        zero off the constrained dofs, and the free dofs in column order."""
         n = self.space.ndof
         constrained = np.zeros(n, dtype=bool)
         constrained[self.slave] = True
@@ -483,7 +488,7 @@ class Constraints:
         rows = np.concatenate([free, slave])
         cols = np.concatenate([np.arange(free.size), col_of[master]])
         C = sp.coo_matrix((np.ones(rows.size), (rows, cols)),
-                          shape=(n, free.size), dtype=complex).tocsr()
+                          shape=(n, free.size)).tocsr()
         return C, free
 
 
@@ -506,22 +511,29 @@ class Solver:
     """Direct sparse solver of A u = b, factored once for many loads.
 
     The constraint pattern is eliminated through u = C x + d, so splu
-    factors the reduced matrix C^T A C.  A singular operator, such as a
-    pure-Neumann one, needs a fixed dof in the pattern to remove its kernel,
-    and compatible loads.
+    factors the reduced matrix C^T A C, in A's own dtype; a real factor
+    solves a complex load's real and imaginary parts apart.  Every operator
+    here is symmetric, so the ordering is minimum degree on A + A^T and the
+    diagonal is the preferred pivot, kept while it is at least 0.01 of its
+    column's largest entry.  A singular operator, such as a pure-Neumann
+    one, needs a fixed dof in the pattern to remove its kernel, and
+    compatible loads.
     """
 
     def __init__(self, A, constraints: Constraints | None = None):
         self.A, self.C = A, None
         if constraints is not None:
             self.C, _ = constraints.build()
-            self.constrained = np.isin(np.arange(A.shape[0]), constraints.slave)
+            self.constrained = np.zeros(A.shape[0], dtype=bool)
+            self.constrained[constraints.slave] = True
             A_red = (self.C.T @ (A @ self.C)).tocsc()
         else:
-            A_red = sp.csc_matrix(A, dtype=complex)
+            A_red = sp.csc_matrix(A)
         self.A_red = A_red
         try:
-            self.lu = splu(A_red)
+            self.lu = splu(A_red, permc_spec="MMD_AT_PLUS_A",
+                           diag_pivot_thresh=0.01,
+                           options=dict(SymmetricMode=True))
         except RuntimeError as exc:
             raise SingularSystem(f"factorization failed: {exc}") from exc
 
@@ -540,7 +552,12 @@ class Solver:
                 d = np.where(self.constrained, d, 0.0).astype(complex)
                 b = b - self.A @ d
             b_red = self.C.T @ b
-        x = self.lu.solve(b_red)
+        if np.iscomplexobj(self.A_red):
+            x = self.lu.solve(b_red)
+        else:
+            # SuperLU does not cast a complex load to a real factor's dtype
+            parts = self.lu.solve(np.column_stack([b_red.real, b_red.imag]))
+            x = parts[:, 0] + 1j * parts[:, 1]
         res = (np.linalg.norm(self.A_red @ x - b_red)
                / max(np.linalg.norm(b_red), 1e-300))
         if not np.isfinite(res) or res > RTOL:

@@ -23,7 +23,8 @@ def transparent_expansion():
 def test_cascade_factors_once(monkeypatch):
     calls = []
     splu = fem.splu
-    monkeypatch.setattr(fem, "splu", lambda A: calls.append(A) or splu(A))
+    monkeypatch.setattr(fem, "splu",
+                        lambda A, **kw: calls.append(A) or splu(A, **kw))
     p = DomainParams()
     constants = EffectiveConstants(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
     build_expansion(p, constants, {"plus": 0.0, "minus": 0.0}, h0=0.12,

@@ -40,7 +40,8 @@ def test_empty_cell_contrast_only():
 def test_cell_assembles_and_factors_once(monkeypatch):
     calls = []
     splu, stiffness = fem.splu, fem.stiffness
-    monkeypatch.setattr(fem, "splu", lambda A: calls.append("splu") or splu(A))
+    monkeypatch.setattr(fem, "splu",
+                        lambda A, **kw: calls.append("splu") or splu(A, **kw))
     monkeypatch.setattr(fem, "stiffness",
                         lambda s: calls.append("stiffness") or stiffness(s))
     build_cell(HoleSpec(), T=4.0, h0=0.3, degree=2)

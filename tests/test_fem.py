@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 from helpers import helmholtz_square_solve, l2_error, square_space
 from thinwall import fem
 from thinwall.errors import SingularSystem
-from thinwall.exact import kdelta_field
+from thinwall.exact import helmholtz_matrix, kdelta_field
 from thinwall.geometry import build_limit_domain, build_perforated_domain
 from thinwall.params import DomainParams
 from thinwall.triangulate import GradingSpec, triangulate
@@ -106,7 +107,8 @@ def test_assembly_matches_quadrature_oracle():
                               (fem.mass(space), _oracle_matrix(space)),
                               (fem.mass(space, coeff=k2),
                                _oracle_matrix(space, coeff=k2))):
-                assert got.dtype == complex
+                # real operators stay real
+                assert got.dtype == np.float64
                 scale = np.abs(want).max()
                 assert np.abs(got - want).max() <= 1e-13 * scale
 
@@ -169,6 +171,19 @@ def test_helmholtz_solve_residual_and_error():
     assert err < 5e-4
 
 
+def test_symmetric_ordering_cuts_reference_fill():
+    # the Helmholtz operator of a coarse perforated reference at the study's
+    # degree: minimum degree on A + A^T against SuperLU's default COLAMD
+    p = DomainParams()
+    mesh = triangulate(build_perforated_domain(p, 1 / 8), 0.25,
+                       GradingSpec(sigma=0.5, n_layers=8))
+    space = fem.Space(mesh, 3)
+    solver = fem.Solver(helmholtz_matrix(space, p, kdelta_field(p, 1 / 8)))
+    colamd = splu(solver.A_red)
+    fill = solver.lu.L.nnz + solver.lu.U.nnz
+    assert fill <= 0.6 * (colamd.L.nnz + colamd.U.nnz)
+
+
 def test_dirichlet_constraint():
     # Laplace with u = x on the boundary has exact solution u = x
     space = square_space(0.3, 2)
@@ -198,6 +213,26 @@ def test_tie_and_jump_constraints():
     assert u[1] == u[0] and u[2] == u[0] + 3.0 and u[3] == -1.0j
     assert u[4] == 0.0
     np.testing.assert_allclose(u[0], 1.0, rtol=1e-14)
+
+
+def test_real_operator_complex_load():
+    # a real operator is factored in real arithmetic; a complex load and
+    # complex constrained values give what the complex-cast system gives
+    space = square_space(0.3, 2)
+    A = fem.stiffness(space) + fem.mass(space)
+    cons = fem.Constraints(space)
+    cons.tie([1, 2], [0, 5])
+    cons.dirichlet(3)
+    rng = np.random.default_rng(3)
+    b = rng.normal(size=space.ndof) + 1j * rng.normal(size=space.ndof)
+    d = np.zeros(space.ndof, dtype=complex)
+    d[[1, 2, 3]] = 0.5 - 2.0j, 1.5j, -1.0 + 0.25j
+    real = fem.Solver(A, cons)
+    assert real.A_red.dtype == np.float64
+    u, _ = real.solve(b, d)
+    want, _ = fem.Solver(A.astype(complex), cons).solve(b, d)
+    np.testing.assert_allclose(u, want, rtol=0,
+                               atol=1e-12 * np.abs(want).max())
 
 
 def test_array_constraints_match_scalar_calls():

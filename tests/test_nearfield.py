@@ -113,9 +113,9 @@ def _count_cones(monkeypatch):
         calls["triangulate"] += 1
         return tri(*args, **kwargs)
 
-    def counted_splu(A):
+    def counted_splu(A, **kw):
         calls["splu"] += 1
-        return splu(A)
+        return splu(A, **kw)
 
     monkeypatch.setattr(nearfield, "triangulate", counted_tri)
     monkeypatch.setattr(fem, "splu", counted_splu)

@@ -32,7 +32,7 @@ from .errors import IndexUnsupported
 from .exact import helmholtz_matrix, incident_robin_load
 from .geometry import build_limit_domain
 from .params import DomainParams
-from .triangulate import GradingSpec, triangulate
+from .triangulate import triangulate
 
 __all__ = ["TransmissionData", "CornerData", "ExpansionSet",
            "build_limit_space", "limit_solver", "solve_transmission",
@@ -64,14 +64,9 @@ class CornerData:
     ell_scatter: dict = field(default_factory=dict)
 
 
-def build_limit_space(p: DomainParams, h0=0.04, degree=3,
-                      grading: GradingSpec | None = None) -> fem.Space:
+def build_limit_space(p: DomainParams, h0=0.04, degree=3) -> fem.Space:
     """Mesh the slit limit domain and wrap it in a FEM space."""
-    if grading is None:
-        grading = GradingSpec(sigma=0.5, n_layers=9)
-    geo = build_limit_domain(p)
-    mesh = triangulate(geo, h0, grading)
-    return fem.Space(mesh, degree)
+    return fem.Space(triangulate(build_limit_domain(p), h0), degree)
 
 
 def _interface_pairs(space: fem.Space):

@@ -16,7 +16,7 @@ from .cutoff import CutoffSpec, make_cutoff
 from .errors import CompatibilityViolated
 from .geometry import build_cell_geometry
 from .params import HoleSpec
-from .triangulate import GradingSpec, triangulate
+from .triangulate import triangulate
 
 __all__ = ["CellSolution", "EffectiveConstants", "build_cell",
            "compute_constants"]
@@ -104,8 +104,7 @@ def _energy_pairing(K, a: fem.Field, b: fem.Field) -> complex:
 def build_cell(hole: HoleSpec, T: float = 6.0, h0: float = 0.06,
                degree: int = 3, cutoff="exp") -> CellSolution:
     cut = cutoff if isinstance(cutoff, CutoffSpec) else make_cutoff(cutoff)
-    mesh = triangulate(build_cell_geometry(hole, T), h0,
-                       GradingSpec(sigma=0.5, n_layers=4))
+    mesh = triangulate(build_cell_geometry(hole, T), h0)
     space = fem.Space(mesh, degree)
     if hole.is_empty:
         return CellSolution(hole, space, None, 0.0, None, None)

@@ -1,4 +1,5 @@
-"""Command-line front end.
+"""Command-line front end, run as `thinwall` or `python -m thinwall`
+(__main__.py).
 
 Subcommands:
   cell-constants   effective layer constants of the periodicity cell
@@ -8,7 +9,8 @@ Subcommands:
   study            full period sweep, error table, slopes, acceptance checks
 
 Study configs are flat "key = value" text files (see configs/study.cfg);
-the exit code of `study` is 0 iff every `check_*` window in the config is
+a key may appear once, and a key the study does not read is an error.  The
+exit code of `study` is 0 iff every `check_*` window in the config is
 satisfied by the fitted slopes.
 """
 
@@ -19,7 +21,6 @@ import dataclasses
 import json
 import math
 import re
-import sys
 
 import numpy as np
 
@@ -33,7 +34,8 @@ __all__ = ["main", "parse_config"]
 
 
 def parse_config(path):
-    """Flat key = value file -> dict of strings; '#' starts a comment."""
+    """Flat key = value file -> dict of strings; '#' starts a comment.
+    A key may appear once."""
     out = {}
     with open(path) as f:
         for ln, line in enumerate(f, 1):
@@ -42,8 +44,10 @@ def parse_config(path):
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}:{ln}: expected 'key = value'")
-            key, val = line.split("=", 1)
-            out[key.strip()] = val.strip()
+            key, val = (s.strip() for s in line.split("=", 1))
+            if key in out:
+                raise ValueError(f"{path}:{ln}: {key} is set twice")
+            out[key] = val
     return out
 
 
@@ -74,18 +78,14 @@ _FIELDS = {"alpha": float, "exact_h0": float, "exact_degree": int,
            "cell_h0": float, "cell_degree": int, "nf_Rmax": float,
            "nf_h0": float, "nf_degree": int, "cutoff": str,
            "exact_max_dofs": int}
+# DomainParams fields set by a flat key; hole_radius sets the hole
+_PARAMS = {"L": float, "Lp": float, "H": float, "Hp": float,
+           "theta": _eval_number, "k0": _eval_number}
 
 
 def _params_from(cfg: dict) -> DomainParams:
     """The study's default parameters with the keys of cfg on top."""
-    kw = {}
-    for key in ("L", "Lp", "H", "Hp"):
-        if key in cfg:
-            kw[key] = float(cfg[key])
-    if "theta" in cfg:
-        kw["theta"] = _eval_number(cfg["theta"])
-    if "k0" in cfg:
-        kw["k0"] = _eval_number(cfg["k0"])
+    kw = {key: cast(cfg[key]) for key, cast in _PARAMS.items() if key in cfg}
     if "hole_radius" in cfg:
         r = float(cfg["hole_radius"])
         kw["hole"] = (HoleSpec(kind="none") if r == 0.0
@@ -94,6 +94,13 @@ def _params_from(cfg: dict) -> DomainParams:
 
 
 def _study_config(cfg: dict) -> StudyConfig:
+    """The StudyConfig of a flat config; check_* windows are left to
+    _windows, and any other key the study does not read raises."""
+    unknown = [key for key in cfg if key not in _FIELDS and key not in _PARAMS
+               and key not in ("deltas", "hole_radius")
+               and not key.startswith("check_")]
+    if unknown:
+        raise ValueError(f"unknown config key: {', '.join(unknown)}")
     kw = {"params": _params_from(cfg)}
     if "deltas" in cfg:
         kw["deltas"] = _floats(cfg["deltas"])
@@ -112,14 +119,26 @@ def _config_of(args) -> StudyConfig:
     return _study_config(cfg)
 
 
-def _acceptance_checks(cfg: dict, report):
-    """Evaluate every check_<slope> = lo,hi window; returns (lines, ok)."""
-    lines, ok = [], True
-    for key, val in sorted(cfg.items()):
+def _windows(cfg: dict) -> dict:
+    """Every check_<slope> = lo, hi window of cfg, as {slope: (lo, hi)}."""
+    out = {}
+    for key, val in cfg.items():
         if not key.startswith("check_"):
             continue
-        name = key[len("check_"):]
-        lo, hi = _floats(val)
+        try:
+            lo, hi = _floats(val)
+        except ValueError:
+            lo = hi = math.nan
+        if not lo <= hi:
+            raise ValueError(f"{key} = {val}: expected 'lo, hi' with lo <= hi")
+        out[key[len("check_"):]] = (lo, hi)
+    return out
+
+
+def _acceptance_checks(windows: dict, report):
+    """Evaluate every {slope: (lo, hi)} window; returns (lines, ok)."""
+    lines, ok = [], True
+    for name, (lo, hi) in sorted(windows.items()):
         if name not in report.slopes:
             lines.append(f"FAIL {name}: no fitted slope")
             ok = False
@@ -198,11 +217,11 @@ def cmd_cascade(args):
 
 def cmd_study(args):
     cfg = parse_config(args.config)
-    scfg = _study_config(cfg)
-    rep = run_study(scfg)
+    windows = _windows(cfg)
+    rep = run_study(_study_config(cfg))
     csv_path = emit_outputs(rep, args.out)
     print(f"wrote {csv_path}")
-    lines, ok = _acceptance_checks(cfg, rep)
+    lines, ok = _acceptance_checks(windows, rep)
     for line in lines:
         print(line)
     return 0 if ok else 1
@@ -261,7 +280,3 @@ def _parser():
 def main(argv=None):
     args = _parser().parse_args(argv)
     return args.fn(args)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -34,7 +34,10 @@ class SingularElement(ThinwallError):
 
 
 class SingularSystem(ThinwallError):
-    """Sparse factorization failed (zero pivot / exactly singular matrix)."""
+    """A linear system that cannot be solved as posed: the factorization
+    failed (zero pivot, singular matrix), a solve's relative residual
+    exceeds fem.RTOL, a dof is constrained twice or tied to a constrained
+    master, or two paired boundaries are not congruent."""
 
 
 # -- cell / corner / nearfield ------------------------------------------------
@@ -56,7 +59,8 @@ class IllConditioned(ThinwallError):
 
 
 class ExtractionUnstable(ThinwallError):
-    """Cross-radius scatter of an extracted coefficient beyond tolerance."""
+    """The near-field radial fit of the mode the model reads leaves a
+    relative residual beyond tolerance."""
 
 
 class IndexUnsupported(ThinwallError):

@@ -9,14 +9,14 @@ with the incident wave exp(i k0 (x1 - Lp)) entering from the left end.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import fem
 from .geometry import build_perforated_domain
 from .params import DomainParams
-from .triangulate import GradingSpec, triangulate
+from .triangulate import triangulate
 
 __all__ = ["ExactSolveResult", "kdelta_field", "helmholtz_matrix",
            "solve_exact", "incident_robin_load"]
@@ -97,18 +97,19 @@ class ExactSolveResult:
 
 
 def solve_exact(p: DomainParams, delta: float, h0: float = 0.05,
-                degree: int = 3, grading: GradingSpec | None = None,
+                degree: int = 3, grading: int | None = None,
                 max_dofs: int | None = None) -> ExactSolveResult:
     """Reference FEM solve of the perforated problem at layer period delta.
 
-    max_dofs caps the system size, keeping the direct factorisation inside
-    the memory budget: a space with more dofs raises ValueError before
-    anything is assembled.
+    grading, if given, replaces the domain's own depth of corner grading
+    (GeometrySpec.grading_layers).  max_dofs caps the system size, keeping
+    the direct factorisation inside the memory budget: a space with more
+    dofs raises ValueError before anything is assembled.
     """
     geo = build_perforated_domain(p, delta)
-    if grading is None:
-        grading = GradingSpec(sigma=0.5, n_layers=8)
-    mesh = triangulate(geo, h0, grading)
+    if grading is not None:
+        geo = replace(geo, grading_layers=grading)
+    mesh = triangulate(geo, h0)
     space = fem.Space(mesh, degree)
     if max_dofs is not None and space.ndof > max_dofs:
         raise ValueError(f"reference at delta={delta:g} has {space.ndof} "

@@ -36,10 +36,11 @@ class GeometrySpec:
     holes, each with a seed point in hole_seeds.
     chains: list of (points (n,2), tag) - open internal constraint chains;
     slit chains are doubled into node-disjoint copies after triangulation.
-    corner_vertices: points the mesh is graded into when triangulate is
-    given a GradingSpec.
-    size_hints: list of (center, radius, h_local) - local sizing overrides,
-    one per hole (_add_hole).
+    corner_vertices: points the mesh is graded into.
+    grading_layers: depth of that grading: the mesh size halves towards a
+    corner vertex down to h0 / 2^grading_layers; 0 leaves it ungraded.
+    Together with the hole loops, whose sizing triangulate derives from
+    their edges, these are everything the mesher reads besides h0.
     """
 
     loops: list
@@ -47,7 +48,7 @@ class GeometrySpec:
     chains: list = field(default_factory=list)
     slit: bool = False
     corner_vertices: list = field(default_factory=list)
-    size_hints: list = field(default_factory=list)
+    grading_layers: int = 0
 
     def bbox(self):
         pts = np.vstack([p for p, _ in self.loops])
@@ -61,19 +62,9 @@ def _rect_loop(x0, x1, y0, y1, tags):
 
 
 def _add_hole(geo: GeometrySpec, poly: np.ndarray):
-    """Append a hole loop, its carve seed and its size hint to geo.
-
-    The hint holds the hole's longest edge h_loc out to the radius
-    rad + 2 h_loc, with rad the hole's half-width.  Every domain sizes its
-    holes by this one rule, so a cell or cone hole is meshed as the
-    reference meshes it at scale delta.
-    """
+    """Append a hole loop and its carve seed to geo."""
     geo.loops.append((poly, ["GammaHole"] * len(poly)))
-    seed = tuple(poly.mean(axis=0))
-    geo.hole_seeds.append(seed)
-    h_loc = float(np.max(np.linalg.norm(np.roll(poly, -1, 0) - poly, axis=1)))
-    rad = 0.5 * float(poly[:, 0].max() - poly[:, 0].min())
-    geo.size_hints.append((seed, rad + 2.0 * h_loc, h_loc))
+    geo.hole_seeds.append(tuple(poly.mean(axis=0)))
 
 
 def _chamber_wall_points(p: DomainParams):
@@ -112,6 +103,7 @@ def build_limit_domain(p: DomainParams) -> GeometrySpec:
         chains=[(chain, "GammaInterface_top")],
         slit=True,
         corner_vertices=[(-p.L, 0.0), (p.L, 0.0)],
+        grading_layers=9,
     )
 
 
@@ -127,6 +119,7 @@ def build_perforated_domain(p: DomainParams, delta: float) -> GeometrySpec:
     geo = GeometrySpec(
         loops=[(pts, tags)],
         corner_vertices=[(-p.L, 0.0), (p.L, 0.0)],
+        grading_layers=8,
     )
     if p.hole.is_empty:
         return geo
@@ -176,7 +169,8 @@ def build_cell_geometry(h: HoleSpec, T: float) -> GeometrySpec:
                            ("Truncation", "Periodic_right", "Truncation", "Periodic_left"))
     poly = h.polygon()
     geo = GeometrySpec(loops=[(pts, tags)],
-                       corner_vertices=[tuple(v) for v in poly])
+                       corner_vertices=[tuple(v) for v in poly],
+                       grading_layers=4)
     if not h.is_empty:
         _add_hole(geo, poly)
     return geo
@@ -199,7 +193,8 @@ def build_cone_geometry(theta: float, Rmax: float,
     arc = Rmax * np.column_stack([np.cos(ang), np.sin(ang)])
     pts = np.vstack([[0.0, 0.0], arc])
     tags = ["GammaN"] + ["Truncation"] * n_arc + ["GammaN"]
-    geo = GeometrySpec(loops=[(pts, tags)], corner_vertices=[(0.0, 0.0)])
+    geo = GeometrySpec(loops=[(pts, tags)], corner_vertices=[(0.0, 0.0)],
+                       grading_layers=6)
     n_holes = int(math.floor(Rmax)) if len(polygon) else 0
     for ell in range(1, n_holes + 1):
         poly = np.column_stack([polygon[:, 0] - ell, polygon[:, 1]])

@@ -22,7 +22,6 @@ from .errors import DegenerateFit
 from .exact import solve_exact
 from .nearfield import solve_S
 from .params import DomainParams
-from .triangulate import GradingSpec
 
 __all__ = ["StudyConfig", "ConvergenceReport", "cell_constants",
            "build_model", "run_study", "fit_slope", "emit_outputs",
@@ -41,8 +40,8 @@ class StudyConfig:
     # reference (perforated) solves
     exact_h0: float = 0.05
     exact_degree: int = 3
-    exact_grading: GradingSpec = dc_field(
-        default_factory=lambda: GradingSpec(sigma=0.5, n_layers=8))
+    # depth of corner grading; None keeps the perforated domain's own
+    exact_grading: int | None = None
     # macroscopic cascade
     limit_h0: float = 0.04
     limit_degree: int = 3

@@ -30,7 +30,7 @@ from .corner import (AngularProfile, CornerFrame, SingularExponents,
 from .cutoff import make_cutoff
 from .errors import ExtractionUnstable
 from .geometry import build_cone_geometry
-from .triangulate import GradingSpec, triangulate
+from .triangulate import triangulate
 
 __all__ = ["NearFieldSolution", "solve_S", "extract_L", "arc_data",
            "side_polygon"]
@@ -101,7 +101,7 @@ class _Cone:
 
 def _build_cone(polygon, theta, Rmax, h0, degree):
     geo = build_cone_geometry(theta, Rmax, polygon)
-    mesh = triangulate(geo, h0, GradingSpec(sigma=0.5, n_layers=6))
+    mesh = triangulate(geo, h0)
     space = fem.Space(mesh, degree)
     arc_dofs = space.boundary_dofs("Truncation")
     cons = fem.Constraints(space)

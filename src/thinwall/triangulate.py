@@ -18,26 +18,11 @@ from .errors import MeshFailure
 from .geometry import GeometrySpec
 from .mesh import Mesh
 
-__all__ = ["GradingSpec", "triangulate"]
+__all__ = ["triangulate"]
 
 MIN_ANGLE_DEG = 26.0     # refinement splits triangles with a smaller angle
 MAX_INSERT = 400_000     # refinement insertions before MeshFailure
-
-
-@dataclass(frozen=True)
-class GradingSpec:
-    """Geometric refinement towards the geometry's corner_vertices.
-
-    Local target size max(h0 * sigma^n_layers, (1 - sigma) * distance),
-    capped by the background size.
-    """
-
-    sigma: float = 0.5
-    n_layers: int = 10
-
-    def __post_init__(self):
-        if not (0.0 < self.sigma < 1.0) or self.n_layers < 0:
-            raise ValueError("need sigma in (0,1) and n_layers >= 0")
+GRADING_SIGMA = 0.5      # size ratio of successive layers of corner grading
 
 
 # -- geometric predicates (float fast path, exact Fraction fallback) -----------
@@ -91,37 +76,21 @@ _UNDECIDED, _ALIVE, _DEAD = 0, 1, 2
 
 
 class _Triangulation:
-    def __init__(self, pts):
-        self.px = [p[0] for p in pts]
-        self.py = [p[1] for p in pts]
-        self.tris = []     # [a, b, c] CCW
-        self.adj = []      # neighbor opposite each local vertex, -1 = none
-        self.dead = []     # bool per triangle (removed from structure)
-        self.status = []   # region status per triangle
-        self.segs = {}     # (min,max) vertex pair -> _Seg
-        self.vert2tri = {}
-        self._init_super()
-        self.last = 0
-
-    # -- construction ----------------------------------------------------------
-
-    def _init_super(self):
-        xs, ys = self.px, self.py
-        xmin, xmax = min(xs), max(xs)
-        ymin, ymax = min(ys), max(ys)
-        cx, cy = 0.5 * (xmin + xmax), 0.5 * (ymin + ymax)
-        r = 10.0 * max(xmax - xmin, ymax - ymin, 1.0)
-        # the triangulation holds only the three super vertices initially;
-        # the bounding points are re-inserted one by one by the caller
+    def __init__(self, lo, hi):
+        """Three super vertices enclosing the box lo-hi, in one triangle;
+        the caller inserts the domain's points one by one."""
+        cx, cy = 0.5 * (lo[0] + hi[0]), 0.5 * (lo[1] + hi[1])
+        r = 10.0 * max(hi[0] - lo[0], hi[1] - lo[1], 1.0)
         self.px = [cx - 2 * r, cx + 2 * r, cx]
         self.py = [cy - r, cy - r, cy + 2 * r]
         self.sv = (0, 1, 2)
-        self.tris.append([0, 1, 2])
-        self.adj.append([-1, -1, -1])
-        self.dead.append(False)
-        self.status.append(_UNDECIDED)
-        for v in (0, 1, 2):
-            self.vert2tri[v] = 0
+        self.tris = [[0, 1, 2]]        # [a, b, c] CCW
+        self.adj = [[-1, -1, -1]]      # neighbor opposite each vertex, -1 none
+        self.dead = [False]            # removed from the structure
+        self.status = [_UNDECIDED]     # region status per triangle
+        self.segs = {}                 # (min,max) vertex pair -> _Seg
+        self.vert2tri = {0: 0, 1: 0, 2: 0}
+        self.last = 0
 
     def add_point(self, x, y):
         self.px.append(x)
@@ -245,22 +214,6 @@ class _Triangulation:
             self.segs[self._seg_key(p, ev)] = info
         return p
 
-    def insert_on_segment(self, u, v, x, y):
-        """Split constrained segment (u,v) at (x,y); returns the new vertex.
-
-        The float midpoint may fall a rounding error off the exact segment, so
-        the subsegments are re-recovered rather than assumed to exist.
-        """
-        key = self._seg_key(u, v)
-        info = self.segs.pop(key)
-        m = self.insert(x, y)
-        if m in (u, v):  # degenerate: nothing to split after all
-            self.segs[key] = info
-            return m
-        self.recover_segment(u, m, info)
-        self.recover_segment(m, v, info)
-        return m
-
     # -- segment recovery --------------------------------------------------------
 
     def edge_exists(self, u, v):
@@ -296,18 +249,28 @@ class _Triangulation:
         return seen
 
     def recover_segment(self, u, v, info: _Seg, depth=0):
-        if depth > 32:
-            raise MeshFailure("segment recovery did not terminate")
+        """Make (u, v) an edge of the triangulation and constrain it."""
         if u == v:
             return
         if self.edge_exists(u, v):
             self.segs[self._seg_key(u, v)] = info
             return
-        mx = 0.5 * (self.px[u] + self.px[v])
-        my = 0.5 * (self.py[u] + self.py[v])
-        m = self.insert(mx, my)
+        self.split_segment(u, v, info, depth)
+
+    def split_segment(self, u, v, info: _Seg, depth=0):
+        """Insert the midpoint m of segment (u, v) and recover (u, m) and
+        (m, v) as info's subsegments.  (u, v) is not in segs: recovery has
+        not constrained it yet, and refinement takes it out first.
+
+        The float midpoint may fall a rounding error off the exact segment,
+        so the halves are recovered rather than assumed to exist.
+        """
+        if depth > 32:
+            raise MeshFailure("segment recovery did not terminate")
+        m = self.insert(0.5 * (self.px[u] + self.px[v]),
+                        0.5 * (self.py[u] + self.py[v]))
         if m == u or m == v:
-            raise MeshFailure("degenerate segment during recovery")
+            raise MeshFailure("degenerate segment split")
         self.recover_segment(u, m, info, depth + 1)
         self.recover_segment(m, v, info, depth + 1)
 
@@ -402,16 +365,15 @@ class _Triangulation:
                 stack.append(t)
             else:
                 u, v = blocked
-                info = self.segs[self._seg_key(u, v)]
+                key = self._seg_key(u, v)
                 seglen = math.dist((self.px[u], self.py[u]), (self.px[v], self.py[v]))
                 hseg = sizing(0.5 * (self.px[u] + self.px[v]),
                               0.5 * (self.py[u] + self.py[v]))
-                if not info.splittable or seglen < 0.55 * hseg:
+                if not self.segs[key].splittable or seglen < 0.55 * hseg:
                     skip.add(t)
                     continue
                 before = len(self.tris)
-                self.insert_on_segment(u, v, 0.5 * (self.px[u] + self.px[v]),
-                                       0.5 * (self.py[u] + self.py[v]))
+                self.split_segment(u, v, self.segs.pop(key))
                 inserted += 1
                 stack.extend(range(before, len(self.tris)))
                 stack.append(t)
@@ -466,27 +428,35 @@ class _Triangulation:
 
 # -- top-level driver -----------------------------------------------------------
 
-def _make_sizing(geo: GeometrySpec, h0: float, grading: GradingSpec | None):
-    if geo.size_hints:
-        hc = np.array([h[0] for h in geo.size_hints], dtype=float)
-        hr = np.array([h[1] for h in geo.size_hints], dtype=float)
-        hh = np.array([h[2] for h in geo.size_hints], dtype=float)
-    else:
-        hc = None
-    corners = None
-    if grading is not None and geo.corner_vertices:
+def _make_sizing(geo: GeometrySpec, h0: float):
+    """Target element size (x, y) -> h: the least of the background h0,
+    the hole plateaus and the corner grading.
+
+    Every hole (loops[1:]) is sized by one rule, so a cell or cone hole is
+    meshed as a reference meshes it at scale delta: its longest edge h_loc
+    is held out to rad + 2 h_loc from its centre, rad the hole's half-width,
+    and the size grows from there at slope 0.7, so element sizes never jump
+    at the plateau's edge.  Towards the corner vertices the size is
+    (1 - sigma) times the distance, down to h0 sigma^grading_layers.
+    """
+    holes = [poly for poly, _ in geo.loops[1:]]
+    if holes:
+        hc = np.array([poly.mean(axis=0) for poly in holes])
+        hh = np.array([np.max(np.linalg.norm(np.roll(poly, -1, 0) - poly,
+                                             axis=1)) for poly in holes])
+        hr = 0.5 * np.array([np.ptp(poly[:, 0]) for poly in holes]) + 2.0 * hh
+    if geo.grading_layers and geo.corner_vertices:
         corners = np.array(geo.corner_vertices, dtype=float)
-        h_min = h0 * grading.sigma ** grading.n_layers
-        slope = 1.0 - grading.sigma
+        h_min = h0 * GRADING_SIGMA ** geo.grading_layers
+        slope = 1.0 - GRADING_SIGMA
+    else:
+        corners = None
 
     def sizing(x, y):
         val = h0
-        if hc is not None:
+        if holes:
             d = np.hypot(hc[:, 0] - x, hc[:, 1] - y)
-            # plateau hh inside the core radius, then grow at bounded slope
-            # so element sizes never jump across a hint boundary
-            blend = hh + 0.7 * np.maximum(d - hr, 0.0)
-            val = min(val, float(blend.min()))
+            val = min(val, float((hh + 0.7 * np.maximum(d - hr, 0.0)).min()))
         if corners is not None:
             dc = float(np.hypot(corners[:, 0] - x, corners[:, 1] - y).min())
             val = min(val, max(h_min, slope * dc))
@@ -513,12 +483,12 @@ def _sample_edge(a, b, sizing):
     return out
 
 
-def triangulate(geo: GeometrySpec, h0: float,
-                grading: GradingSpec | None = None) -> Mesh:
-    """Mesh a GeometrySpec at background size h0 and return a tagged Mesh."""
+def triangulate(geo: GeometrySpec, h0: float) -> Mesh:
+    """Mesh a GeometrySpec at background size h0 and return a tagged Mesh;
+    the geometry carries every other sizing input (_make_sizing)."""
     if not h0 > 0:
         raise ValueError("h0 must be positive")
-    sizing = _make_sizing(geo, h0, grading)
+    sizing = _make_sizing(geo, h0)
 
     pts = []
     index = {}
@@ -551,7 +521,8 @@ def triangulate(geo: GeometrySpec, h0: float,
             for s0, s1 in zip(samples[:-1], samples[1:]):
                 req.append((pid(s0), pid(s1), _Seg(tag, True, geo.slit)))
 
-    tri = _Triangulation(pts)
+    lo, hi = geo.bbox()
+    tri = _Triangulation(lo.tolist(), hi.tolist())
     actual = [tri.insert(x, y) for x, y in pts]
     for ia, ib, info in req:
         tri.recover_segment(actual[ia], actual[ib], info)

@@ -1,15 +1,15 @@
 """Manufactured solutions and closed-form oracles shared by the tests."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
 from thinwall import fem
-from thinwall.cascade import TransmissionData, build_limit_space, \
-    solve_transmission
-from thinwall.geometry import GeometrySpec, _rect_loop
+from thinwall.cascade import TransmissionData, solve_transmission
+from thinwall.geometry import GeometrySpec, _rect_loop, build_limit_domain
 from thinwall.params import DomainParams, HoleSpec
-from thinwall.triangulate import GradingSpec, triangulate
+from thinwall.triangulate import triangulate
 
 KSQ = 1.69  # off any Neumann eigenvalue of the unit square
 
@@ -164,8 +164,8 @@ def transmission_solve(h0, degree, k0=2.0):
     # measurement needs the element size to scale linearly with h0
     p = DomainParams(k0=k0, hole=HoleSpec(kind="none"))
     man = ManufacturedTransmission(p)
-    space = build_limit_space(p, h0=h0, degree=degree,
-                              grading=GradingSpec(sigma=0.5, n_layers=0))
+    geo = replace(build_limit_domain(p), grading_layers=0)
+    space = fem.Space(triangulate(geo, h0), degree)
     field = solve_transmission(space, p, man.data())
     return l2_error(space, field.coeffs, man.exact)
 

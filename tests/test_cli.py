@@ -1,15 +1,21 @@
 import json
 import math
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from thinwall import cli
 from thinwall.cli import (_acceptance_checks, _config_of, _eval_number,
-                          _floats, _params_from, _parser, _study_config, main,
-                          parse_config)
+                          _floats, _params_from, _parser, _study_config,
+                          _windows, main, parse_config)
 from thinwall.harness import ConvergenceReport, StudyConfig
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_eval_number():
@@ -40,6 +46,21 @@ def test_parse_config(tmp_path):
         parse_config(path)
 
 
+def test_repeated_config_key_names_its_line(tmp_path):
+    path = tmp_path / "c.cfg"
+    path.write_text("limit_h0 = 0.04\nalpha = 0.25\nlimit_h0 = 0.02\n")
+    with pytest.raises(ValueError, match=f"{path}:3: limit_h0 is set twice"):
+        parse_config(path)
+
+
+def test_unknown_config_key_raises():
+    with pytest.raises(ValueError, match="unknown config key: limit_h$"):
+        _study_config({"limit_h": "0.02"})
+    # the study's own config loads, its check_* windows included
+    cfg = parse_config(ROOT / "configs" / "study.cfg")
+    assert _study_config(cfg).limit_h0 == 0.04
+
+
 def test_params_from_overrides():
     p = _params_from({})
     assert p.L == 0.5 and p.hole.kind != "none"
@@ -68,14 +89,29 @@ def test_acceptance_checks_logic():
     rep.slopes = {"e0": (0.95, 0.0, 0.0), "e1": (1.30, 0.0, 0.0)}
     cfg = {"check_e0": "0.85,1.10", "check_e1": "1.40,1.60",
            "check_e2": "1.75,2.05", "unrelated": "x"}
-    lines, ok = _acceptance_checks(cfg, rep)
+    lines, ok = _acceptance_checks(_windows(cfg), rep)
     assert not ok
     assert len(lines) == 3
     assert any(line.startswith("PASS e0") for line in lines)
     assert any(line.startswith("FAIL e1") for line in lines)
     assert any(line == "FAIL e2: no fitted slope" for line in lines)
-    lines, ok = _acceptance_checks({"check_e0": "0.85,1.10"}, rep)
+    lines, ok = _acceptance_checks({"e0": (0.85, 1.10)}, rep)
     assert ok and len(lines) == 1
+
+
+@pytest.mark.parametrize("window", ["0.85", "0.85, 1.1, 2", "1.1, 0.85",
+                                    "0.85, x"])
+def test_check_windows_are_read_before_the_sweep(tmp_path, monkeypatch,
+                                                 window):
+    path = tmp_path / "c.cfg"
+    path.write_text(f"check_e1 = 1.2, 1.45\ncheck_e0 = {window}\n")
+
+    def no_study(*args, **kwargs):
+        raise AssertionError("the sweep ran before the windows were read")
+
+    monkeypatch.setattr(cli, "run_study", no_study)
+    with pytest.raises(ValueError, match="check_e0"):
+        main(["study", "--config", str(path), "--out", str(tmp_path)])
 
 
 def test_cli_cell_constants_smoke(capsys):
@@ -120,3 +156,48 @@ def test_out_names_the_file_written(tmp_path, capsys):
     path = Path(wrote[len("wrote "):])
     assert path.exists()
     assert np.load(path)["degree"] == 2
+
+
+def _openblas_threads(code, env_value):
+    """OPENBLAS_NUM_THREADS as seen when code, run in a fresh interpreter,
+    first imports numpy, and as code leaves it: {"numpy": .., "after": ..}."""
+    spy = (
+        "import os, sys\n"
+        "class Spy:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name == 'numpy':\n"
+        "            print('numpy', os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+        "            sys.meta_path.remove(self)\n"
+        "sys.meta_path.insert(0, Spy())\n")
+    after = "print('after', os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+    env = {k: v for k, v in os.environ.items()
+           if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    if env_value is not None:
+        env["OPENBLAS_NUM_THREADS"] = env_value
+    out = subprocess.run([sys.executable, "-c", spy + code + after],
+                         env=env, capture_output=True, text=True, check=True)
+    return dict(line.split() for line in out.stdout.splitlines()
+                if line.startswith(("numpy ", "after ")))
+
+
+# `python -m thinwall cell-constants --help`, which loads the whole CLI
+CLI_RUN = ("import runpy\n"
+           "sys.argv = ['thinwall', 'cell-constants', '--help']\n"
+           "try:\n"
+           "    runpy.run_module('thinwall', run_name='__main__')\n"
+           "except SystemExit:\n"
+           "    pass\n")
+
+
+def test_cli_pins_one_blas_thread_when_unset():
+    assert _openblas_threads(CLI_RUN, None) == {"numpy": "1", "after": "1"}
+
+
+def test_cli_keeps_a_set_blas_thread_count():
+    assert _openblas_threads(CLI_RUN, "2") == {"numpy": "2", "after": "2"}
+
+
+def test_library_import_leaves_blas_threads_alone():
+    assert _openblas_threads("import thinwall, thinwall.cli\n", None) \
+        == {"numpy": "None", "after": "None"}

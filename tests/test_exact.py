@@ -7,7 +7,7 @@ from thinwall import exact, fem
 from thinwall.exact import incident_robin_load, kdelta_field, solve_exact
 from thinwall.geometry import build_perforated_domain
 from thinwall.params import DomainParams, HoleSpec
-from thinwall.triangulate import GradingSpec, triangulate
+from thinwall.triangulate import triangulate
 
 
 def test_kdelta_field_profiles():
@@ -31,8 +31,7 @@ def test_incident_robin_load_value():
 
 def test_dof_cap_raises(monkeypatch):
     p = DomainParams(k0=2.0)
-    grading = GradingSpec(sigma=0.5, n_layers=8)
-    mesh = triangulate(build_perforated_domain(p, 0.25), 0.15, grading)
+    mesh = triangulate(build_perforated_domain(p, 0.25), 0.15)
     ndof = fem.Space(mesh, 3).ndof
 
     def no_assembly(*args, **kwargs):
@@ -40,8 +39,7 @@ def test_dof_cap_raises(monkeypatch):
 
     monkeypatch.setattr(exact, "helmholtz_matrix", no_assembly)
     with pytest.raises(ValueError, match=f"{ndof} P3 dofs.*cap of {ndof - 1}"):
-        solve_exact(p, 0.25, h0=0.15, degree=3, grading=grading,
-                    max_dofs=ndof - 1)
+        solve_exact(p, 0.25, h0=0.15, degree=3, max_dofs=ndof - 1)
 
 
 def test_no_hole_solve_matches_continuous_limit():
@@ -49,8 +47,7 @@ def test_no_hole_solve_matches_continuous_limit():
     # the limit field (continuous-interface solve) see the same problem
     from thinwall.cascade import build_limit_space, compute_u00
     p = DomainParams(k0=2.0, hole=HoleSpec(kind="none"))
-    res = solve_exact(p, 0.25, h0=0.1, degree=3,
-                      grading=GradingSpec(sigma=0.5, n_layers=4))
+    res = solve_exact(p, 0.25, h0=0.1, degree=3, grading=4)
     assert res.residual <= 1e-10
     assert res.flux_balance() < 1e-10
     u00, _ = compute_u00(p, build_limit_space(p, h0=0.1, degree=3))

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -9,7 +11,7 @@ from thinwall.errors import SingularSystem
 from thinwall.exact import helmholtz_matrix, kdelta_field
 from thinwall.geometry import build_limit_domain, build_perforated_domain
 from thinwall.params import DomainParams
-from thinwall.triangulate import GradingSpec, triangulate
+from thinwall.triangulate import triangulate
 
 
 @pytest.fixture(params=[1, 2, 3])
@@ -61,7 +63,7 @@ def _first_appearance_numbering(mesh, p):
 def test_edge_table_matches_first_appearance():
     p = DomainParams()
     for geo in (build_limit_domain(p), build_perforated_domain(p, 0.25)):
-        mesh = triangulate(geo, 0.2, GradingSpec(sigma=0.5, n_layers=4))
+        mesh = triangulate(replace(geo, grading_layers=4), 0.2)
         for degree in (2, 3):
             space = fem.Space(mesh, degree)
             element_dofs, ndof, coords = _first_appearance_numbering(mesh,
@@ -99,7 +101,7 @@ def test_assembly_matches_quadrature_oracle():
                      khat=lambda X1, X2: 3.0 + np.cos(2 * np.pi * X1) * X2)
     k2 = kdelta_field(p, 0.25)
     for geo in (build_limit_domain(p), build_perforated_domain(p, 0.25)):
-        mesh = triangulate(geo, 0.2, GradingSpec(sigma=0.5, n_layers=4))
+        mesh = triangulate(replace(geo, grading_layers=4), 0.2)
         for degree in (1, 2, 3):
             space = fem.Space(mesh, degree)
             for got, want in ((fem.stiffness(space),
@@ -175,8 +177,7 @@ def test_symmetric_ordering_cuts_reference_fill():
     # the Helmholtz operator of a coarse perforated reference at the study's
     # degree: minimum degree on A + A^T against SuperLU's default COLAMD
     p = DomainParams()
-    mesh = triangulate(build_perforated_domain(p, 1 / 8), 0.25,
-                       GradingSpec(sigma=0.5, n_layers=8))
+    mesh = triangulate(build_perforated_domain(p, 1 / 8), 0.25)
     space = fem.Space(mesh, 3)
     solver = fem.Solver(helmholtz_matrix(space, p, kdelta_field(p, 1 / 8)))
     colamd = splu(solver.A_red)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,7 @@ from thinwall.geometry import (build_cell_geometry, build_cone_geometry,
                                build_limit_domain, build_perforated_domain)
 from thinwall.nearfield import side_polygon
 from thinwall.params import DomainParams, HoleSpec
-from thinwall.triangulate import GradingSpec, triangulate
+from thinwall.triangulate import _make_sizing, triangulate
 
 
 def test_limit_domain_outline_and_slit():
@@ -44,7 +46,6 @@ def test_perforated_domain_hole_count_and_scaling():
         radius = np.max(np.hypot(*(poly - center).T))
         np.testing.assert_allclose(radius, 0.15 * delta, rtol=1e-12)
     assert len(geo.hole_seeds) == 4
-    assert len(geo.size_hints) == 4
 
 
 def test_perforated_domain_rejects_bad_period():
@@ -120,21 +121,27 @@ def test_cone_sides_mirror():
 
 
 def test_every_hole_is_sized_by_one_rule():
-    # cell and cone holes are reference holes at delta = 1: each hint holds
-    # the canonical hole's h_loc out to rad + 2 h_loc, and a reference
-    # hint is that hint scaled by delta
+    # cell and cone holes are reference holes at delta = 1: the mesher holds
+    # the canonical hole's h_loc out to rad + 2 h_loc from its centre and
+    # grows it at slope 0.7 beyond, and a reference hole's size is that
+    # size scaled by delta
     poly = HoleSpec().polygon()
     h_loc = np.max(np.linalg.norm(np.roll(poly, -1, 0) - poly, axis=1))
-    want = (0.5 * (poly[:, 0].max() - poly[:, 0].min()) + 2.0 * h_loc, h_loc)
+    reach = 0.5 * (poly[:, 0].max() - poly[:, 0].min()) + 2.0 * h_loc
     delta = 0.125
     for geo, scale in ((build_cell_geometry(HoleSpec(), T=6.0), 1.0),
                        (build_cone_geometry(1.5 * np.pi, 20.0, poly), 1.0),
                        (build_perforated_domain(DomainParams(), delta), delta)):
-        assert len(geo.size_hints) == len(geo.loops) - 1
-        for (hole, _), (seed, rad, h) in zip(geo.loops[1:], geo.size_hints):
-            np.testing.assert_allclose(seed, hole.mean(axis=0), atol=1e-12)
-            np.testing.assert_allclose((rad / scale, h / scale), want,
-                                       rtol=1e-9)
+        assert len(geo.loops) > 1
+        # without corner grading, and under a background size that caps
+        # nothing, the holes alone set the size
+        sizing = _make_sizing(replace(geo, grading_layers=0), 10.0)
+        for hole, _ in geo.loops[1:]:
+            cx, cy = hole.mean(axis=0)
+            for r, want in ((0.0, h_loc), (0.99 * reach, h_loc),
+                            (reach + 0.1, h_loc + 0.07)):
+                np.testing.assert_allclose(sizing(cx, cy + r * scale),
+                                           want * scale, rtol=1e-9)
 
 
 def test_cell_geometry_grades_into_its_hole_vertices():
@@ -149,7 +156,6 @@ def test_cone_size_follows_its_background_mesh_size():
     # with the holes' fine plateau held to rad + 2 h_loc, halving the
     # background size must add elements between the holes as well
     geo = build_cone_geometry(1.5 * np.pi, 20.0, HoleSpec().polygon())
-    grading = GradingSpec(sigma=0.5, n_layers=6)
-    coarse = triangulate(geo, 0.9, grading).elements.shape[0]
-    fine = triangulate(geo, 0.45, grading).elements.shape[0]
+    coarse = triangulate(geo, 0.9).elements.shape[0]
+    fine = triangulate(geo, 0.45).elements.shape[0]
     assert coarse <= 0.7 * fine

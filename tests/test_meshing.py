@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 
 from thinwall.geometry import (GeometrySpec, _rect_loop, build_limit_domain,
                                build_perforated_domain)
 from thinwall.params import DomainParams
-from thinwall.triangulate import GradingSpec, triangulate
+from thinwall.triangulate import triangulate
 
 
 def square_geo():
@@ -32,8 +34,7 @@ def test_sizing_controls_element_count():
 
 def test_corner_grading_refines_towards_tips():
     p = DomainParams()
-    mesh = triangulate(build_limit_domain(p), 0.2,
-                       GradingSpec(sigma=0.5, n_layers=6))
+    mesh = triangulate(replace(build_limit_domain(p), grading_layers=6), 0.2)
     pts = mesh.nodes[mesh.elements]
     diam = np.max([np.linalg.norm(pts[:, i] - pts[:, j], axis=1)
                    for i, j in ((0, 1), (1, 2), (2, 0))], axis=0)
@@ -45,7 +46,7 @@ def test_corner_grading_refines_towards_tips():
 
 def test_slit_duplicates_interface_nodes():
     p = DomainParams()
-    mesh = triangulate(build_limit_domain(p), 0.2)
+    mesh = triangulate(replace(build_limit_domain(p), grading_layers=0), 0.2)
     top = mesh.edges_with_tag("GammaInterface_top")
     bot = mesh.edges_with_tag("GammaInterface_bottom")
     assert len(top) == len(bot) > 0
@@ -63,8 +64,8 @@ def test_slit_duplicates_interface_nodes():
 
 def test_perforated_mesh_resolves_holes():
     p = DomainParams()
-    mesh = triangulate(build_perforated_domain(p, 0.25), 0.1,
-                       GradingSpec(sigma=0.5, n_layers=6))
+    mesh = triangulate(replace(build_perforated_domain(p, 0.25),
+                               grading_layers=6), 0.1)
     hole_edges = mesh.edges_with_tag("GammaHole")
     assert len(hole_edges) >= 4 * 32  # every polygonized hole fully meshed
     assert mesh.min_angles_deg().min() >= 26.0

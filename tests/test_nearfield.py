@@ -14,7 +14,7 @@ from thinwall.geometry import ARC_STEP, GeometrySpec, _add_hole
 from thinwall.nearfield import (_window_panels, arc_data, blended_w1,
                                 extract_L, solve_S)
 from thinwall.params import HoleSpec
-from thinwall.triangulate import GradingSpec, triangulate
+from thinwall.triangulate import triangulate
 
 THETA = 1.5 * math.pi
 EXPS = SingularExponents(THETA)
@@ -233,15 +233,14 @@ def _own_minus_cone_L(constants, hole, Rmax, h0, degree):
                      Rmax * np.column_stack([np.cos(ang), np.sin(ang)])])
     geo = GeometrySpec(
         loops=[(pts, ["GammaN"] + ["Truncation"] * n_arc + ["GammaN"])],
-        corner_vertices=[(0.0, 0.0)])
+        corner_vertices=[(0.0, 0.0)], grading_layers=6)
     canon = hole.polygon()
     for ell in range(1, int(Rmax) + 1):
         poly = canon + (ell - 1, 0.0)
         r = np.hypot(poly[:, 0], poly[:, 1])
         if 0.3 < r.min() and r.max() < Rmax - 0.3:
             _add_hole(geo, poly)
-    space = fem.Space(triangulate(geo, h0, GradingSpec(sigma=0.5,
-                                                       n_layers=6)), degree)
+    space = fem.Space(triangulate(geo, h0), degree)
     lam = EXPS.lambda_n(1)
     w0, up, low = minus_corner_profiles(1, constants, THETA)
 

@@ -24,9 +24,8 @@ from scipy.interpolate import make_interp_spline
 
 from . import fem
 from .cell import EffectiveConstants
-from .corner import (CornerFrame, SingularExponents, build_lift_J,
-                     build_lift_Y, extract_ell, jump_data,
-                     solve_angular_profile)
+from .corner import (CornerFrame, build_lift_J, build_lift_Y, extract_ell,
+                     jump_data, lambda_n, solve_angular_profile)
 from .cutoff import make_cutoff
 from .errors import IndexUnsupported
 from .exact import helmholtz_matrix, incident_robin_load
@@ -60,8 +59,8 @@ class TransmissionData:
 @dataclass
 class CornerData:
     side: str
-    ell: dict = field(default_factory=dict)        # m -> ell_m(u00)
-    ell_scatter: dict = field(default_factory=dict)
+    ell: dict           # m -> ell_m(u00)
+    ell_scatter: dict   # m -> relative scatter of ell_m over the radii
 
 
 def build_limit_space(p: DomainParams, h0=0.04, degree=3) -> fem.Space:
@@ -128,12 +127,8 @@ def compute_u00(p: DomainParams, space: fem.Space, solver=None):
     corners = {}
     for side in ("plus", "minus"):
         frame = CornerFrame(side, p.L, p.theta)
-        cd = CornerData(side=side)
-        for m in range(4):
-            ell, scatter, _ = extract_ell(u00.evaluate, frame, m, p.k0)
-            cd.ell[m] = ell
-            cd.ell_scatter[m] = scatter
-        corners[side] = cd
+        corners[side] = CornerData(side, *extract_ell(u00.evaluate, frame,
+                                                      p.k0))
     return u00, corners
 
 
@@ -222,8 +217,7 @@ def compute_u01(p: DomainParams, space: fem.Space, u00: fem.Field,
     J_{lambda1 - 1} lift per corner, whose profile has the slit jumps
     jump_data prescribes and whose amplitude is (k0 / (2 lambda1)) ell_1.
     """
-    exps = SingularExponents(p.theta)
-    lam1 = exps.lambda_n(1)
+    lam1 = lambda_n(1, p.theta)
     cut = make_cutoff(cutoff)
 
     mids = _interface_samples(space)
@@ -243,7 +237,7 @@ def compute_u01(p: DomainParams, space: fem.Space, u00: fem.Field,
     lifts = []
     for side in ("plus", "minus"):
         w11 = solve_angular_profile(1, *jump_data(lam1, side, constants),
-                                    exps)
+                                    p.theta)
         coeff = (p.k0 / (2.0 * lam1)) * corners[side].ell[1]
         lifts.append(build_lift_J(CornerFrame(side, p.L, p.theta), w11, cut,
                                   p.k0, coeff=coeff))
@@ -259,9 +253,8 @@ def compute_u20(p: DomainParams, space: fem.Space, corners: dict,
     Gamma(lambda1 + 1)) * (k0/2)^lambda2; the hat field repairs the cut-off
     commutator with homogeneous jumps.
     """
-    exps = SingularExponents(p.theta)
-    lam1 = exps.lambda_n(1)
-    lam2 = exps.lambda_n(2)
+    lam1 = lambda_n(1, p.theta)
+    lam2 = lambda_n(2, p.theta)
     cut = make_cutoff(cutoff)
 
     lifts = []
@@ -284,7 +277,6 @@ class ExpansionSet:
 
     params: DomainParams
     constants: EffectiveConstants
-    exponents: SingularExponents
     u00: fem.Field
     u01: CorrectionParts
     u20: CorrectionParts
@@ -302,7 +294,7 @@ class ExpansionSet:
         """The truncations u00, u00 + delta u01 and
         u00 + delta u01 + delta^lambda2 u20 at points."""
         v00, v01, v20 = self.evaluate_terms(points)
-        lam2 = self.exponents.lambda_n(2)
+        lam2 = lambda_n(2, self.params.theta)
         return (v00, v00 + delta * v01,
                 v00 + delta * v01 + delta ** lam2 * v20)
 
@@ -322,6 +314,5 @@ def build_expansion(p: DomainParams, constants: EffectiveConstants,
     u00, corners = compute_u00(p, space, solver)
     u01 = compute_u01(p, space, u00, corners, constants, cutoff, solver)
     u20 = compute_u20(p, space, corners, L_minus_1, cutoff, solver)
-    return ExpansionSet(params=p, constants=constants,
-                        exponents=SingularExponents(p.theta),
-                        u00=u00, u01=u01, u20=u20, corners=corners)
+    return ExpansionSet(params=p, constants=constants, u00=u00, u01=u01,
+                        u20=u20, corners=corners)

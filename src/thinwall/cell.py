@@ -143,14 +143,15 @@ def build_cell(hole: HoleSpec, T: float = 6.0, h0: float = 0.06,
 
     # -Lap V11 = D1 sign(X2) chi''/2, dV11/dn = -e1.n on the hole
     def f11(x, y):
-        return 0.5 * D1 * np.sign(y) * cut.d2chi(y)
+        return 0.5 * D1 * np.sign(y) * cut(y)[2]
 
     V11 = solve(_balanced_load(space, f11, max(abs(D1), 1.0), "V11")
                 + hole_data)
 
     # -Lap V12 = 2 chi' + X2 chi'', homogeneous Neumann on the hole
     def f12(x, y):
-        return 2.0 * cut.dchi(y) + y * cut.d2chi(y)
+        _, dchi, d2chi = cut(y)
+        return 2.0 * dchi + y * d2chi
 
     V12 = solve(_balanced_load(space, f12, 1.0, "V12"))
     return CellSolution(hole, space, W, D_inf, V11, V12,

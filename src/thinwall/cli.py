@@ -73,21 +73,21 @@ def _eval_number(s):
 
 
 # StudyConfig fields set by a flat key, with the type each value is read as
-_FIELDS = {"alpha": float, "exact_h0": float, "exact_degree": int,
-           "limit_h0": float, "limit_degree": int, "cell_T": float,
-           "cell_h0": float, "cell_degree": int, "nf_Rmax": float,
-           "nf_h0": float, "nf_degree": int, "cutoff": str,
-           "exact_max_dofs": int}
+_FIELDS = {"alpha": _eval_number, "exact_h0": _eval_number,
+           "exact_degree": int, "limit_h0": _eval_number, "limit_degree": int,
+           "cell_T": _eval_number, "cell_h0": _eval_number, "cell_degree": int,
+           "nf_Rmax": _eval_number, "nf_h0": _eval_number, "nf_degree": int,
+           "cutoff": str, "exact_max_dofs": int}
 # DomainParams fields set by a flat key; hole_radius sets the hole
-_PARAMS = {"L": float, "Lp": float, "H": float, "Hp": float,
-           "theta": _eval_number, "k0": _eval_number}
+_PARAMS = {"L": _eval_number, "Lp": _eval_number, "H": _eval_number,
+           "Hp": _eval_number, "theta": _eval_number, "k0": _eval_number}
 
 
 def _params_from(cfg: dict) -> DomainParams:
     """The study's default parameters with the keys of cfg on top."""
     kw = {key: cast(cfg[key]) for key, cast in _PARAMS.items() if key in cfg}
     if "hole_radius" in cfg:
-        r = float(cfg["hole_radius"])
+        r = _eval_number(cfg["hole_radius"])
         kw["hole"] = (HoleSpec(kind="none") if r == 0.0
                       else HoleSpec(kind="disk", center=(0.5, 0.0), radius=r))
     return dataclasses.replace(StudyConfig().params, **kw)
@@ -113,10 +113,9 @@ def _study_config(cfg: dict) -> StudyConfig:
 def _config_of(args) -> StudyConfig:
     """--config (or the defaults) with every flag given on the command line
     on top; a flag's dest is the StudyConfig field it sets."""
-    cfg = parse_config(args.config) if args.config else {}
-    cfg.update({k: v for k, v in vars(args).items()
-                if k in _FIELDS and v is not None})
-    return _study_config(cfg)
+    cfg = _study_config(parse_config(args.config) if args.config else {})
+    return dataclasses.replace(cfg, **{k: v for k, v in vars(args).items()
+                                       if k in _FIELDS and v is not None})
 
 
 def _windows(cfg: dict) -> dict:
@@ -203,10 +202,8 @@ def cmd_cascade(args):
         "u20_hat": exp.u20.hat.coeffs,
         "constants": np.array([[k, repr(v)] for k, v in
                                exp.constants.as_dict().items()]),
-        "corner_ell_plus": np.array([exp.corners["plus"].ell[m]
-                                     for m in range(4)]),
-        "corner_ell_minus": np.array([exp.corners["minus"].ell[m]
-                                      for m in range(4)]),
+        "corner_ell_plus": np.array(list(exp.corners["plus"].ell.values())),
+        "corner_ell_minus": np.array(list(exp.corners["minus"].ell.values())),
         "L_minus_1": np.array([L_minus_1["plus"], L_minus_1["minus"]]),
         "u20_lift_coeffs": np.array([lift.coeff for lift in exp.u20.lifts]),
     }

@@ -9,9 +9,9 @@ at (-x, y), so every profile and lift is written once, in the plus frame.
 The mirror reverses X1, so the constants odd in X1, D1 and N3, change sign
 in the minus corner's slit jumps (jump_data).
 
-A point on the slit reads theta = pi, and a profile there its top piece.
+A point on the slit reads theta = pi, and a profile there its top branch.
 The jumps across the slit are never evaluated on the two faces: they are
-read in closed form from the profile's two cosine pieces at theta = pi
+read in closed form from the profile's two cosine branches at theta = pi
 (AngularProfile.slit_jumps), and a lift's from its profile's
 (LiftField.slit_jumps).
 """
@@ -19,35 +19,25 @@ read in closed form from the profile's two cosine pieces at theta = pi
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .bessel import bessel_j, bessel_j_array, bessel_y_array
 from .errors import IllConditioned, ResonantCase
 
-__all__ = ["SingularExponents", "AngularProfile", "solve_angular_profile",
+__all__ = ["lambda_n", "AngularProfile", "solve_angular_profile",
            "jump_data", "w_base", "CornerFrame", "LiftField", "build_lift_J",
            "build_lift_Y", "extract_ell"]
 
 ELL_RADII = (0.1, 0.15, 0.2)  # extraction radii of the corner coefficients
 ELL_N_THETA = 96              # angular Gauss points per extraction circle
+ELL_MODES = (0, 1, 2, 3)      # sector modes whose coefficients are extracted
 
 
-@dataclass(frozen=True)
-class SingularExponents:
-    theta: float
-
-    def __post_init__(self):
-        if not (math.pi < self.theta < 2 * math.pi):
-            raise ValueError("opening angle must lie in (pi, 2 pi)")
-
-    @property
-    def lam(self):
-        return math.pi / self.theta
-
-    def lambda_n(self, n):
-        return n * self.lam
+def lambda_n(n, theta):
+    """Singular exponent lambda_n = n pi / Theta of the opening angle."""
+    return n * (math.pi / theta)
 
 
 @dataclass(frozen=True)
@@ -58,6 +48,10 @@ class CornerFrame:
     side: str           # "plus" | "minus"
     L: float
     theta: float        # opening angle
+
+    def __post_init__(self):
+        if not (math.pi < self.theta < 2 * math.pi):
+            raise ValueError("opening angle must lie in (pi, 2 pi)")
 
     @property
     def sigma(self):
@@ -79,33 +73,35 @@ class CornerFrame:
                          r * np.sin(theta)], axis=-1)
 
 
-@dataclass
+@dataclass(frozen=True)
 class AngularProfile:
-    """Piecewise cosine profile w(theta) on the corner sector.
+    """Two-branch cosine profile w(theta) on the corner sector (0, Theta):
+    the top branch a cos(mu theta) on [0, pi], the bottom branch
+    b cos(mu (theta - ref)) on (pi, Theta], and 0 outside the sector."""
 
-    pieces: list of (lo, hi, amplitude, mu, ref) meaning
-    amplitude * cos(mu * (theta - ref)) for lo <= theta <= hi.
-    """
-
-    pieces: list = field(default_factory=list)
+    theta: float        # opening angle Theta
+    mu: float
+    a: complex
+    b: complex
+    ref: float
 
     def branch(self, i, theta, d=0):
-        """Piece i's cosine (d = 0) or its theta-derivative (d = 1),
-        continued to any theta."""
-        _lo, _hi, amp, mu, ref = self.pieces[i]
-        t = mu * (np.asarray(theta, dtype=float) - ref)
-        return amp * np.cos(t) if d == 0 else -amp * mu * np.sin(t)
+        """The top (i = 0) or bottom (i = 1) cosine (d = 0) or its
+        theta-derivative (d = 1), continued to any theta."""
+        theta = np.asarray(theta, dtype=float)
+        amp, t = ((self.a, self.mu * theta) if i == 0
+                  else (self.b, self.mu * (theta - self.ref)))
+        return amp * np.cos(t) if d == 0 else -amp * self.mu * np.sin(t)
 
     def _select(self, theta, d):
-        """Each theta read from the first piece whose [lo, hi] holds it (so
-        the slit theta = pi reads the top piece), 0 outside every piece."""
+        """Each theta read from its branch (the slit theta = pi reads the
+        top one), 0 outside the sector."""
         theta = np.asarray(theta, dtype=float)
         out = np.zeros(theta.shape, dtype=complex)
-        hit = np.zeros(theta.shape, dtype=bool)
-        for i, (lo, hi, *_) in enumerate(self.pieces):
-            m = (~hit) & (theta >= lo - 1e-13) & (theta <= hi + 1e-13)
-            out[m] = self.branch(i, theta[m], d)
-            hit |= m
+        top = (theta >= -1e-13) & (theta <= math.pi + 1e-13)
+        bot = (theta > math.pi + 1e-13) & (theta <= self.theta + 1e-13)
+        out[top] = self.branch(0, theta[top], d)
+        out[bot] = self.branch(1, theta[bot], d)
         return out
 
     def __call__(self, theta):
@@ -116,47 +112,41 @@ class AngularProfile:
 
     def slit_jumps(self):
         """([w], [w']) at the slit theta = pi, top face minus bottom face:
-        the top piece (on (0, pi)) minus the bottom piece (on (pi, Theta)),
-        both read at pi.  A one-piece profile is continuous: (0, 0)."""
-        if len(self.pieces) == 1:
-            return 0.0, 0.0
+        the two branches read at pi."""
         return tuple(complex(self.branch(0, math.pi, d)
                              - self.branch(1, math.pi, d)) for d in (0, 1))
 
     @property
     def is_zero(self):
-        return all(abs(p[2]) < 1e-300 for p in self.pieces)
+        return abs(self.a) < 1e-300 and abs(self.b) < 1e-300
 
 
-def w_base(n, exponents: SingularExponents) -> AngularProfile:
-    """The continuous sector modes w_{n,0}: Neumann ends, no slit jump."""
-    return AngularProfile([(0.0, exponents.theta, 1.0, exponents.lambda_n(n),
-                            0.0)])
+def w_base(n, theta) -> AngularProfile:
+    """The continuous sector modes w_{n,0} = cos(lambda_n theta): Neumann
+    ends, and both branches one cosine, so no slit jump."""
+    return AngularProfile(theta, lambda_n(n, theta), 1.0, 1.0, 0.0)
 
 
-def solve_angular_profile(n, jump_val, jump_der,
-                          exponents: SingularExponents) -> AngularProfile:
+def solve_angular_profile(n, jump_val, jump_der, theta) -> AngularProfile:
     """Profile w_{n,1} with prescribed value/derivative jumps at the slit.
 
     The associated separated solution is r^(lambda_n - 1) * w(theta); the
-    two cosine pieces satisfy Neumann conditions at the sector ends, and the
-    2x2 system matches [w] = jump_val and [w'] = jump_der at the slit
+    two cosine branches satisfy Neumann conditions at the sector ends, and
+    the 2x2 system matches [w] = jump_val and [w'] = jump_der at the slit
     (top minus bottom).
     """
-    th = exponents.theta
-    mu = exponents.lambda_n(n) - 1.0
-    det_ang = math.sin(mu * th)
+    mu = lambda_n(n, theta) - 1.0
+    det_ang = math.sin(mu * theta)
     if abs(mu) < 1e-12 or abs(det_ang) < 1e-10:
         raise ResonantCase(f"exponent {mu} resonates with the sector")
     cp, sp = math.cos(mu * math.pi), math.sin(mu * math.pi)
-    cq = math.cos(mu * (math.pi - th))
-    sq = math.sin(mu * (math.pi - th))
+    cq = math.cos(mu * (math.pi - theta))
+    sq = math.sin(mu * (math.pi - theta))
     # up: A cos(mu t) on (0, pi); low: B cos(mu (t - Theta)) on (pi, Theta)
     M = np.array([[cp, -cq], [-mu * sp, mu * sq]])
     rhs = np.array([jump_val, jump_der], dtype=complex)
     A, B = np.linalg.solve(M, rhs)
-    return AngularProfile([(0.0, math.pi, A, mu, 0.0),
-                           (math.pi, th, B, mu, th)])
+    return AngularProfile(theta, mu, A, B, theta)
 
 
 def jump_data(lam_n, side, constants):
@@ -199,10 +189,8 @@ class LiftField:
     # radial cutoff chi_L = 1 - chi(2 r / L) and its r-derivatives
     def _chiL(self, r):
         s = 2.0 / self.L
-        t = s * np.asarray(r, dtype=float)
-        return (1.0 - self.cut.chi(t),
-                -s * self.cut.dchi(t),
-                -s * s * self.cut.d2chi(t))
+        chi, dchi, d2chi = self.cut(s * np.asarray(r, dtype=float))
+        return 1.0 - chi, -s * dchi, -s * s * d2chi
 
     def _bessel(self, r):
         return self.bessel(self.nu, self.k0 * np.asarray(r, dtype=float))
@@ -264,34 +252,28 @@ class LiftField:
 def build_lift_J(frame: CornerFrame, w11: AngularProfile, cut, k0,
                  coeff=1.0) -> LiftField:
     """Singular lift J_{lambda_1 - 1}(k0 r) w_{1,1}(theta) with cutoff."""
-    exps = SingularExponents(frame.theta)
-    return LiftField(frame, bessel_j_array, exps.lambda_n(1) - 1.0, w11, cut,
-                     frame.L, k0, coeff)
+    return LiftField(frame, bessel_j_array, lambda_n(1, frame.theta) - 1.0,
+                     w11, cut, frame.L, k0, coeff)
 
 
 def build_lift_Y(frame: CornerFrame, cut, k0, coeff=1.0) -> LiftField:
     """Decaying-mode lift Y_{lambda_1}(k0 r) w_{1,0}(theta) with cutoff."""
-    exps = SingularExponents(frame.theta)
-    return LiftField(frame, bessel_y_array, exps.lambda_n(1),
-                     w_base(1, exps), cut, frame.L, k0, coeff)
+    return LiftField(frame, bessel_y_array, lambda_n(1, frame.theta),
+                     w_base(1, frame.theta), cut, frame.L, k0, coeff)
 
 
-def extract_ell(evaluate, frame: CornerFrame, m, k0):
-    """Corner coefficient of J_{lambda_m}(k0 r) w_{m,0}(theta) in a field.
+def extract_ell(evaluate, frame: CornerFrame, k0):
+    """Corner coefficients ell_m of J_{lambda_m}(k0 r) w_{m,0}(theta) in a
+    field, for every m in ELL_MODES.
 
-    evaluate(points) -> complex values; the angular projection uses Gauss
-    panels split at the slit, whose points never lie on it, then each
-    radius of ELL_RADII gives an estimate ell(r); radii near Bessel zeros
-    are skipped and the rest combined by least squares.  Returns (ell, its
-    relative scatter over the radii, the radii used).
+    evaluate(points) -> complex values.  Each radius of ELL_RADII is
+    sampled once, on Gauss panels split at the slit whose points never lie
+    on it; the projection onto each mode gives an estimate ell_m(r), and the
+    estimates are averaged over the radii.  A radius near a zero of
+    J_{lambda_m}(k0 r) raises IllConditioned.  Returns ({m: ell_m},
+    {m: relative scatter of ell_m over the radii}).
     """
-    exps = SingularExponents(frame.theta)
-    lam_m = exps.lambda_n(m)
-    th = exps.theta
-    c_m = th if m == 0 else th / 2.0
-    wm = w_base(m, exps)
-
-    # Gauss panels on (0, pi) and (pi, Theta)
+    th = frame.theta
     xg, wg = np.polynomial.legendre.leggauss(ELL_N_THETA // 2)
 
     def panel(lo, hi):
@@ -299,23 +281,28 @@ def extract_ell(evaluate, frame: CornerFrame, m, k0):
         return mid + hl * xg, hl * wg
 
     panels = [panel(0.0, math.pi), panel(math.pi, th)]
+    # each mode's profile on each panel, and its projection's norm
+    modes = {m: ([w_base(m, th)(thetas) for thetas, _ in panels],
+                 th if m == 0 else th / 2.0) for m in ELL_MODES}
 
-    vals = []
-    used = []
+    vals = {m: [] for m in ELL_MODES}
     for r in ELL_RADII:
-        Jm = bessel_j(lam_m, k0 * r)
-        if abs(Jm) <= 1e-8:
-            continue
-        proj = 0.0
-        for thetas, wts in panels:
-            u = evaluate(frame.point(r, thetas))
-            proj = proj + np.sum(wts * u * wm(thetas))
-        vals.append(proj / (c_m * Jm))
-        used.append(r)
-    if not vals:
-        raise IllConditioned(
-            f"all radii near zeros of J_{lam_m:.4f}(k0 r)")
-    vals = np.array(vals)
-    ell = np.mean(vals)
-    scatter = float(np.max(np.abs(vals - ell)) / max(abs(ell), 1e-300))
-    return complex(ell), scatter, list(used)
+        us = [evaluate(frame.point(r, thetas)) for thetas, _ in panels]
+        for m, (wm, c_m) in modes.items():
+            lam_m = lambda_n(m, th)
+            Jm = bessel_j(lam_m, k0 * r)
+            if abs(Jm) <= 1e-8:
+                raise IllConditioned(
+                    f"extraction radius {r} is near a zero of "
+                    f"J_{lam_m:.4f}(k0 r)")
+            proj = 0.0
+            for (_, wts), u, w in zip(panels, us, wm):
+                proj = proj + np.sum(wts * u * w)
+            vals[m].append(proj / (c_m * Jm))
+    ell, scatter = {}, {}
+    for m, v in vals.items():
+        v = np.array(v)
+        ell[m] = complex(np.mean(v))
+        scatter[m] = float(np.max(np.abs(v - ell[m]))
+                           / max(abs(ell[m]), 1e-300))
+    return ell, scatter

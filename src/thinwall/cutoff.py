@@ -55,7 +55,8 @@ class CutoffSpec:
     name: str
     step: Callable = field(repr=False)
 
-    def _eval(self, t):
+    def __call__(self, t):
+        """(chi, chi', chi'') at t, from one evaluation of the step."""
         t = np.asarray(t, dtype=float)
         sgn = np.sign(t)
         u = np.abs(t) - 1.0
@@ -71,15 +72,6 @@ class CutoffSpec:
             dchi[trans] = sp * sgn[trans]
             d2chi[trans] = spp
         return chi, dchi, d2chi
-
-    def chi(self, t):
-        return self._eval(t)[0]
-
-    def dchi(self, t):
-        return self._eval(t)[1]
-
-    def d2chi(self, t):
-        return self._eval(t)[2]
 
 
 def make_cutoff(profile: str = "exp") -> CutoffSpec:

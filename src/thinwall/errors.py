@@ -55,7 +55,7 @@ class DomainError(ThinwallError):
 
 
 class IllConditioned(ThinwallError):
-    """Coefficient extraction impossible: all radii near a Bessel zero."""
+    """Coefficient extraction impossible: a radius near a Bessel zero."""
 
 
 class ExtractionUnstable(ThinwallError):

@@ -426,8 +426,6 @@ def boundary_load_normal(space: Space, tag: str, g):
     normal points away from its edge's one adjacent element, out of the
     meshed domain."""
     r = _edge_rule(space, tag, space.p + 3)
-    if len(r.edges) == 0:
-        raise OutsideRegion(f"no boundary edges tagged {tag!r}")
     elem = space.edge_element[space._edge_numbers(r.edges)]
     wts = r.lens[:, None] * r.w[None, :]
     tang = (r.pb - r.pa) / r.lens[:, None]

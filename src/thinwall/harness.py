@@ -80,7 +80,8 @@ def fit_slope(pairs):
     """Least-squares slope of ln(e) against ln(delta).
 
     Returns (slope, intercept, halfwidth) where halfwidth is the standard
-    error of the slope times 2 (a rough confidence indicator).
+    error of the slope times 2 (a rough confidence indicator); a two-point
+    fit leaves no residual to estimate it from, and its halfwidth is nan.
     """
     pairs = [(float(d), float(e)) for d, e in pairs]
     if len(pairs) < 2:
@@ -94,13 +95,11 @@ def fit_slope(pairs):
     A = np.column_stack([x, np.ones_like(x)])
     coef, res, *_ = np.linalg.lstsq(A, y, rcond=None)
     slope, intercept = float(coef[0]), float(coef[1])
-    if len(pairs) > 2:
-        sse = float(np.sum((A @ coef - y) ** 2))
-        var = sse / (len(pairs) - 2) / float(np.sum((x - x.mean()) ** 2))
-        half = 2.0 * math.sqrt(var)
-    else:
-        half = 0.0
-    return slope, intercept, half
+    if len(pairs) == 2:
+        return slope, intercept, math.nan
+    sse = float(np.sum((A @ coef - y) ** 2))
+    var = sse / (len(pairs) - 2) / float(np.sum((x - x.mean()) ** 2))
+    return slope, intercept, 2.0 * math.sqrt(var)
 
 
 def _region_quadrature(space: fem.Space, p: DomainParams, alpha):

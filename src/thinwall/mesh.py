@@ -69,4 +69,6 @@ class Mesh:
         if tag not in VALID_TAGS:
             raise UnknownTag(f"unknown boundary tag {tag!r}")
         idx = [i for i, t in enumerate(self.boundary_tags) if t == tag]
+        if not idx:
+            raise UnknownTag(f"boundary tag {tag!r} is not on this mesh")
         return self.boundary_edges[idx]

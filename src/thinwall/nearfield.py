@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fem
-from .corner import (AngularProfile, CornerFrame, SingularExponents,
-                     jump_data, solve_angular_profile, w_base)
+from .corner import (AngularProfile, CornerFrame, jump_data, lambda_n,
+                     solve_angular_profile, w_base)
 from .cutoff import make_cutoff
 from .errors import ExtractionUnstable
 from .geometry import build_cone_geometry
@@ -45,7 +45,7 @@ L_N_RADII = 8            # fit radii in (Rmax/4, Rmax/2)
 def _layer_step(y, cut):
     """Smooth step s(y): 0 below the layer, 1 above, 1/2 inside it."""
     y = np.asarray(y, dtype=float)
-    return 0.5 * (1.0 + np.sign(y) * cut.chi(y))
+    return 0.5 * (1.0 + np.sign(y) * cut(y)[0])
 
 
 def blended_w1(w1: AngularProfile, theta, y, cut):
@@ -55,8 +55,6 @@ def blended_w1(w1: AngularProfile, theta, y, cut):
     are interpolated by a smooth step in the transverse coordinate so the
     arc data stays continuous across the hole row.
     """
-    if len(w1.pieces) == 1:
-        return w1(theta)
     s = _layer_step(y, cut)
     return s * w1.branch(0, theta) + (1.0 - s) * w1.branch(1, theta)
 
@@ -64,8 +62,7 @@ def blended_w1(w1: AngularProfile, theta, y, cut):
 def arc_data(n, frame: CornerFrame, w0: AngularProfile, w1: AngularProfile,
              cut):
     """Dirichlet data callable (x, y) -> value on the truncation arc."""
-    exps = SingularExponents(frame.theta)
-    lam = exps.lambda_n(n)
+    lam = lambda_n(n, frame.theta)
 
     def data(x, y):
         r, th = frame.polar(x, y)
@@ -153,11 +150,10 @@ def solve_S(sides, n, constants, hole, theta=1.5 * math.pi, Rmax=20.0,
     reads, mode n's, is gated: ExtractionUnstable if its relative radial
     residual exceeds 0.1.  Every mode's residual stays in radial_residual.
     """
-    exps = SingularExponents(theta)
-    lam_n = exps.lambda_n(n)
-    cut = make_cutoff(cutoff)
     frame = CornerFrame("plus", 0.0, theta)
-    w0 = w_base(n, exps)
+    lam_n = lambda_n(n, theta)
+    cut = make_cutoff(cutoff)
+    w0 = w_base(n, theta)
     cones, sols = [], {}
     for side in sides:
         poly = side_polygon(side, hole)
@@ -168,7 +164,7 @@ def solve_S(sides, n, constants, hole, theta=1.5 * math.pi, Rmax=20.0,
             cone = _build_cone(poly, theta, Rmax, h0, degree)
             cones.append(cone)
         w1 = solve_angular_profile(n, *jump_data(lam_n, side, constants),
-                                   exps)
+                                   theta)
         xy = cone.space.dof_coords[cone.arc_dofs]
         d = np.zeros(cone.space.ndof, dtype=complex)
         d[cone.arc_dofs] = arc_data(n, frame, w0, w1, cut)(xy[:, 0], xy[:, 1])
@@ -221,10 +217,9 @@ def extract_L(evaluate, frame: CornerFrame, n, w0, w1, Rmax):
     reflection.  A second fit with an R^(-lambda) log R column reports the
     spurious-log diagnostic.
     """
-    exps = SingularExponents(frame.theta)
-    lam_n = exps.lambda_n(n)
+    lam_n = lambda_n(n, frame.theta)
     radii = np.linspace(Rmax / 4.0, Rmax / 2.0, L_N_RADII)
-    profs = {m: (w_base(m, exps) if m > 0 else None) for m in L_MODES}
+    profs = {m: w_base(m, frame.theta) for m in L_MODES}
 
     coeff = {m: [] for m in L_MODES}
     for R in radii:
@@ -234,11 +229,8 @@ def extract_L(evaluate, frame: CornerFrame, n, w0, w1, Rmax):
         vals = evaluate(frame.point(R, thetas))
         resid = vals - (R ** lam_n * w0(thetas)
                         + R ** (lam_n - 1.0) * w1(thetas))
-        cols = []
-        for m in L_MODES:
-            cols.append(np.ones_like(thetas) if m == 0
-                        else np.real(profs[m](thetas)))
-        Amat = np.column_stack(cols) * np.sqrt(wts)[:, None]
+        Amat = (np.column_stack([np.real(profs[m](thetas)) for m in L_MODES])
+                * np.sqrt(wts)[:, None])
         rhs = resid * np.sqrt(wts)
         c, *_ = np.linalg.lstsq(Amat, rhs, rcond=None)
         for i, m in enumerate(L_MODES):
@@ -248,11 +240,12 @@ def extract_L(evaluate, frame: CornerFrame, n, w0, w1, Rmax):
     lnR = np.log(radii)
     for m in L_MODES:
         cm = np.array(coeff[m])
-        lam = exps.lambda_n(m)
+        lam = lambda_n(m, frame.theta)
         # decaying target power plus a growing power absorbing the
         # reflection of the truncated arc data
         if m == 0:
-            B = np.column_stack([np.ones_like(radii), radii ** exps.lam])
+            B = np.column_stack([np.ones_like(radii),
+                                 radii ** lambda_n(1, frame.theta)])
             logcol = lnR
         else:
             B = np.column_stack([radii ** (-lam), radii ** lam])

@@ -61,6 +61,13 @@ def test_unknown_config_key_raises():
     assert _study_config(cfg).limit_h0 == 0.04
 
 
+def test_shipped_study_config_is_the_default():
+    # test_1 runs StudyConfig() and checks it against report/, which
+    # `thinwall study --config configs/study.cfg` writes
+    cfg = parse_config(ROOT / "configs" / "study.cfg")
+    assert _study_config(cfg) == StudyConfig()
+
+
 def test_params_from_overrides():
     p = _params_from({})
     assert p.L == 0.5 and p.hole.kind != "none"
@@ -75,9 +82,15 @@ def test_params_from_overrides():
 
 def test_study_config_from_flat_keys():
     cfg = {"k0": "5*pi", "deltas": "1/8,1/16", "alpha": "0.3",
-           "exact_degree": "2", "cutoff": "poly", "exact_max_dofs": "100000"}
+           "exact_degree": "2", "cutoff": "poly", "exact_max_dofs": "100000",
+           # every float key reads like deltas
+           "exact_h0": "1/20", "cell_T": "12/2", "L": "1/2", "Hp": "3/4",
+           "hole_radius": "3/20"}
     sc = _study_config(cfg)
     assert sc.deltas == (0.125, 0.0625)
+    assert (sc.exact_h0, sc.cell_T) == (0.05, 6.0)
+    assert (sc.params.L, sc.params.Hp, sc.params.hole.radius) == (0.5, 0.75,
+                                                                   0.15)
     assert sc.alpha == 0.3
     assert sc.exact_degree == 2
     assert sc.cutoff == "poly"

@@ -5,24 +5,24 @@ import pytest
 
 from helpers import OddConstants, minus_corner_profiles
 from thinwall.bessel import bessel_j_array
-from thinwall.corner import (CornerFrame, SingularExponents, build_lift_J,
-                             build_lift_Y, extract_ell, jump_data,
+from thinwall.corner import (ELL_RADII, CornerFrame, build_lift_J,
+                             build_lift_Y, extract_ell, jump_data, lambda_n,
                              solve_angular_profile, w_base)
 from thinwall.cutoff import make_cutoff
+from thinwall.errors import IllConditioned
 
 THETA = 1.5 * math.pi
 K0 = 5 * math.pi
-EXPS = SingularExponents(THETA)
 
 
 def test_singular_exponents():
     for n in range(5):
-        np.testing.assert_allclose(EXPS.lambda_n(n), 2.0 * n / 3.0,
+        np.testing.assert_allclose(lambda_n(n, THETA), 2.0 * n / 3.0,
                                    rtol=1e-15)
     with pytest.raises(ValueError):
-        SingularExponents(0.5 * math.pi)
+        CornerFrame("plus", 0.5, 0.5 * math.pi)
     with pytest.raises(ValueError):
-        SingularExponents(2.0 * math.pi)
+        CornerFrame("plus", 0.5, 2.0 * math.pi)
 
 
 def _corner_walls(side):
@@ -38,7 +38,7 @@ def _corner_walls(side):
 def test_base_profiles_neumann_ends(side, n):
     _, th = CornerFrame(side, 0.5, THETA).polar(*_corner_walls(side))
     np.testing.assert_allclose(th, [0.0, THETA], rtol=1e-15)
-    w = w_base(n, EXPS)
+    w = w_base(n, THETA)
     np.testing.assert_allclose(np.abs(w.dtheta(th)), 0.0, atol=1e-12)
     # unit value at the interface-free face
     np.testing.assert_allclose(w(th[:1]).real, 1.0, rtol=1e-15)
@@ -47,9 +47,9 @@ def test_base_profiles_neumann_ends(side, n):
 @pytest.mark.parametrize("side", ["plus", "minus"])
 def test_jump_profile_matches_prescribed_jumps(side):
     gv, gd = 0.7 + 0.2j, -0.3j
-    w = solve_angular_profile(1, gv, gd, EXPS)
+    w = solve_angular_profile(1, gv, gd, THETA)
     np.testing.assert_allclose(w.slit_jumps(), (gv, gd), rtol=1e-13)
-    # the faces just above and below the slit read the two pieces
+    # the faces just above and below the slit read the two branches
     frame = CornerFrame(side, 0.5, THETA)
     x1 = np.full(2, 0.3 if side == "plus" else -0.3)
     _, th = frame.polar(x1, np.array([1e-12, -1e-12]))
@@ -62,10 +62,10 @@ def test_jump_profile_matches_prescribed_jumps(side):
 
 
 def test_zero_jump_data_gives_zero_profile():
-    w = solve_angular_profile(1, 0.0, 0.0, EXPS)
+    w = solve_angular_profile(1, 0.0, 0.0, THETA)
     assert w.is_zero
     assert w.slit_jumps() == (0.0, 0.0)
-    assert w_base(1, EXPS).slit_jumps() == (0.0, 0.0)
+    assert w_base(1, THETA).slit_jumps() == (0.0, 0.0)
 
 
 class OddNegated(OddConstants):
@@ -76,7 +76,7 @@ def test_jump_data_symmetry():
     class C:
         D1, D2, N2, N3 = 0.0, 0.151, 0.13, 0.0
 
-    lam1 = EXPS.lambda_n(1)
+    lam1 = lambda_n(1, THETA)
     # mirror-symmetric constants: both corners get the same slit jumps
     np.testing.assert_allclose(jump_data(lam1, "minus", C),
                                jump_data(lam1, "plus", C), rtol=1e-15)
@@ -91,9 +91,9 @@ def test_minus_closed_forms_match_mirrored_plus_profile(n):
     # (pi - Theta, pi), slit at 0) are the library's plus-frame profiles at
     # theta+ = pi - theta-, with the minus side's jump data
     w0, up, low = minus_corner_profiles(n, OddConstants, THETA)
-    lam = EXPS.lambda_n(n)
+    lam = lambda_n(n, THETA)
     w1 = solve_angular_profile(n, *jump_data(lam, "minus", OddConstants),
-                               EXPS)
+                               THETA)
     for t in (np.linspace(1e-6, math.pi - 1e-6, 41),
               np.linspace(math.pi - THETA + 1e-6, -1e-6, 41)):
         oracle = up(t) if t[0] > 0 else low(t)
@@ -101,7 +101,7 @@ def test_minus_closed_forms_match_mirrored_plus_profile(n):
         assert scale > 1e-3
         np.testing.assert_allclose(w1(math.pi - t), oracle, rtol=0,
                                    atol=1e-14 * scale)
-        np.testing.assert_allclose(w_base(n, EXPS)(math.pi - t), w0(t),
+        np.testing.assert_allclose(w_base(n, THETA)(math.pi - t), w0(t),
                                    rtol=0, atol=1e-14)
 
 
@@ -140,7 +140,7 @@ def test_minus_frame_is_plus_frame_mirrored():
 
 def _plus_lift(k0=K0):
     frame = CornerFrame("plus", 0.5, THETA)
-    w11 = solve_angular_profile(1, 0.4, -0.25, EXPS)
+    w11 = solve_angular_profile(1, 0.4, -0.25, THETA)
     return build_lift_J(frame, w11, make_cutoff("exp"), k0, coeff=1.3)
 
 
@@ -188,8 +188,7 @@ def test_commutator_load_matches_fd():
 def test_lift_slit_jumps_match_one_sided_fd():
     # each face's trace and x2-derivative, extrapolated from three points
     # off the slit on that side; r runs through the cut-off's transition
-    w11 = solve_angular_profile(1, 0.4, -0.25, EXPS)
-    assert len(w11.pieces) == 2
+    w11 = solve_angular_profile(1, 0.4, -0.25, THETA)
     h = 2e-5
     for side, sgn_x in (("plus", 1.0), ("minus", -1.0)):
         lift = build_lift_J(CornerFrame(side, 0.5, THETA), w11,
@@ -222,17 +221,26 @@ def test_y_lift_has_no_slit_jumps():
 def test_extract_ell_exact_recovery(side):
     frame = CornerFrame(side, 0.5, THETA)
     cs = {0: 0.8 - 0.1j, 1: 1.5 + 0.4j, 2: -0.6j, 3: 0.25}
-    modes = {m: w_base(m, EXPS) for m in cs}
+    modes = {m: w_base(m, THETA) for m in cs}
 
     def field(pts):
         r, th = frame.polar(pts[:, 0], pts[:, 1])
         out = np.zeros(len(r), dtype=complex)
         for m, c in cs.items():
-            out += c * bessel_j_array(EXPS.lambda_n(m), K0 * r) * modes[m](th)
+            out += c * bessel_j_array(lambda_n(m, THETA), K0 * r) * modes[m](th)
         return out
 
+    ell, scatter = extract_ell(field, frame, K0)
+    assert set(ell) == set(scatter) == set(cs)
     for m, c in cs.items():
-        ell, scatter, used = extract_ell(field, frame, m, K0)
-        assert len(used) >= 2
-        np.testing.assert_allclose(ell, c, rtol=1e-10)
-        assert scatter < 1e-10
+        np.testing.assert_allclose(ell[m], c, rtol=1e-10)
+        assert scatter[m] < 1e-10
+
+
+def test_extract_ell_raises_at_a_bessel_zero():
+    # k0 r at the middle radius is the first zero of J_0: that radius
+    # cannot give ell_0, and the extraction says so rather than drop it
+    k0 = 2.404825557695773 / ELL_RADII[1]
+    frame = CornerFrame("plus", 0.5, THETA)
+    with pytest.raises(IllConditioned, match=f"radius {ELL_RADII[1]} "):
+        extract_ell(lambda pts: np.ones(len(pts), dtype=complex), frame, k0)

@@ -15,16 +15,16 @@ def cut(request):
 
 def test_plateaus(cut):
     t = np.array([-5.0, -2.5, -2.0001, 2.0001, 2.5, 5.0])
-    np.testing.assert_allclose(cut.chi(t), 1.0, atol=1e-12)
+    np.testing.assert_allclose(cut(t)[0], 1.0, atol=1e-12)
     t = np.linspace(-0.999, 0.999, 21)
-    np.testing.assert_allclose(cut.chi(t), 0.0, atol=1e-15)
-    assert np.all(cut.dchi(t) == 0.0)
+    np.testing.assert_allclose(cut(t)[0], 0.0, atol=1e-15)
+    assert np.all(cut(t)[1] == 0.0)
 
 
 def test_even_and_bounded(cut):
     t = np.linspace(-3, 3, 601)
-    c = cut.chi(t)
-    np.testing.assert_allclose(c, cut.chi(-t), atol=1e-15)
+    c = cut(t)[0]
+    np.testing.assert_allclose(c, cut(-t)[0], atol=1e-15)
     assert np.all((c >= 0) & (c <= 1 + 1e-15))
 
 
@@ -32,17 +32,19 @@ def test_even_and_bounded(cut):
 def test_derivative_support(t):
     cut = make_cutoff("poly")
     if abs(t) < 1.0 - 1e-9 or abs(t) > 2.0 + 1e-9:
-        assert cut.dchi(t) == 0.0
-        assert cut.d2chi(t) == 0.0
+        _, dchi, d2chi = cut(t)
+        assert dchi == 0.0
+        assert d2chi == 0.0
 
 
 def test_derivatives_match_finite_differences(cut):
     t = np.linspace(1.05, 1.95, 37)
     h = 1e-6
-    d_fd = (cut.chi(t + h) - cut.chi(t - h)) / (2 * h)
-    np.testing.assert_allclose(cut.dchi(t), d_fd, atol=1e-7)
-    d2_fd = (cut.dchi(t + h) - cut.dchi(t - h)) / (2 * h)
-    np.testing.assert_allclose(cut.d2chi(t), d2_fd, atol=1e-6)
+    _, dchi, d2chi = cut(t)
+    d_fd = (cut(t + h)[0] - cut(t - h)[0]) / (2 * h)
+    np.testing.assert_allclose(dchi, d_fd, atol=1e-7)
+    d2_fd = (cut(t + h)[1] - cut(t - h)[1]) / (2 * h)
+    np.testing.assert_allclose(d2chi, d2_fd, atol=1e-6)
 
 
 def test_corner_cutoff_plateaus():

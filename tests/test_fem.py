@@ -341,6 +341,13 @@ def test_misspelt_tag_raises():
         fem.boundary_mass(space, "GammaR_Plus")
 
 
+def test_tag_missing_from_the_mesh_raises():
+    # a valid tag this mesh does not carry is an error, not an empty matrix
+    from thinwall.errors import UnknownTag
+    with pytest.raises(UnknownTag, match="GammaR_plus"):
+        fem.boundary_mass(square_space(0.3, 1), "GammaR_plus")
+
+
 def test_inverted_element_raises():
     from thinwall.errors import SingularElement
     from thinwall.mesh import Mesh

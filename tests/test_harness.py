@@ -29,6 +29,13 @@ def test_fit_slope_recovers_any_power(p, C):
     np.testing.assert_allclose(slope, p, rtol=1e-7, atol=1e-9)
 
 
+def test_two_point_fit_has_no_error_bar():
+    # two points leave no residual: the half-width is unknown, not zero
+    slope, _, half = fit_slope([(1 / 8, 0.2), (1 / 16, 0.1)])
+    np.testing.assert_allclose(slope, 1.0, rtol=1e-12)
+    assert math.isnan(half)
+
+
 def test_fit_slope_degenerate_inputs():
     with pytest.raises(DegenerateFit):
         fit_slope([(0.1, 1.0)])

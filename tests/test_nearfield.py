@@ -6,8 +6,8 @@ import pytest
 
 from helpers import OddConstants, minus_corner_profiles
 from thinwall import fem, nearfield
-from thinwall.corner import (CornerFrame, SingularExponents,
-                             solve_angular_profile, w_base)
+from thinwall.corner import (CornerFrame, lambda_n, solve_angular_profile,
+                             w_base)
 from thinwall.cutoff import make_cutoff
 from thinwall.errors import ExtractionUnstable
 from thinwall.geometry import ARC_STEP, GeometrySpec, _add_hole
@@ -17,7 +17,6 @@ from thinwall.params import HoleSpec
 from thinwall.triangulate import triangulate
 
 THETA = 1.5 * math.pi
-EXPS = SingularExponents(THETA)
 CUT = make_cutoff("exp")
 
 
@@ -26,7 +25,7 @@ class StubConstants:
 
 
 def _w1():
-    return solve_angular_profile(1, 0.4 - 0.1j, 0.2j, EXPS)
+    return solve_angular_profile(1, 0.4 - 0.1j, 0.2j, THETA)
 
 
 def test_blended_w1_branches_and_continuity():
@@ -38,22 +37,20 @@ def test_blended_w1_branches_and_continuity():
     np.testing.assert_allclose(up, w1(thetas))
     lo_angle = np.full(5, math.pi + 0.3)
     low = blended_w1(w1, lo_angle, np.full(5, -5.0), CUT)
-    amp_low = w1.pieces[1][2]
-    expect = amp_low * np.cos(w1.pieces[1][3] * (lo_angle - w1.pieces[1][4]))
-    np.testing.assert_allclose(low, expect)
+    np.testing.assert_allclose(low, w1.b * np.cos(w1.mu * (lo_angle - THETA)))
     # at y = 0 the two branches are averaged -> continuous across the row
     mid_up = blended_w1(w1, thetas, np.zeros(5), CUT)
     mid_low = blended_w1(w1, thetas, -1e-14 * np.ones(5), CUT)
     np.testing.assert_allclose(mid_up, mid_low, atol=1e-12)
     # a jump-free profile passes through unchanged
-    w0 = w_base(1, EXPS)
+    w0 = w_base(1, THETA)
     np.testing.assert_allclose(blended_w1(w0, thetas, np.full(5, -5.0), CUT),
                                w0(thetas))
 
 
 def test_arc_data_continuous_across_layer():
     frame = CornerFrame("plus", 0.0, THETA)
-    w0 = w_base(1, EXPS)
+    w0 = w_base(1, THETA)
     data = arc_data(1, frame, w0, _w1(), CUT)
     R = 20.0
     x = -math.sqrt(R * R - 1e-8)
@@ -84,17 +81,17 @@ def test_window_panels_avoid_layer(side):
 @pytest.mark.parametrize("side", ["plus", "minus"])
 def test_extract_L_synthetic_injection(side):
     frame = CornerFrame(side, 0.0, THETA)
-    w0 = w_base(1, EXPS)
+    w0 = w_base(1, THETA)
     w1 = _w1()
-    lam1 = EXPS.lambda_n(1)
+    lam1 = lambda_n(1, THETA)
     amps = {0: 0.31, 1: -0.042, 2: 0.0075, 3: -0.0011}
-    modes = {m: w_base(m, EXPS) for m in amps}
+    modes = {m: w_base(m, THETA) for m in amps}
 
     def u(pts):
         r, th = frame.polar(pts[:, 0], pts[:, 1])
         out = r ** lam1 * w0(th) + r ** (lam1 - 1.0) * w1(th)
         for m, a in amps.items():
-            out = out + a * r ** (-EXPS.lambda_n(m)) * modes[m](th)
+            out = out + a * r ** (-lambda_n(m, THETA)) * modes[m](th)
         return out
 
     ell, res, logc = extract_L(u, frame, 1, w0, w1, 40.0)
@@ -241,13 +238,13 @@ def _own_minus_cone_L(constants, hole, Rmax, h0, degree):
         if 0.3 < r.min() and r.max() < Rmax - 0.3:
             _add_hole(geo, poly)
     space = fem.Space(triangulate(geo, h0), degree)
-    lam = EXPS.lambda_n(1)
+    lam = lambda_n(1, THETA)
     w0, up, low = minus_corner_profiles(1, constants, THETA)
 
     def arc(x, y):
         # the slit jump of w_{1,1} smeared over the layer |y| < 2
         r, th = np.hypot(x, y), np.arctan2(y, x)
-        s = 0.5 * (1.0 + np.sign(y) * CUT.chi(y))
+        s = 0.5 * (1.0 + np.sign(y) * CUT(y)[0])
         return (r ** lam * w0(th)
                 + r ** (lam - 1.0) * (s * up(th) + (1.0 - s) * low(th)))
 

@@ -235,8 +235,8 @@ def _parser():
 
     c = sub.add_parser("cell-constants", help="effective layer constants")
     c.add_argument("--config")
-    c.add_argument("--T", dest="cell_T", type=float)
-    c.add_argument("--h0", dest="cell_h0", type=float)
+    c.add_argument("--T", dest="cell_T", type=_eval_number)
+    c.add_argument("--h0", dest="cell_h0", type=_eval_number)
     c.add_argument("--degree", dest="cell_degree", type=int)
     c.add_argument("--cutoff")
     c.set_defaults(fn=cmd_cell_constants)
@@ -245,18 +245,18 @@ def _parser():
     c.add_argument("--config")
     c.add_argument("--side", choices=("plus", "minus"), default="plus")
     c.add_argument("--n", type=int, default=1)
-    c.add_argument("--rmax", dest="nf_Rmax", type=float)
-    c.add_argument("--h0", dest="nf_h0", type=float)
+    c.add_argument("--rmax", dest="nf_Rmax", type=_eval_number)
+    c.add_argument("--h0", dest="nf_h0", type=_eval_number)
     c.add_argument("--degree", dest="nf_degree", type=int)
-    c.add_argument("--T", dest="cell_T", type=float)
-    c.add_argument("--cell-h0", dest="cell_h0", type=float)
+    c.add_argument("--T", dest="cell_T", type=_eval_number)
+    c.add_argument("--cell-h0", dest="cell_h0", type=_eval_number)
     c.add_argument("--cutoff")
     c.set_defaults(fn=cmd_nearfield)
 
     c = sub.add_parser("solve-exact", help="direct perforated-domain solve")
     c.add_argument("--config")
-    c.add_argument("--delta", type=float, required=True)
-    c.add_argument("--h0", dest="exact_h0", type=float)
+    c.add_argument("--delta", type=_eval_number, required=True)
+    c.add_argument("--h0", dest="exact_h0", type=_eval_number)
     c.add_argument("--degree", dest="exact_degree", type=int)
     c.add_argument("--max-dofs", dest="exact_max_dofs", type=int)
     c.add_argument("--out")

@@ -3,14 +3,15 @@
 Bowyer-Watson incremental insertion with walking point location, midpoint
 segment recovery, region carving by flood fill, and Ruppert-style
 refinement (encroached-segment splitting + circumcenter insertion) driven
-by a spatial sizing function with geometric corner grading.
+by a spatial sizing function with geometric corner grading.  The
+orientation and incircle tests are a float filter with an exact integer
+fallback (Shewchuk, Discrete Comput. Geom. 18, 1997).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -25,15 +26,23 @@ MAX_INSERT = 400_000     # refinement insertions before MeshFailure
 GRADING_SIGMA = 0.5      # size ratio of successive layers of corner grading
 
 
-# -- geometric predicates (float fast path, exact Fraction fallback) -----------
+# -- geometric predicates (float filter, exact integer fallback) ----------------
+
+def _exact_ints(*coords):
+    """The floats as integers over one common power-of-two denominator: a
+    homogeneous polynomial in them has the sign of its exact value."""
+    ratios = [c.as_integer_ratio() for c in coords]
+    den = max(d for _, d in ratios)
+    return [n * (den // d) for n, d in ratios]
+
 
 def _orient(ax, ay, bx, by, cx, cy):
     det = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
     bound = 3.33e-16 * (abs((bx - ax) * (cy - ay)) + abs((by - ay) * (cx - ax)))
     if det > bound or -det > bound:
         return det
-    d = (Fraction(bx) - Fraction(ax)) * (Fraction(cy) - Fraction(ay)) \
-        - (Fraction(by) - Fraction(ay)) * (Fraction(cx) - Fraction(ax))
+    ax, ay, bx, by, cx, cy = _exact_ints(ax, ay, bx, by, cx, cy)
+    d = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
     return 1.0 if d > 0 else (-1.0 if d < 0 else 0.0)
 
 
@@ -53,15 +62,16 @@ def _incircle(ax, ay, bx, by, cx, cy, dx, dy):
             + ad * (abs(bdx) * abs(cdy) + abs(cdx) * abs(bdy)))
     if abs(det) > 1.2e-15 * perm:
         return det
-    fa = (Fraction(ax) - Fraction(dx), Fraction(ay) - Fraction(dy))
-    fb = (Fraction(bx) - Fraction(dx), Fraction(by) - Fraction(dy))
-    fc = (Fraction(cx) - Fraction(dx), Fraction(cy) - Fraction(dy))
-    la = fa[0] * fa[0] + fa[1] * fa[1]
-    lb = fb[0] * fb[0] + fb[1] * fb[1]
-    lc = fc[0] * fc[0] + fc[1] * fc[1]
-    d = (fa[0] * (fb[1] * lc - fc[1] * lb)
-         - fa[1] * (fb[0] * lc - fc[0] * lb)
-         + la * (fb[0] * fc[1] - fc[0] * fb[1]))
+    ax, ay, bx, by, cx, cy, dx, dy = _exact_ints(ax, ay, bx, by, cx, cy, dx, dy)
+    adx, ady = ax - dx, ay - dy
+    bdx, bdy = bx - dx, by - dy
+    cdx, cdy = cx - dx, cy - dy
+    ad = adx * adx + ady * ady
+    bd = bdx * bdx + bdy * bdy
+    cd = cdx * cdx + cdy * cdy
+    d = (adx * (bdy * cd - cdy * bd)
+         - ady * (bdx * cd - cdx * bd)
+         + ad * (bdx * cdy - cdx * bdy))
     return 1.0 if d > 0 else (-1.0 if d < 0 else 0.0)
 
 
@@ -91,11 +101,6 @@ class _Triangulation:
         self.segs = {}                 # (min,max) vertex pair -> _Seg
         self.vert2tri = {0: 0, 1: 0, 2: 0}
         self.last = 0
-
-    def add_point(self, x, y):
-        self.px.append(x)
-        self.py.append(y)
-        return len(self.px) - 1
 
     # -- point location --------------------------------------------------------
 
@@ -143,75 +148,75 @@ class _Triangulation:
         t, kind, aux = self.locate(x, y, hint)
         if kind == "vertex":
             return aux
-        p = self.add_point(x, y)
+        tris, adj, segs, status, dead = (self.tris, self.adj, self.segs,
+                                         self.status, self.dead)
+        px, py = self.px, self.py
+        p = len(px)
+        px.append(x)
+        py.append(y)
         seeds = [t]
         hit_seg = None
         if kind == "edge":
-            vs = self.tris[t]
+            vs = tris[t]
             eu, ev = vs[(aux + 1) % 3], vs[(aux + 2) % 3]
             key = self._seg_key(eu, ev)
-            if key in self.segs:
-                hit_seg = (eu, ev, self.segs.pop(key))
-            n = self.adj[t][aux]
+            if key in segs:
+                hit_seg = (eu, ev, segs.pop(key))
+            n = adj[t][aux]
             if n != -1:
                 seeds.append(n)
-        # grow cavity
-        px, py = self.px, self.py
+        # grow cavity; the edge opposite vertex i is (vs[i - 2], vs[i - 1])
         in_cav = set(seeds)
         stack = list(seeds)
         while stack:
             s = stack.pop()
-            vs = self.tris[s]
-            for i in range(3):
-                n = self.adj[s][i]
+            vs, ns = tris[s], adj[s]
+            for i in (0, 1, 2):
+                n = ns[i]
                 if n == -1 or n in in_cav:
                     continue
-                u, v = vs[(i + 1) % 3], vs[(i + 2) % 3]
-                if self._seg_key(u, v) in self.segs:
+                u, v = vs[i - 2], vs[i - 1]
+                if ((u, v) if u < v else (v, u)) in segs:
                     continue
-                a, b, c = self.tris[n]
+                a, b, c = tris[n]
                 if _incircle(px[a], py[a], px[b], py[b], px[c], py[c], x, y) > 0:
                     in_cav.add(n)
                     stack.append(n)
-        # collect boundary (directed as in the inner triangle) with status
+        # boundary (directed as in the inner triangle) with status; the walk
+        # order of in_cav fixes the new triangles' ids
         boundary = []
         for s in in_cav:
-            vs = self.tris[s]
-            st = self.status[s]
-            for i in range(3):
-                n = self.adj[s][i]
-                if n in in_cav:
-                    continue
-                u, v = vs[(i + 1) % 3], vs[(i + 2) % 3]
-                boundary.append((u, v, n, st, s))
-        for s in in_cav:
-            self.dead[s] = True
-        new_ids = []
-        for u, v, n, st, s_in in boundary:
-            tid = len(self.tris)
-            self.tris.append([u, v, p])
-            self.adj.append([-1, -1, n])
-            self.dead.append(False)
-            self.status.append(st)
+            vs, ns, st = tris[s], adj[s], status[s]
+            dead[s] = True
+            for i in (0, 1, 2):
+                if ns[i] not in in_cav:
+                    boundary.append((vs[i - 2], vs[i - 1], ns[i], st, s))
+        first = len(tris)
+        start_of = {}
+        vert2tri = self.vert2tri
+        for tid, (u, v, n, st, s_in) in enumerate(boundary, first):
+            tris.append([u, v, p])
+            adj.append([-1, -1, n])
+            dead.append(False)
+            status.append(st)
             if n != -1:
-                self.adj[n][self.adj[n].index(s_in)] = tid
-            new_ids.append(tid)
-            self.vert2tri[u] = tid
-            self.vert2tri[v] = tid
+                an = adj[n]
+                an[an.index(s_in)] = tid
+            start_of[u] = tid
+            vert2tri[u] = tid
+            vert2tri[v] = tid
         # link new triangles around p: triangle with boundary edge (u,v)
         # neighbors the one with boundary edge (v,w) across edge (v,p)
-        start_of = {self.tris[tid][0]: tid for tid in new_ids}
-        for tid in new_ids:
-            u, v, _ = self.tris[tid]
-            nxt = start_of[v]          # shares edge (v, p); opposite u -> slot 0
-            self.adj[tid][0] = nxt
-            self.adj[nxt][1] = tid     # in nxt=(v,w,p), edge (p,v) is opposite w
-        self.vert2tri[p] = new_ids[0]
-        self.last = new_ids[0]
+        for tid in range(first, len(tris)):
+            nxt = start_of[tris[tid][1]]  # shares edge (v, p); opposite u -> slot 0
+            adj[tid][0] = nxt
+            adj[nxt][1] = tid     # in nxt=(v,w,p), edge (p,v) is opposite w
+        vert2tri[p] = first
+        self.last = first
         if hit_seg is not None:
             eu, ev, info = hit_seg
-            self.segs[self._seg_key(eu, p)] = info
-            self.segs[self._seg_key(p, ev)] = info
+            segs[self._seg_key(eu, p)] = info
+            segs[self._seg_key(p, ev)] = info
         return p
 
     # -- segment recovery --------------------------------------------------------
@@ -438,27 +443,57 @@ def _make_sizing(geo: GeometrySpec, h0: float):
     and the size grows from there at slope 0.7, so element sizes never jump
     at the plateau's edge.  Towards the corner vertices the size is
     (1 - sigma) times the distance, down to h0 sigma^grading_layers.
+
+    A term is below h0 only within its reach of the hole centre or corner:
+    rad + 2 h_loc + (h0 - h_loc) / 0.7, or h0 / (1 - sigma).  Each is filed
+    in the 3 x 3 buckets around its own, in a grid whose side is the longest
+    reach plus 1 %, so a call reads one bucket.  Squared distances find the
+    nearest; only the terms that can match its term are evaluated, with
+    np.hypot as over all holes and corners, so each value is unchanged.
     """
-    holes = [poly for poly, _ in geo.loops[1:]]
-    if holes:
-        hc = np.array([poly.mean(axis=0) for poly in holes])
-        hh = np.array([np.max(np.linalg.norm(np.roll(poly, -1, 0) - poly,
-                                             axis=1)) for poly in holes])
-        hr = 0.5 * np.array([np.ptp(poly[:, 0]) for poly in holes]) + 2.0 * hh
+    holes = []
+    for poly, _ in geo.loops[1:]:
+        hh = float(np.max(np.linalg.norm(np.roll(poly, -1, 0) - poly, axis=1)))
+        holes.append((*map(float, poly.mean(axis=0)), hh,
+                      0.5 * float(np.ptp(poly[:, 0])) + 2.0 * hh))
+    reach = [hr + (h0 - hh) / 0.7 for _, _, hh, hr in holes]
+    hh_min = min((hole[2] for hole in holes), default=h0)
+    hr_max = max((hole[3] for hole in holes), default=0.0)
+    corners = []
     if geo.grading_layers and geo.corner_vertices:
-        corners = np.array(geo.corner_vertices, dtype=float)
+        corners = [(float(x), float(y)) for x, y in geo.corner_vertices]
         h_min = h0 * GRADING_SIGMA ** geo.grading_layers
         slope = 1.0 - GRADING_SIGMA
-    else:
-        corners = None
+        reach.append(h0 / slope)
+    side = 1.01 * max(reach, default=h0)
+    grid = {}
+    for kind, items in enumerate((holes, corners)):
+        for item in items:
+            i, j = math.floor(item[0] / side), math.floor(item[1] / side)
+            for key in ((i + di, j + dj) for di in (-1, 0, 1) for dj in (-1, 0, 1)):
+                grid.setdefault(key, ([], []))[kind].append(item)
 
     def sizing(x, y):
+        near_holes, near_corners = grid.get(
+            (math.floor(x / side), math.floor(y / side)), ((), ()))
         val = h0
-        if holes:
-            d = np.hypot(hc[:, 0] - x, hc[:, 1] - y)
-            val = min(val, float((hh + 0.7 * np.maximum(d - hr, 0.0)).min()))
-        if corners is not None:
-            dc = float(np.hypot(corners[:, 0] - x, corners[:, 1] - y).min())
+        if near_holes:
+            sq = [(cx - x) * (cx - x) + (cy - y) * (cy - y)
+                  for cx, cy, _, _ in near_holes]
+            _, _, hh, hr = near_holes[sq.index(min(sq))]
+            # no hole past lim can go below the nearest one's term
+            t = min(h0, hh + 0.7 * max(math.sqrt(min(sq)) - hr, 0.0))
+            lim = (hr_max + max(t - hh_min, 0.0) / 0.7) ** 2 * (1.0 + 1e-9)
+            for s, (cx, cy, hh, hr) in zip(sq, near_holes):
+                if s <= lim:
+                    d = float(np.hypot(cx - x, cy - y))
+                    val = min(val, hh + 0.7 * max(d - hr, 0.0))
+        if near_corners:
+            sq = [(cx - x) * (cx - x) + (cy - y) * (cy - y)
+                  for cx, cy in near_corners]
+            lim = min(sq) * (1.0 + 1e-9)
+            dc = min(float(np.hypot(cx - x, cy - y))
+                     for s, (cx, cy) in zip(sq, near_corners) if s <= lim)
             val = min(val, max(h_min, slope * dc))
         return val
 

@@ -159,6 +159,18 @@ def test_flags_override_config(tmp_path):
     assert _config_of(_parser().parse_args(["cell-constants"])) == StudyConfig()
 
 
+def test_number_flags_take_the_config_forms():
+    args = _parser().parse_args(["cell-constants", "--h0", "1/20",
+                                 "--T", "6"])
+    assert (args.cell_h0, args.cell_T) == (0.05, 6.0)
+    args = _parser().parse_args(["solve-exact", "--delta", "1/8",
+                                 "--h0", "1/10"])
+    assert (args.delta, args.exact_h0) == (0.125, 0.1)
+    args = _parser().parse_args(["nearfield", "--rmax", "20", "--h0", "9/20",
+                                 "--cell-h0", "3/50"])
+    assert (args.nf_Rmax, args.nf_h0, args.cell_h0) == (20.0, 9 / 20, 3 / 50)
+
+
 def test_out_names_the_file_written(tmp_path, capsys):
     out = tmp_path / "ref.json"
     rc = main(["solve-exact", "--delta", "0.5", "--h0", "0.3", "--degree",

@@ -1,11 +1,20 @@
+import importlib.util
+import itertools
+import math
 from dataclasses import replace
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
+import pytest
 
-from thinwall.geometry import (GeometrySpec, _rect_loop, build_limit_domain,
+from thinwall.geometry import (GeometrySpec, _rect_loop, build_cell_geometry,
+                               build_cone_geometry, build_limit_domain,
                                build_perforated_domain)
-from thinwall.params import DomainParams
-from thinwall.triangulate import triangulate
+from thinwall.nearfield import side_polygon
+from thinwall.params import DomainParams, HoleSpec
+from thinwall.triangulate import (GRADING_SIGMA, _incircle, _make_sizing,
+                                  _orient, _sample_edge, triangulate)
 
 
 def square_geo():
@@ -75,3 +84,186 @@ def test_perforated_mesh_resolves_holes():
         d = np.hypot(*(mesh.nodes - c).T)
         inside = d < 0.15 * 0.25 * np.cos(np.pi / 32) - 1e-12
         assert not np.any(inside)
+
+
+# -- exact predicates ------------------------------------------------------------
+
+def _orient_oracle(ax, ay, bx, by, cx, cy):
+    """Sign of the orientation determinant in exact rational arithmetic."""
+    f = Fraction
+    d = (f(bx) - f(ax)) * (f(cy) - f(ay)) - (f(by) - f(ay)) * (f(cx) - f(ax))
+    return (d > 0) - (d < 0)
+
+
+def _incircle_oracle(ax, ay, bx, by, cx, cy, dx, dy):
+    """Sign of the incircle determinant in exact rational arithmetic."""
+    fa = (Fraction(ax) - Fraction(dx), Fraction(ay) - Fraction(dy))
+    fb = (Fraction(bx) - Fraction(dx), Fraction(by) - Fraction(dy))
+    fc = (Fraction(cx) - Fraction(dx), Fraction(cy) - Fraction(dy))
+    la = fa[0] * fa[0] + fa[1] * fa[1]
+    lb = fb[0] * fb[0] + fb[1] * fb[1]
+    lc = fc[0] * fc[0] + fc[1] * fc[1]
+    d = (fa[0] * (fb[1] * lc - fc[1] * lb)
+         - fa[1] * (fb[0] * lc - fc[0] * lb)
+         + la * (fb[0] * fc[1] - fc[0] * fb[1]))
+    return (d > 0) - (d < 0)
+
+
+def _sign(v):
+    return (v > 0) - (v < 0)
+
+
+def _with_ulp_moves(pts):
+    """The point set, then a copy per coordinate moved one ulp each way."""
+    yield pts
+    for i, j, to in itertools.product(range(len(pts)), (0, 1),
+                                      (-math.inf, math.inf)):
+        moved = [list(p) for p in pts]
+        moved[i][j] = math.nextafter(moved[i][j], to)
+        yield [tuple(p) for p in moved]
+
+
+def _degenerate_point_sets():
+    top = _sample_edge((-2.5, 1.0), (2.5, 1.0), lambda x, y: 0.3)
+    side = _sample_edge((1.0, -6.0), (1.0, 6.0), lambda x, y: 0.7)
+    hole = build_perforated_domain(DomainParams(), 1 / 64).loops[20][0]
+    ngon = [tuple(map(float, v)) for v in hole]
+    x = 20.0 + 1e-5
+    return [
+        # collinear samples of axis-aligned edges
+        [top[0], top[3], top[7], top[-1]],
+        [side[1], side[2], side[9], side[-2]],
+        # vertices of a delta = 1/64 hole: 32-gon, cocircular up to rounding
+        [ngon[0], ngon[8], ngon[16], ngon[24]],
+        [ngon[3], ngon[4], ngon[5], ngon[6]],
+        [ngon[1], ngon[12], ngon[17], ngon[30]],
+        # mixed magnitudes: exactly collinear, and an exact square at 20
+        [(1e-5, 2e-5), (20.0, 40.0), (0.0, 0.0), (-1e-5, -2e-5)],
+        [(20.0, 20.0), (x, 20.0), (x, x), (20.0, x)],
+        [(1e-5, 0.0), (20.0, 0.0), (0.0, 20.0), (-20.0, 0.0)],
+    ]
+
+
+def test_predicates_match_exact_rational_signs():
+    checked = 0
+    for base in _degenerate_point_sets():
+        for pts in _with_ulp_moves(base):
+            for tri in itertools.combinations(pts, 3):
+                args = [c for p in tri for c in p]
+                assert _sign(_orient(*args)) == _orient_oracle(*args), tri
+            for quad in (pts, pts[::-1], pts[1:] + pts[:1]):
+                args = [c for p in quad for c in p]
+                assert _sign(_incircle(*args)) == _incircle_oracle(*args), quad
+                checked += 1
+    assert checked == 3 * 8 * 17
+
+
+def test_degenerate_inputs_give_zero():
+    top = _sample_edge((-2.5, 1.0), (2.5, 1.0), lambda x, y: 0.3)
+    assert _orient(*top[0], *top[4], *top[-1]) == 0.0
+    assert _incircle(*top[0], *top[2], *top[4], *top[-1]) == 0.0
+    x = 20.0 + 1e-5
+    assert _incircle(20.0, 20.0, x, 20.0, x, x, 20.0, x) == 0.0
+
+
+# -- sizing ----------------------------------------------------------------------
+
+def _sizing_oracle(geo, h0):
+    """The sizing rule evaluated over every hole and corner with numpy."""
+    holes = [poly for poly, _ in geo.loops[1:]]
+    if holes:
+        hc = np.array([poly.mean(axis=0) for poly in holes])
+        hh = np.array([np.max(np.linalg.norm(np.roll(poly, -1, 0) - poly,
+                                             axis=1)) for poly in holes])
+        hr = 0.5 * np.array([np.ptp(poly[:, 0]) for poly in holes]) + 2.0 * hh
+    if geo.grading_layers and geo.corner_vertices:
+        corners = np.array(geo.corner_vertices, dtype=float)
+        h_min = h0 * GRADING_SIGMA ** geo.grading_layers
+        slope = 1.0 - GRADING_SIGMA
+    else:
+        corners = None
+
+    def sizing(x, y):
+        val = h0
+        if holes:
+            d = np.hypot(hc[:, 0] - x, hc[:, 1] - y)
+            val = min(val, float((hh + 0.7 * np.maximum(d - hr, 0.0)).min()))
+        if corners is not None:
+            dc = float(np.hypot(corners[:, 0] - x, corners[:, 1] - y).min())
+            val = min(val, max(h_min, slope * dc))
+        return val
+
+    return sizing, (hc, hh, hr) if holes else None
+
+
+def _sizing_probes(geo, h0, holes, rng):
+    """About 2,000 points: uniform over the box and past it, every hole
+    centre and corner vertex, each hole's plateau edge and reach, and the
+    bucket edges of a grid sized by the longest reach."""
+    lo, hi = geo.bbox()
+    span = hi - lo
+    pts = [tuple(p) for p in rng.uniform(lo - 0.2 * span, hi + 0.2 * span,
+                                         (1500, 2))]
+    pts += [tuple(map(float, v)) for v in geo.corner_vertices]
+    reach = [2.0 * h0] if geo.grading_layers else []
+    if holes is not None:
+        hc, hh, hr = holes
+        reach += list(hr + (h0 - hh) / 0.7)
+        for c, r, e in zip(hc, hr, hr + (h0 - hh) / 0.7):
+            ang = rng.uniform(0.0, 2.0 * math.pi, 2)
+            pts.append(tuple(c))
+            pts += [tuple(c + rad * np.array([math.cos(a), math.sin(a)]))
+                    for rad in (r, e, 1.01 * e) for a in ang]
+    side = 1.01 * max(reach, default=h0)
+    k = rng.integers(-int(span.max() / side) - 2, int(span.max() / side) + 2,
+                     (300, 2))
+    edges = k * side
+    pts += [tuple(p) for p in edges]
+    pts += [(math.nextafter(x, -math.inf), y) for x, y in edges[:100]]
+    pts += [(x, rng.uniform(lo[1], hi[1])) for x, _ in edges[100:200]]
+    pts += [(1e3, -1e3), (-1e3, 1e3)]
+    return [(float(x), float(y)) for x, y in pts]
+
+
+@pytest.mark.parametrize("name", ["cell", "cone", "limit", "ref 1/8",
+                                  "ref 1/16"])
+def test_sizing_equals_the_rule_over_every_hole_and_corner(name):
+    geo, h0 = {
+        "cell": (build_cell_geometry(HoleSpec(), 6.0), 0.06),
+        "cone": (build_cone_geometry(1.5 * math.pi, 20.0,
+                                     side_polygon("plus", HoleSpec())), 0.45),
+        "limit": (build_limit_domain(DomainParams()), 0.04),
+        "ref 1/8": (build_perforated_domain(DomainParams(), 1 / 8), 0.05),
+        "ref 1/16": (build_perforated_domain(DomainParams(), 1 / 16), 0.05),
+    }[name]
+    oracle, holes = _sizing_oracle(geo, h0)
+    sizing = _make_sizing(geo, h0)
+    pts = _sizing_probes(geo, h0, holes, np.random.default_rng(7))
+    assert len(pts) > 1900
+    got = [sizing(x, y) for x, y in pts]
+    want = [oracle(x, y) for x, y in pts]
+    assert got == want
+    assert min(want) < h0 and max(want) == h0  # graded, plateaued and far
+
+
+# -- mesh pin ----------------------------------------------------------------------
+
+def _mesh_hashes_tool():
+    path = Path(__file__).resolve().parents[1] / "tools" / "mesh_hashes.py"
+    spec = importlib.util.spec_from_file_location("mesh_hashes", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
+def test_coarse_meshes_keep_their_hashes():
+    """Node order, elements, boundary edges and tags of three coarse meshes,
+    pinned byte for byte (tools/mesh_hashes.py prints all fourteen).  A
+    mesher change that moves them is a change of the study's numbers."""
+    tool = _mesh_hashes_tool()
+    pins = {("cell", 0.15): "281115d6778f5339",
+            ("limit", 0.08): "fe17d03fbef2837c",
+            ("ref 1/8", 0.1): "bd5e170b1b0c0bc2"}
+    got = {(name, h0): tool.mesh_hash(triangulate(build(), h0))
+           for name, h0, build in tool.MESHES if (name, h0) in pins}
+    assert got == pins

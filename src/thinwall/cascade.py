@@ -17,15 +17,16 @@ near-field problem.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import make_interp_spline
 
 from . import fem
+from .bessel import bessel_j_array, bessel_y_array
 from .cell import EffectiveConstants
-from .corner import (CornerFrame, build_lift_J, build_lift_Y, extract_ell,
-                     jump_data, lambda_n, solve_angular_profile)
+from .corner import (CornerFrame, LiftField, extract_ell, jump_data, lambda_n,
+                     solve_angular_profile, w_base)
 from .cutoff import make_cutoff
 from .errors import IndexUnsupported
 from .exact import helmholtz_matrix, incident_robin_load
@@ -33,32 +34,14 @@ from .geometry import build_limit_domain
 from .params import DomainParams
 from .triangulate import triangulate
 
-__all__ = ["TransmissionData", "CornerData", "ExpansionSet",
+__all__ = ["CornerData", "ExpansionSet",
            "build_limit_space", "limit_solver", "solve_transmission",
            "compute_u00", "compute_u01", "compute_u20"]
 
 
 @dataclass
-class TransmissionData:
-    """Data of one macroscopic transmission solve.
-
-    g is the trace jump across the interface (upper face minus lower face);
-    h is the jump of the vertical derivative (upper minus lower), entering
-    the weak form through the mean of the test trace.  boundary maps a
-    boundary tag to its load g in int_tag g v ds, a constant or a callable
-    (x, y) -> value: Neumann data, or the data of a Robin end, whose matrix
-    part is in helmholtz_matrix.
-    """
-
-    f: object = None
-    g: object = None
-    h: object = None
-    boundary: dict = field(default_factory=dict)
-
-
-@dataclass
 class CornerData:
-    side: str
+    frame: CornerFrame
     ell: dict           # m -> ell_m(u00)
     ell_scatter: dict   # m -> relative scatter of ell_m over the radii
 
@@ -91,44 +74,49 @@ def limit_solver(space: fem.Space, p: DomainParams) -> fem.Solver:
     return fem.Solver(helmholtz_matrix(space, p), cons)
 
 
-def solve_transmission(space: fem.Space, p: DomainParams,
-                       data: TransmissionData,
-                       solver: fem.Solver | None = None) -> fem.Field:
+def solve_transmission(space: fem.Space, p: DomainParams, f=None, g=None,
+                       h=None, boundary=None, solver=None) -> fem.Field:
     """Helmholtz solve on the slit domain with prescribed interface jumps.
 
-    The trace jump is eliminated (each lower-face dof is the matching
-    upper-face dof minus g); the derivative jump enters as the natural load
-    -int_Gamma h * mean(conj(v)).  solver is limit_solver(space, p), made
-    here if not given.
+    f is the volume source.  g is the trace jump across the interface
+    (upper face minus lower face), eliminated: each lower-face dof is the
+    matching upper-face dof minus g.  h is the jump of the vertical
+    derivative (upper minus lower), entering as the natural load
+    -int_Gamma h * mean(conj(v)).  boundary maps a boundary tag to its load
+    q in int_tag q v ds, a constant or a callable (x, y) -> value: Neumann
+    data, or the data of a Robin end, whose matrix part is in
+    helmholtz_matrix.  solver is limit_solver(space, p), made here if not
+    given.
     """
     if solver is None:
         solver = limit_solver(space, p)
     b = np.zeros(space.ndof, dtype=complex)
-    if data.f is not None:
-        b += fem.volume_load(space, data.f)
-    for tag, g in data.boundary.items():
-        b += fem.boundary_load(space, tag, g)
-    if data.h is not None:
-        hfun = lambda x, y: np.asarray(data.h(x), dtype=complex)
+    if f is not None:
+        b += fem.volume_load(space, f)
+    for tag, load in (boundary or {}).items():
+        b += fem.boundary_load(space, tag, load)
+    if h is not None:
+        hfun = lambda x, y: np.asarray(h(x), dtype=complex)
         b -= 0.5 * (fem.boundary_load(space, "GammaInterface_top", hfun)
                     + fem.boundary_load(space, "GammaInterface_bottom", hfun))
     d = np.zeros(space.ndof, dtype=complex)
-    if data.g is not None:
+    if g is not None:
         xs, _, bot = _interface_pairs(space)
-        d[bot] = -np.asarray(data.g(xs), dtype=complex)
+        d[bot] = -np.asarray(g(xs), dtype=complex)
     u, _ = solver.solve(b, d)
     return fem.Field(space, u)
 
 
 def compute_u00(p: DomainParams, space: fem.Space, solver=None):
     """Limit solve (continuous interface) plus corner coefficients."""
-    data = TransmissionData(boundary={"GammaR_minus": incident_robin_load(p)})
-    u00 = solve_transmission(space, p, data, solver)
+    u00 = solve_transmission(
+        space, p, boundary={"GammaR_minus": incident_robin_load(p)},
+        solver=solver)
     corners = {}
     for side in ("plus", "minus"):
         frame = CornerFrame(side, p.L, p.theta)
-        corners[side] = CornerData(side, *extract_ell(u00.evaluate, frame,
-                                                      p.k0))
+        corners[side] = CornerData(frame, *extract_ell(u00.evaluate, frame,
+                                                       p.k0))
     return u00, corners
 
 
@@ -192,7 +180,7 @@ def _solve_hat(space: fem.Space, p: DomainParams, lifts, solver,
     def fhat(x, y):
         return sum(lift.commutator_load(x, y) for lift in lifts)
 
-    data = TransmissionData(f=fhat)
+    ghat = hhat = None
     if g is not None:
         def jump(x, i):
             return sum(lift.slit_jumps(x)[i] for lift in lifts)
@@ -201,15 +189,15 @@ def _solve_hat(space: fem.Space, p: DomainParams, lifts, solver,
         # sample and its corner; the corner-graded mesh keeps that gap tiny
         xs = _interface_samples(space)[:, 0]
         width = 2.0 * float(max(xs[0] + p.L, p.L - xs[-1]))
-        data.g = _Clamped(lambda x: g(x) - jump(x, 0), p.L, width)
-        data.h = _Clamped(lambda x: h(x) - jump(x, 1), p.L, width)
-    hat = solve_transmission(space, p, data, solver)
+        ghat = _Clamped(lambda x: g(x) - jump(x, 0), p.L, width)
+        hhat = _Clamped(lambda x: h(x) - jump(x, 1), p.L, width)
+    hat = solve_transmission(space, p, fhat, ghat, hhat, solver=solver)
     return CorrectionParts(hat=hat, lifts=lifts)
 
 
 def compute_u01(p: DomainParams, space: fem.Space, u00: fem.Field,
                 corners: dict, constants: EffectiveConstants,
-                cutoff="exp", solver=None) -> CorrectionParts:
+                cutoff, solver) -> CorrectionParts:
     """First-order correction: effective-jump solve with singular lift.
 
     The interface data is built from spline-fitted traces of u00; its
@@ -234,18 +222,16 @@ def compute_u01(p: DomainParams, space: fem.Space, u00: fem.Field,
     def h01(x):
         return N1 * trace(x) + N2 * trace(x, nu=2) + N3 * dx2(x, nu=1)
 
-    lifts = []
-    for side in ("plus", "minus"):
-        w11 = solve_angular_profile(1, *jump_data(lam1, side, constants),
-                                    p.theta)
-        coeff = (p.k0 / (2.0 * lam1)) * corners[side].ell[1]
-        lifts.append(build_lift_J(CornerFrame(side, p.L, p.theta), w11, cut,
-                                  p.k0, coeff=coeff))
+    lifts = [LiftField(c.frame, bessel_j_array, lam1 - 1.0,
+                       solve_angular_profile(
+                           1, *jump_data(lam1, side, constants), p.theta),
+                       cut, p.k0, coeff=(p.k0 / (2.0 * lam1)) * c.ell[1])
+             for side, c in corners.items()]
     return _solve_hat(space, p, lifts, solver, g=g01, h=h01)
 
 
 def compute_u20(p: DomainParams, space: fem.Space, corners: dict,
-                L_minus_1: dict, cutoff="exp", solver=None) -> CorrectionParts:
+                L_minus_1: dict, cutoff, solver) -> CorrectionParts:
     """Second-order corner correction driven by the near-field reflection.
 
     Each corner contributes a decaying lift Y_{lambda1}(k0 r) cos(lambda1
@@ -257,13 +243,11 @@ def compute_u20(p: DomainParams, space: fem.Space, corners: dict,
     lam2 = lambda_n(2, p.theta)
     cut = make_cutoff(cutoff)
 
-    lifts = []
-    for side in ("plus", "minus"):
-        coeff = (-math.pi * corners[side].ell[1] * L_minus_1[side]
-                 / (math.gamma(lam1) * math.gamma(lam1 + 1.0))
-                 * (p.k0 / 2.0) ** lam2)
-        lifts.append(build_lift_Y(CornerFrame(side, p.L, p.theta), cut,
-                                  p.k0, coeff=coeff))
+    gam = math.gamma(lam1) * math.gamma(lam1 + 1.0)
+    lifts = [LiftField(c.frame, bessel_y_array, lam1, w_base(1, p.theta), cut,
+                       p.k0, coeff=(-math.pi * c.ell[1] * L_minus_1[side]
+                                    / gam * (p.k0 / 2.0) ** lam2))
+             for side, c in corners.items()]
     return _solve_hat(space, p, lifts, solver)
 
 

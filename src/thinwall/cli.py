@@ -65,11 +65,18 @@ def _eval_number(s):
     m = _PI_MULTIPLE.fullmatch(s)
     if m:
         a, b = m.groups()
-        return (float(a) if a else 1.0) * math.pi / (float(b) if b else 1.0)
-    if "/" in s:
-        num, den = s.split("/")
-        return float(num) / float(den)
-    return float(s)
+        num, den = (float(a) if a else 1.0) * math.pi, float(b) if b else 1.0
+    elif "/" in s:
+        num, den = (float(t) for t in s.split("/"))
+    else:
+        return float(s)
+    if den == 0:
+        raise ValueError(f"zero denominator in {s!r}")
+    return num / den
+
+
+# argparse names a flag's type in its errors: "invalid number value: 'abc'"
+_eval_number.__name__ = "number"
 
 
 # StudyConfig fields set by a flat key, with the type each value is read as

@@ -23,12 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import bessel_j, bessel_j_array, bessel_y_array
+from .bessel import bessel_j
 from .errors import IllConditioned, ResonantCase
 
 __all__ = ["lambda_n", "AngularProfile", "solve_angular_profile",
-           "jump_data", "w_base", "CornerFrame", "LiftField", "build_lift_J",
-           "build_lift_Y", "extract_ell"]
+           "jump_data", "w_base", "CornerFrame", "LiftField", "extract_ell"]
 
 ELL_RADII = (0.1, 0.15, 0.2)  # extraction radii of the corner coefficients
 ELL_N_THETA = 96              # angular Gauss points per extraction circle
@@ -169,26 +168,25 @@ def jump_data(lam_n, side, constants):
 class LiftField:
     """Cut-off radial-Bessel singular lift around one corner.
 
-    value = coeff * chi_L(r) * Z_nu(k0 r) * w(theta), with Z the Bessel
-    function bessel (bessel_j_array or bessel_y_array; both obey
-    Z_nu' = (Z_{nu-1} - Z_{nu+1}) / 2).  The hat problems see the lift
+    value = coeff * chi_L(r) * Z_nu(k0 r) * w(theta), with L = frame.L and
+    Z the Bessel function bessel (bessel_j_array or bessel_y_array; both
+    obey Z_nu' = (Z_{nu-1} - Z_{nu+1}) / 2).  The hat problems see the lift
     through its commutator load [Lap, chi_L] v and its slit jumps.
     """
 
     def __init__(self, frame: CornerFrame, bessel, nu, w: AngularProfile,
-                 cut, L, k0, coeff=1.0):
+                 cut, k0, coeff=1.0):
         self.frame = frame
         self.bessel = bessel
         self.nu = float(nu)
         self.w = w
         self.cut = cut
-        self.L = float(L)
         self.k0 = float(k0)
         self.coeff = complex(coeff)
 
     # radial cutoff chi_L = 1 - chi(2 r / L) and its r-derivatives
     def _chiL(self, r):
-        s = 2.0 / self.L
+        s = 2.0 / self.frame.L
         chi, dchi, d2chi = self.cut(s * np.asarray(r, dtype=float))
         return 1.0 - chi, -s * dchi, -s * s * d2chi
 
@@ -203,7 +201,7 @@ class LiftField:
     def value(self, x, y):
         r, th = self.frame.polar(x, y)
         out = np.zeros(np.shape(r), dtype=complex)
-        act = (r < self.L) & (r > 0)
+        act = (r < self.frame.L) & (r > 0)
         if np.any(act):
             chi, _, _ = self._chiL(r[act])
             out[act] = (self.coeff * chi * self._bessel(r[act])
@@ -223,7 +221,7 @@ class LiftField:
         r, _ = self.frame.polar(x1, np.zeros_like(x1))
         trace = np.zeros(x1.shape, dtype=complex)
         dx2 = np.zeros(x1.shape, dtype=complex)
-        act = (r < self.L) & (r > 0)
+        act = (r < self.frame.L) & (r > 0)
         if np.any(act):
             jump_w, jump_dw = self.w.slit_jumps()
             chi, _, _ = self._chiL(r[act])
@@ -236,7 +234,7 @@ class LiftField:
         """[Lap, chi_L] v = v Lap(chi_L) + 2 grad(chi_L) . grad(v)."""
         r, th = self.frame.polar(x, y)
         out = np.zeros(np.shape(r), dtype=complex)
-        act = (r > 0.25 * self.L) & (r < self.L)
+        act = (r > 0.25 * self.frame.L) & (r < self.frame.L)
         if not np.any(act):
             return out
         ra, tha = r[act], th[act]
@@ -247,19 +245,6 @@ class LiftField:
         lap_chi = d2chi + dchi / ra
         out[act] = self.coeff * wv * (Z * lap_chi + 2.0 * dchi * dZ)
         return out
-
-
-def build_lift_J(frame: CornerFrame, w11: AngularProfile, cut, k0,
-                 coeff=1.0) -> LiftField:
-    """Singular lift J_{lambda_1 - 1}(k0 r) w_{1,1}(theta) with cutoff."""
-    return LiftField(frame, bessel_j_array, lambda_n(1, frame.theta) - 1.0,
-                     w11, cut, frame.L, k0, coeff)
-
-
-def build_lift_Y(frame: CornerFrame, cut, k0, coeff=1.0) -> LiftField:
-    """Decaying-mode lift Y_{lambda_1}(k0 r) w_{1,0}(theta) with cutoff."""
-    return LiftField(frame, bessel_y_array, lambda_n(1, frame.theta),
-                     w_base(1, frame.theta), cut, frame.L, k0, coeff)
 
 
 def extract_ell(evaluate, frame: CornerFrame, k0):

@@ -54,13 +54,17 @@ class StudyConfig:
     nf_h0: float = 0.45
     nf_degree: int = 2
     cutoff: str = "exp"
-    # cap on the reference-system size; solve_exact raises above it
+    # cap on the reference-system size, which guards memory; solve_exact
+    # raises above it.  800,000 admits delta = 1/128 (446,408 P3 dofs,
+    # 1.7 GB peak) and stops delta = 1/256 (851,694 dofs, 2.6 GB)
     exact_max_dofs: int = 800_000
 
     def __post_init__(self):
         if not self.alpha > 0:
             raise ValueError("alpha must be positive")
         for d in self.deltas:
+            if not d > 0:
+                raise ValueError(f"delta {d} must be positive")
             q = 2.0 * self.params.L / d
             if abs(q - round(q)) > 1e-9:
                 raise ValueError(f"delta {d} does not divide the wall")

@@ -8,19 +8,6 @@ import numpy as np
 
 from .errors import UnknownTag
 
-VALID_TAGS = {
-    "GammaR_minus",
-    "GammaR_plus",
-    "GammaN",
-    "GammaHole",
-    "GammaInterface_top",
-    "GammaInterface_bottom",
-    "Truncation",
-    "Periodic_left",
-    "Periodic_right",
-}
-
-
 @dataclass
 class Mesh:
     """Conforming triangulation with tagged boundary edges.
@@ -33,7 +20,7 @@ class Mesh:
     nodes: np.ndarray           # (N, 2) float
     elements: np.ndarray        # (M, 3) int, positively oriented
     boundary_edges: np.ndarray  # (K, 2) int
-    boundary_tags: list         # K strings from VALID_TAGS
+    boundary_tags: list         # K strings, one tag per boundary edge
 
     def __post_init__(self):
         self.nodes = np.asarray(self.nodes, dtype=float).reshape(-1, 2)
@@ -66,8 +53,6 @@ class Mesh:
         return np.min(angs, axis=0)
 
     def edges_with_tag(self, tag: str) -> np.ndarray:
-        if tag not in VALID_TAGS:
-            raise UnknownTag(f"unknown boundary tag {tag!r}")
         idx = [i for i, t in enumerate(self.boundary_tags) if t == tag]
         if not idx:
             raise UnknownTag(f"boundary tag {tag!r} is not on this mesh")

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 
 from thinwall import fem
-from thinwall.cascade import TransmissionData, solve_transmission
+from thinwall.cascade import solve_transmission
 from thinwall.geometry import GeometrySpec, _rect_loop, build_limit_domain
 from thinwall.params import DomainParams, HoleSpec
 from thinwall.triangulate import triangulate
@@ -152,11 +152,10 @@ class ManufacturedTransmission:
         return g
 
     def data(self):
-        return TransmissionData(
-            f=self.volume_load, g=self.jump_g, h=self.jump_h,
-            boundary={"GammaR_plus": self.robin(+1.0),
-                      "GammaR_minus": self.robin(-1.0),
-                      "GammaN": self.neumann})
+        return dict(f=self.volume_load, g=self.jump_g, h=self.jump_h,
+                    boundary={"GammaR_plus": self.robin(+1.0),
+                              "GammaR_minus": self.robin(-1.0),
+                              "GammaN": self.neumann})
 
 
 def transmission_solve(h0, degree, k0=2.0):
@@ -166,7 +165,7 @@ def transmission_solve(h0, degree, k0=2.0):
     man = ManufacturedTransmission(p)
     geo = replace(build_limit_domain(p), grading_layers=0)
     space = fem.Space(triangulate(geo, h0), degree)
-    field = solve_transmission(space, p, man.data())
+    field = solve_transmission(space, p, **man.data())
     return l2_error(space, field.coeffs, man.exact)
 
 

@@ -5,7 +5,7 @@ from helpers import transmission_solve
 from thinwall import fem
 from thinwall.cascade import (_Clamped, _interface_pairs, build_expansion,
                               build_limit_space, compute_u00,
-                              solve_transmission, TransmissionData)
+                              solve_transmission)
 from thinwall.cell import EffectiveConstants
 from thinwall.errors import IndexUnsupported
 from thinwall.params import DomainParams
@@ -57,7 +57,7 @@ def test_interface_jump_is_imposed_exactly():
     p = DomainParams(k0=2.0)
     space = build_limit_space(p, h0=0.17, degree=2)
     g = lambda x: np.exp(1j * x) * (p.L ** 2 - x ** 2)
-    u = solve_transmission(space, p, TransmissionData(g=g))
+    u = solve_transmission(space, p, g=g)
     xs, top, bot = _interface_pairs(space)
     np.testing.assert_allclose(u.coeffs[top] - u.coeffs[bot], g(xs),
                                rtol=1e-12, atol=1e-12)
@@ -66,8 +66,8 @@ def test_interface_jump_is_imposed_exactly():
 def test_continuous_interface_ties_dofs():
     p = DomainParams(k0=2.0)
     space = build_limit_space(p, h0=0.17, degree=2)
-    u = solve_transmission(space, p, TransmissionData(
-        boundary={"GammaR_minus": lambda x, y: np.ones(np.shape(x), complex)}))
+    u = solve_transmission(space, p, boundary={
+        "GammaR_minus": lambda x, y: np.ones(np.shape(x), complex)})
     xs, top, bot = _interface_pairs(space)
     np.testing.assert_allclose(u.coeffs[top], u.coeffs[bot], atol=1e-13)
 

@@ -171,6 +171,24 @@ def test_number_flags_take_the_config_forms():
     assert (args.nf_Rmax, args.nf_h0, args.cell_h0) == (20.0, 9 / 20, 3 / 50)
 
 
+@pytest.mark.parametrize("value", ["1/0", "pi/0", "2*pi/0", "abc"])
+def test_bad_number_flag_is_a_usage_error(value, capsys):
+    # argparse exits 2 with its usage line, naming the type "number"
+    with pytest.raises(SystemExit) as exc:
+        _parser().parse_args(["cell-constants", "--h0", value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:")
+    assert f"invalid number value: '{value}'" in err
+
+
+def test_zero_denominator_in_a_config_raises_value_error():
+    with pytest.raises(ValueError, match="zero denominator in '1/0'"):
+        _study_config({"cell_h0": "1/0"})
+    with pytest.raises(ValueError, match="zero denominator"):
+        _study_config({"deltas": "1/8, 1/0"})
+
+
 def test_out_names_the_file_written(tmp_path, capsys):
     out = tmp_path / "ref.json"
     rc = main(["solve-exact", "--delta", "0.5", "--h0", "0.3", "--degree",

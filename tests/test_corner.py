@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from helpers import OddConstants, minus_corner_profiles
-from thinwall.bessel import bessel_j_array
-from thinwall.corner import (ELL_RADII, CornerFrame, build_lift_J,
-                             build_lift_Y, extract_ell, jump_data, lambda_n,
-                             solve_angular_profile, w_base)
+from thinwall.bessel import bessel_j_array, bessel_y_array
+from thinwall.corner import (ELL_RADII, CornerFrame, LiftField, extract_ell,
+                             jump_data, lambda_n, solve_angular_profile,
+                             w_base)
 from thinwall.cutoff import make_cutoff
 from thinwall.errors import IllConditioned
 
@@ -141,7 +141,8 @@ def test_minus_frame_is_plus_frame_mirrored():
 def _plus_lift(k0=K0):
     frame = CornerFrame("plus", 0.5, THETA)
     w11 = solve_angular_profile(1, 0.4, -0.25, THETA)
-    return build_lift_J(frame, w11, make_cutoff("exp"), k0, coeff=1.3)
+    return LiftField(frame, bessel_j_array, lambda_n(1, THETA) - 1.0, w11,
+                     make_cutoff("exp"), k0, coeff=1.3)
 
 
 def test_lift_vanishes_outside_support():
@@ -191,8 +192,9 @@ def test_lift_slit_jumps_match_one_sided_fd():
     w11 = solve_angular_profile(1, 0.4, -0.25, THETA)
     h = 2e-5
     for side, sgn_x in (("plus", 1.0), ("minus", -1.0)):
-        lift = build_lift_J(CornerFrame(side, 0.5, THETA), w11,
-                            make_cutoff("exp"), K0, coeff=1.3)
+        lift = LiftField(CornerFrame(side, 0.5, THETA), bessel_j_array,
+                         lambda_n(1, THETA) - 1.0, w11, make_cutoff("exp"),
+                         K0, coeff=1.3)
         x1 = sgn_x * np.array([0.2, 0.35, 0.42])
         faces = []
         for sgn in (1.0, -1.0):
@@ -211,8 +213,9 @@ def test_lift_slit_jumps_match_one_sided_fd():
 
 
 def test_y_lift_has_no_slit_jumps():
-    lift = build_lift_Y(CornerFrame("minus", 0.5, THETA), make_cutoff("exp"),
-                        K0, coeff=0.7 - 0.2j)
+    lift = LiftField(CornerFrame("minus", 0.5, THETA), bessel_y_array,
+                     lambda_n(1, THETA), w_base(1, THETA), make_cutoff("exp"),
+                     K0, coeff=0.7 - 0.2j)
     trace, dx2 = lift.slit_jumps(np.array([-0.45, -0.3, -0.1, 0.2]))
     assert np.all(trace == 0) and np.all(dx2 == 0)
 

@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from thinwall.bessel import bessel_j_array
-from thinwall.corner import LiftField
+from thinwall.corner import CornerFrame, LiftField
 from thinwall.cutoff import make_cutoff
 
 
@@ -49,8 +49,8 @@ def test_derivatives_match_finite_differences(cut):
 
 def test_corner_cutoff_plateaus():
     # the radial cut-off depends on the profile and L only
-    lift = LiftField(None, bessel_j_array, 1.0, None, make_cutoff("exp"),
-                     L=0.5, k0=1.0)
+    lift = LiftField(CornerFrame("plus", 0.5, 1.5 * np.pi), bessel_j_array,
+                     1.0, None, make_cutoff("exp"), k0=1.0)
     val = lambda r: lift._chiL(r)[0]
     dval = lambda r: lift._chiL(r)[1]
     assert val(0.1) == 1.0  # r < L/2

@@ -94,3 +94,10 @@ def test_study_config_validation():
         StudyConfig(deltas=(0.3,))
     with pytest.raises(ValueError):
         StudyConfig(alpha=0.0)
+
+
+@pytest.mark.parametrize("deltas", [(0.0,), (-1 / 8, 1 / 16), (1 / 8, -0.25)])
+def test_non_positive_delta_raises_before_the_sweep(deltas):
+    # -1/8 divides the wall, so only the sign check stops it
+    with pytest.raises(ValueError, match="must be positive"):
+        StudyConfig(deltas=deltas)

@@ -165,15 +165,14 @@ def _save_npz(path, **arrays):
     return path
 
 
-def cmd_cell_constants(args):
-    constants = cell_constants(_config_of(args))
+def cmd_cell_constants(args, cfg):
+    constants = cell_constants(cfg)
     print(json.dumps({k: [v.real, v.imag] if isinstance(v, complex) else v
                       for k, v in constants.as_dict().items()}, indent=2))
     return 0
 
 
-def cmd_nearfield(args):
-    cfg = _config_of(args)
+def cmd_nearfield(args, cfg):
     p = cfg.params
     sol = solve_S((args.side,), args.n, cell_constants(cfg), p.hole,
                   theta=p.theta, Rmax=cfg.nf_Rmax, h0=cfg.nf_h0,
@@ -182,8 +181,7 @@ def cmd_nearfield(args):
     return 0
 
 
-def cmd_solve_exact(args):
-    cfg = _config_of(args)
+def cmd_solve_exact(args, cfg):
     res = solve_exact(cfg.params, args.delta, h0=cfg.exact_h0,
                       degree=cfg.exact_degree, grading=cfg.exact_grading,
                       max_dofs=cfg.exact_max_dofs)
@@ -198,8 +196,7 @@ def cmd_solve_exact(args):
     return 0
 
 
-def cmd_cascade(args):
-    cfg = _config_of(args)
+def cmd_cascade(args, cfg):
     exp, L_minus_1, _ = build_model(cfg)
     space = exp.u00.space
     payload = {
@@ -219,13 +216,11 @@ def cmd_cascade(args):
     return 0
 
 
-def cmd_study(args):
-    cfg = parse_config(args.config)
-    windows = _windows(cfg)
-    rep = run_study(_study_config(cfg))
+def cmd_study(args, cfg):
+    rep = run_study(cfg)
     csv_path = emit_outputs(rep, args.out)
     print(f"wrote {csv_path}")
-    lines, ok = _acceptance_checks(windows, rep)
+    lines, ok = _acceptance_checks(args.windows, rep)
     for line in lines:
         print(line)
     return 0 if ok else 1
@@ -282,5 +277,13 @@ def _parser():
 
 
 def main(argv=None):
-    args = _parser().parse_args(argv)
-    return args.fn(args)
+    ap = _parser()
+    args = ap.parse_args(argv)
+    try:
+        # before any work, and a usage error as the same value as a flag is
+        args.windows = _windows(parse_config(args.config) if args.config
+                                else {})
+        cfg = _config_of(args)
+    except ValueError as err:
+        ap.error(str(err))
+    return args.fn(args, cfg)

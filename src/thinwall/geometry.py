@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -18,6 +19,7 @@ from .params import DomainParams, HoleSpec
 
 __all__ = [
     "GeometrySpec",
+    "HoleRow",
     "build_limit_domain",
     "build_perforated_domain",
     "build_cell_geometry",
@@ -25,6 +27,15 @@ __all__ = [
 ]
 
 ARC_STEP = 0.02  # largest angular step of the cone's truncation arc
+
+
+class HoleRow(NamedTuple):
+    """A row of congruent holes: period k is the box [x + k p, x + (k+1) p]
+    x [y - p/2, y + p/2] about origin (x, y), for 0 <= k < count."""
+
+    origin: tuple
+    period: float
+    count: int
 
 
 @dataclass
@@ -39,6 +50,13 @@ class GeometrySpec:
     corner_vertices: points the mesh is graded into.
     grading_layers: depth of that grading: the mesh size halves towards a
     corner vertex down to h0 / 2^grading_layers; 0 leaves it ungraded.
+    row: the HoleRow the hole loops repeat along, or None.  triangulate
+    meshes one period box with its hole once, its edges (the seams)
+    sampled at a fixed fraction of the sizing (triangulate.SEAM_SIZE), and
+    tiles it over every period whose box lies inside the domain and is
+    sized by its own hole alone: the corner grading is nowhere finer on it.
+    A period box holds the hole whose centroid falls in it.  None meshes
+    every hole on its own.
     Together with the hole loops, whose sizing triangulate derives from
     their edges, these are everything the mesher reads besides h0.
     """
@@ -49,6 +67,7 @@ class GeometrySpec:
     slit: bool = False
     corner_vertices: list = field(default_factory=list)
     grading_layers: int = 0
+    row: HoleRow | None = None
 
     def bbox(self):
         pts = np.vstack([p for p, _ in self.loops])
@@ -108,7 +127,8 @@ def build_limit_domain(p: DomainParams) -> GeometrySpec:
 
 
 def build_perforated_domain(p: DomainParams, delta: float) -> GeometrySpec:
-    """The physical domain with q = 2L/delta scaled holes along the layer."""
+    """The physical domain with q = 2L/delta scaled holes along the layer,
+    its row of period delta from x = -L."""
     q_real = 2.0 * p.L / delta
     q = round(q_real)
     if q < 1 or abs(q_real - q) > 1e-9 * q:
@@ -120,6 +140,7 @@ def build_perforated_domain(p: DomainParams, delta: float) -> GeometrySpec:
         loops=[(pts, tags)],
         corner_vertices=[(-p.L, 0.0), (p.L, 0.0)],
         grading_layers=8,
+        row=HoleRow((-p.L, 0.0), delta, q),
     )
     if p.hole.is_empty:
         return geo
@@ -182,7 +203,8 @@ def build_cone_geometry(theta: float, Rmax: float,
 
     The sector spans the angles (0, theta) about the origin, with a copy of
     the counter-clockwise cell polygon (cell units) in each period
-    (-ell, 1 - ell) of the negative X1 axis.  The minus corner's cone is the
+    (-ell, 1 - ell) of the negative X1 axis, which is its row of unit
+    period.  The minus corner's cone is the
     image under x -> -x of this cone built on the polygon mirrored about
     X1 = 1/2 (nearfield.side_polygon).
     """
@@ -193,9 +215,10 @@ def build_cone_geometry(theta: float, Rmax: float,
     arc = Rmax * np.column_stack([np.cos(ang), np.sin(ang)])
     pts = np.vstack([[0.0, 0.0], arc])
     tags = ["GammaN"] + ["Truncation"] * n_arc + ["GammaN"]
-    geo = GeometrySpec(loops=[(pts, tags)], corner_vertices=[(0.0, 0.0)],
-                       grading_layers=6)
     n_holes = int(math.floor(Rmax)) if len(polygon) else 0
+    geo = GeometrySpec(loops=[(pts, tags)], corner_vertices=[(0.0, 0.0)],
+                       grading_layers=6,
+                       row=HoleRow((-float(n_holes), 0.0), 1.0, n_holes))
     for ell in range(1, n_holes + 1):
         poly = np.column_stack([polygon[:, 0] - ell, polygon[:, 1]])
         if np.max(np.hypot(poly[:, 0], poly[:, 1])) >= Rmax - 0.3:

@@ -62,6 +62,9 @@ class StudyConfig:
     def __post_init__(self):
         if not self.alpha > 0:
             raise ValueError("alpha must be positive")
+        for name in ("exact_h0", "limit_h0", "cell_h0", "nf_h0"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
         for d in self.deltas:
             if not d > 0:
                 raise ValueError(f"delta {d} must be positive")

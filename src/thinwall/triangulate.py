@@ -6,17 +6,35 @@ refinement (encroached-segment splitting + circumcenter insertion) driven
 by a spatial sizing function with geometric corner grading.  The
 orientation and incircle tests are a float filter with an exact integer
 fallback (Shewchuk, Discrete Comput. Geom. 18, 1997).
+
+A geometry with a hole row (GeometrySpec.row) has its congruent periods
+tiled.  A period is tiled where its sizing is the tile's, translated: its
+box [x, x + p] x [y - p/2, y + p/2] lies inside the domain, so its own hole
+is the nearest one on it, and the corner grading is nowhere finer on it
+than the hole term (_tiled_periods).  The first such period, box and
+hole, is meshed once; its box edges, the seams, are sampled at SEAM_SIZE
+times the sizing and never split, and the left seam is a copy of the
+right's samples.  The rest of the domain is meshed as before around each
+run of consecutive tiled periods, which it sees as a hole bounded by the
+tiles' outer seam nodes, kept as they are.  Translated copies of the tile
+are then joined to it by node index; seams are not boundary edges.
+Refinement cannot split a seam, so it leaves a triangle whose circumcentre
+encroaches one; seams finer than the sizing make that rare.  At SEAM_SIZE
+0.4, 24 of 25 reference and cone meshes (delta 1/8 to 1/64, five h0 each)
+keep the 26 degree bound; at 0.5, 10 of them keep a 20.9 degree triangle
+at a tile's side seam.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import MeshFailure
-from .geometry import GeometrySpec
+from .geometry import GeometrySpec, HoleRow
 from .mesh import Mesh
 
 __all__ = ["triangulate"]
@@ -24,6 +42,8 @@ __all__ = ["triangulate"]
 MIN_ANGLE_DEG = 26.0     # refinement splits triangles with a smaller angle
 MAX_INSERT = 400_000     # refinement insertions before MeshFailure
 GRADING_SIGMA = 0.5      # size ratio of successive layers of corner grading
+SEAM = "Seam"            # tag of a tile's box edges, never a boundary edge
+SEAM_SIZE = 0.4          # seams are sampled at this fraction of the sizing
 
 
 # -- geometric predicates (float filter, exact integer fallback) ----------------
@@ -433,6 +453,14 @@ class _Triangulation:
 
 # -- top-level driver -----------------------------------------------------------
 
+def _plateau(poly):
+    """(cx, cy, h_loc, rad + 2 h_loc) of a hole loop: its centroid, its
+    longest edge, and the radius out to which that edge size holds."""
+    hh = float(np.max(np.linalg.norm(np.roll(poly, -1, 0) - poly, axis=1)))
+    return (*map(float, poly.mean(axis=0)), hh,
+            0.5 * float(np.ptp(poly[:, 0])) + 2.0 * hh)
+
+
 def _make_sizing(geo: GeometrySpec, h0: float):
     """Target element size (x, y) -> h: the least of the background h0,
     the hole plateaus and the corner grading.
@@ -451,11 +479,7 @@ def _make_sizing(geo: GeometrySpec, h0: float):
     nearest; only the terms that can match its term are evaluated, with
     np.hypot as over all holes and corners, so each value is unchanged.
     """
-    holes = []
-    for poly, _ in geo.loops[1:]:
-        hh = float(np.max(np.linalg.norm(np.roll(poly, -1, 0) - poly, axis=1)))
-        holes.append((*map(float, poly.mean(axis=0)), hh,
-                      0.5 * float(np.ptp(poly[:, 0])) + 2.0 * hh))
+    holes = [_plateau(poly) for poly, _ in geo.loops[1:]]
     reach = [hr + (h0 - hh) / 0.7 for _, _, hh, hr in holes]
     hh_min = min((hole[2] for hole in holes), default=h0)
     hr_max = max((hole[3] for hole in holes), default=0.0)
@@ -518,55 +542,222 @@ def _sample_edge(a, b, sizing):
     return out
 
 
+class _Pslg:
+    """Points and the constrained segments (ia, ib, _Seg) joining them; a
+    point added twice keeps its first index."""
+
+    def __init__(self):
+        self.pts, self.req, self._index = [], [], {}
+
+    def path(self, samples, info, closed=False):
+        """Add the segments between consecutive samples (closed: and back to
+        the first); returns the samples' point indices."""
+        ids = []
+        for xy in samples:
+            key = (float(xy[0]), float(xy[1]))
+            if key not in self._index:
+                self._index[key] = len(self.pts)
+                self.pts.append(key)
+            ids.append(self._index[key])
+        self.req.extend(zip(ids, ids[1:] + ids[:1] if closed else ids[1:],
+                            itertools.repeat(info)))
+        return ids
+
+    def add(self, loops, chains, slit, sizing):
+        """Loops and chains, each edge sampled at the sizing."""
+        for loop, tags in loops:
+            n = len(loop)
+            edges = [_sample_edge(loop[i], loop[(i + 1) % n], sizing)
+                     for i in range(n)]
+            if "Periodic_left" in tags:
+                # the sizing need not be periodic: the left edge is the right
+                # edge's samples, translated and reversed, so the two match
+                i, j = tags.index("Periodic_right"), tags.index("Periodic_left")
+                sx, sy = loop[j] - loop[(i + 1) % n]
+                edges[j] = [(x + sx, y + sy) for x, y in edges[i][::-1]]
+            for tag, samples in zip(tags, edges):
+                splittable = tag not in ("Periodic_left", "Periodic_right")
+                self.path(samples, _Seg(tag, splittable, False))
+        for chain, tag in chains:
+            for i in range(len(chain) - 1):
+                self.path(_sample_edge(chain[i], chain[i + 1], sizing),
+                          _Seg(tag, True, slit))
+
+
+def _mesh(g: _Pslg, seeds, lo, hi, sizing):
+    """Mesh g inside the box lo-hi, carve from the seeds and refine to the
+    sizing; returns the Mesh and the mesh node of each of g's points."""
+    tri = _Triangulation([float(v) for v in lo], [float(v) for v in hi])
+    actual = [tri.insert(x, y) for x, y in g.pts]
+    for ia, ib, info in g.req:
+        tri.recover_segment(actual[ia], actual[ib], info)
+    tri.carve(seeds)
+    tri.refine(sizing)
+    # a seam's nodes are shared with the mesh on its other side
+    if any(info.tag == SEAM
+           and tri._seg_key(actual[ia], actual[ib]) not in tri.segs
+           for ia, ib, info in g.req):
+        raise MeshFailure("a seam was split")
+    mesh, remap = _extract(tri)
+    return mesh, np.array([remap.get(v, -1) for v in actual])
+
+
 def triangulate(geo: GeometrySpec, h0: float) -> Mesh:
     """Mesh a GeometrySpec at background size h0 and return a tagged Mesh;
     the geometry carries every other sizing input (_make_sizing)."""
     if not h0 > 0:
         raise ValueError("h0 must be positive")
     sizing = _make_sizing(geo, h0)
-
-    pts = []
-    index = {}
-
-    def pid(xy):
-        key = (float(xy[0]), float(xy[1]))
-        if key not in index:
-            index[key] = len(pts)
-            pts.append(key)
-        return index[key]
-
-    req = []  # (provisional id a, provisional id b, _Seg)
-    for loop, tags in geo.loops:
-        n = len(loop)
-        edges = [_sample_edge(loop[i], loop[(i + 1) % n], sizing)
-                 for i in range(n)]
-        if "Periodic_left" in tags:
-            # the sizing need not be periodic: the left edge is the right
-            # edge's samples, translated and reversed, so the two match
-            i, j = tags.index("Periodic_right"), tags.index("Periodic_left")
-            sx, sy = loop[j] - loop[(i + 1) % n]
-            edges[j] = [(x + sx, y + sy) for x, y in edges[i][::-1]]
-        for tag, samples in zip(tags, edges):
-            splittable = tag not in ("Periodic_left", "Periodic_right")
-            for s0, s1 in zip(samples[:-1], samples[1:]):
-                req.append((pid(s0), pid(s1), _Seg(tag, splittable, False)))
-    for chain, tag in geo.chains:
-        for i in range(len(chain) - 1):
-            samples = _sample_edge(chain[i], chain[i + 1], sizing)
-            for s0, s1 in zip(samples[:-1], samples[1:]):
-                req.append((pid(s0), pid(s1), _Seg(tag, True, geo.slit)))
-
-    lo, hi = geo.bbox()
-    tri = _Triangulation(lo.tolist(), hi.tolist())
-    actual = [tri.insert(x, y) for x, y in pts]
-    for ia, ib, info in req:
-        tri.recover_segment(actual[ia], actual[ib], info)
-    tri.carve(geo.hole_seeds)
-    tri.refine(sizing)
-    return _extract(tri)
+    tiles = _tiled_periods(geo, h0)
+    if tiles:
+        return _tile_row(geo, h0, sizing, tiles)
+    g = _Pslg()
+    g.add(geo.loops, geo.chains, geo.slit, sizing)
+    return _mesh(g, geo.hole_seeds, *geo.bbox(), sizing)[0]
 
 
-def _extract(tri: _Triangulation) -> Mesh:
+# -- tiling the hole row -----------------------------------------------------------
+
+def _period_box(row: HoleRow, k):
+    """(x0, x1, y0, y1) of the row's period k."""
+    (x, y), p = row.origin, row.period
+    return x + k * p, x + (k + 1) * p, y - 0.5 * p, y + 0.5 * p
+
+
+def _touches(a, b, box):
+    """Which segments a[i]-b[i] meet the closed box (x0, x1, y0, y1)."""
+    x0, x1, y0, y1 = box
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    near = ((lo[:, 0] <= x1) & (hi[:, 0] >= x0)
+            & (lo[:, 1] <= y1) & (hi[:, 1] >= y0))
+    d = b - a
+    side = np.array([d[:, 0] * (cy - a[:, 1]) - d[:, 1] * (cx - a[:, 0])
+                     for cx in (x0, x1) for cy in (y0, y1)])
+    return near & ~((side > 0).all(axis=0) | (side < 0).all(axis=0))
+
+
+def _tiled_periods(geo: GeometrySpec, h0: float) -> dict:
+    """{period k: index of its hole loop} of the row periods triangulate
+    tiles: those whose sizing is the tile's, translated.
+
+    Period k holds the hole whose centroid falls in its box, strictly inside
+    the box.  The box must touch no other edge of the geometry: it then lies
+    inside the domain, and on it the nearest hole, so the least hole term,
+    is its own.  The corner grading must be nowhere finer on it than
+    min(h0, hole term), which is checked by the least grading term on the
+    box against the largest hole term.
+    """
+    row = geo.row
+    if row is None:
+        return {}
+    holes, segs = {}, [(geo.loops[0][0], np.roll(geo.loops[0][0], -1, 0))]
+    segs += [(chain[:-1], chain[1:]) for chain, _ in geo.chains]
+    for i, (poly, _) in enumerate(geo.loops[1:], 1):
+        k = math.floor((poly[:, 0].mean() - row.origin[0]) / row.period)
+        x0, x1, y0, y1 = _period_box(row, k)
+        if (0 <= k < row.count and k not in holes
+                and x0 < poly[:, 0].min() and poly[:, 0].max() < x1
+                and y0 < poly[:, 1].min() and poly[:, 1].max() < y1):
+            holes[k] = i
+        else:
+            segs.append((poly, np.roll(poly, -1, 0)))
+    a, b = (np.vstack(s) for s in zip(*segs))
+    corners = np.array(geo.corner_vertices if geo.grading_layers else [],
+                       dtype=float).reshape(-1, 2)
+    tiles = {}
+    for k, i in sorted(holes.items()):
+        box = x0, x1, y0, y1 = _period_box(row, k)
+        if _touches(a, b, box).any():
+            continue
+        if len(corners):
+            gap = np.hypot(*(np.clip(corners, (x0, y0), (x1, y1)) - corners).T)
+            finest = max(h0 * GRADING_SIGMA ** geo.grading_layers,
+                         (1.0 - GRADING_SIGMA) * float(gap.min()))
+            cx, cy, hh, hr = _plateau(geo.loops[i][0])
+            far = max(math.hypot(x - cx, y - cy) for x in (x0, x1)
+                      for y in (y0, y1))
+            if finest < min(h0, hh + 0.7 * max(far - hr, 0.0)):
+                continue
+        tiles[k] = i
+    return tiles
+
+
+def _tile_row(geo: GeometrySpec, h0: float, sizing, tiles: dict) -> Mesh:
+    """Mesh the first tiled period once, with its box edges (the seams)
+    sampled at SEAM_SIZE times its sizing and the left seam a copy of the
+    right; mesh the rest of the domain around each run of consecutive tiled
+    periods, whose outer seam nodes it keeps as they are; and join the
+    translated tiles to it by node index."""
+    row = geo.row
+    k0 = min(tiles)
+    x0, x1, y0, y1 = _period_box(row, k0)
+    box = (np.array([[x0, y0], [x1, y0], [x1, y1], [x0, y1]]), [SEAM] * 4)
+    hole = geo.loops[tiles[k0]]
+    tile_sizing = _make_sizing(GeometrySpec(loops=[box, hole]), h0)
+
+    def seam_sizing(x, y):
+        return SEAM_SIZE * tile_sizing(x, y)
+
+    bottom = _sample_edge((x0, y0), (x1, y0), seam_sizing)
+    right = _sample_edge((x1, y0), (x1, y1), seam_sizing)
+    top = _sample_edge((x1, y1), (x0, y1), seam_sizing)
+    left = [(x0, y) for _, y in right[::-1]]
+    sides = (bottom, right, top, left)
+    g = _Pslg()
+    ids = g.path([xy for side in sides for xy in side[:-1]],
+                 _Seg(SEAM, False), closed=True)
+    g.add([hole], [], False, tile_sizing)
+    tile, node = _mesh(g, [geo.hole_seeds[tiles[k0] - 1]], (x0, y0),
+                       (x1, y1), tile_sizing)
+    # each side's tile nodes, in sampling order, corners included
+    start = np.cumsum([0] + [len(side) - 1 for side in sides])
+    b, r, t, l = (node[np.take(ids, np.arange(s, s + len(side)), mode="wrap")]
+                  for s, side in zip(start, sides))
+
+    untiled = [i for i in range(1, len(geo.loops)) if i not in tiles.values()]
+    rest = _Pslg()
+    rest.add([geo.loops[0]] + [geo.loops[i] for i in untiled], geo.chains,
+             geo.slit, sizing)
+    seeds = [geo.hole_seeds[i - 1] for i in untiled]
+    ks = sorted(tiles)
+    runs = np.split(np.array(ks), np.flatnonzero(np.diff(ks) != 1) + 1)
+    blocks = []
+    for run in runs:
+        # tile nodes of the run, numbered tile by tile; a tile's left seam
+        # is the previous tile's right seam
+        gid = np.arange(len(run) * tile.num_nodes).reshape(len(run), -1)
+        gid[1:, l] = gid[:-1, r[::-1]]
+        shift = np.zeros((len(run), 1, 2))
+        shift[:, 0, 0] = (run - k0) * row.period
+        xy = (tile.nodes + shift).reshape(-1, 2)
+        # the run's outline, counter-clockwise from its lower left corner
+        edge = np.concatenate([gid[:, b[:-1]].ravel(), gid[-1, r[:-1]],
+                               gid[::-1, t[:-1]].ravel(), gid[0, l[:-1]]])
+        pids = rest.path(xy[edge], _Seg(SEAM, False), closed=True)
+        xa, xb = _period_box(row, run[0])[0], _period_box(row, run[-1])[1]
+        seeds.append((0.5 * (xa + xb), 0.5 * (y0 + y1)))
+        blocks.append((gid, xy, edge, pids))
+    mesh, node = _mesh(rest, seeds, *geo.bbox(), sizing)
+
+    nodes, elements = [mesh.nodes], [mesh.elements]
+    edges, tags = [mesh.boundary_edges], list(mesh.boundary_tags)
+    n = mesh.num_nodes
+    for gid, xy, edge, pids in blocks:
+        final = np.full(len(xy), -1)
+        final[edge] = node[pids]
+        inner = np.setdiff1d(gid, edge)
+        final[inner] = n + np.arange(len(inner))
+        n += len(inner)
+        nodes.append(xy[inner])
+        elements.append(final[gid[:, tile.elements]].reshape(-1, 3))
+        edges.append(final[gid[:, tile.boundary_edges]].reshape(-1, 2))
+        tags += tile.boundary_tags * len(gid)
+    return Mesh(np.vstack(nodes), np.vstack(elements), np.vstack(edges), tags)
+
+
+def _extract(tri: _Triangulation):
+    """The alive triangles as a Mesh, and the map from triangulation vertex
+    to mesh node."""
     alive = [t for t in range(len(tri.tris))
              if not tri.dead[t] and tri.status[t] == _ALIVE]
     if not alive:
@@ -595,8 +786,8 @@ def _extract(tri: _Triangulation) -> Mesh:
     slit_items = []
     for key, info in tri.segs.items():
         rows = seg_adj.get(key, [])
-        if not rows:
-            continue  # buried in a carved region
+        if not rows or info.tag == SEAM:
+            continue  # buried in a carved region, or joined to a tile
         u, v = (remap[key[0]], remap[key[1]])
         if info.slit and len(rows) == 2:
             slit_items.append((u, v))
@@ -633,4 +824,4 @@ def _extract(tri: _Triangulation) -> Mesh:
     areas = mesh.element_areas()
     if np.any(areas <= 0):
         raise MeshFailure("extraction produced a non-positive element")
-    return mesh
+    return mesh, remap

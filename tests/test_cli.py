@@ -115,7 +115,7 @@ def test_acceptance_checks_logic():
 @pytest.mark.parametrize("window", ["0.85", "0.85, 1.1, 2", "1.1, 0.85",
                                     "0.85, x"])
 def test_check_windows_are_read_before_the_sweep(tmp_path, monkeypatch,
-                                                 window):
+                                                 capsys, window):
     path = tmp_path / "c.cfg"
     path.write_text(f"check_e1 = 1.2, 1.45\ncheck_e0 = {window}\n")
 
@@ -123,8 +123,10 @@ def test_check_windows_are_read_before_the_sweep(tmp_path, monkeypatch,
         raise AssertionError("the sweep ran before the windows were read")
 
     monkeypatch.setattr(cli, "run_study", no_study)
-    with pytest.raises(ValueError, match="check_e0"):
+    with pytest.raises(SystemExit) as exc:
         main(["study", "--config", str(path), "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "check_e0" in capsys.readouterr().err
 
 
 def test_cli_cell_constants_smoke(capsys):
@@ -187,6 +189,36 @@ def test_zero_denominator_in_a_config_raises_value_error():
         _study_config({"cell_h0": "1/0"})
     with pytest.raises(ValueError, match="zero denominator"):
         _study_config({"deltas": "1/8, 1/0"})
+
+
+@pytest.mark.parametrize("line, message", [
+    ("cell_h0 = 1/0", "zero denominator in '1/0'"),
+    ("cell_h0 = -0.1", "cell_h0 must be positive"),
+    ("cell_h = 0.1", "unknown config key: cell_h"),
+    ("check_e0 = 1.1, 0.85", "check_e0 = 1.1, 0.85: expected 'lo, hi'"),
+])
+def test_bad_config_value_is_a_usage_error(tmp_path, capsys, monkeypatch,
+                                           line, message):
+    path = tmp_path / "c.cfg"
+    path.write_text(line + "\n")
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the command ran on a bad config")
+
+    monkeypatch.setattr(cli, "cell_constants", no_work)
+    with pytest.raises(SystemExit) as exc:
+        main(["cell-constants", "--config", str(path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:")
+    assert f"thinwall: error: {message}" in err
+
+
+def test_non_positive_h0_flag_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["cell-constants", "--h0", "-0.1"])
+    assert exc.value.code == 2
+    assert "cell_h0 must be positive" in capsys.readouterr().err
 
 
 def test_out_names_the_file_written(tmp_path, capsys):

@@ -101,3 +101,10 @@ def test_non_positive_delta_raises_before_the_sweep(deltas):
     # -1/8 divides the wall, so only the sign check stops it
     with pytest.raises(ValueError, match="must be positive"):
         StudyConfig(deltas=deltas)
+
+
+@pytest.mark.parametrize("name", ["exact_h0", "limit_h0", "cell_h0", "nf_h0"])
+@pytest.mark.parametrize("value", [0.0, -0.05])
+def test_non_positive_mesh_size_raises_before_the_sweep(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be positive"):
+        StudyConfig(**{name: value})

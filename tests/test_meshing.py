@@ -1,3 +1,4 @@
+import functools
 import importlib.util
 import itertools
 import math
@@ -13,8 +14,9 @@ from thinwall.geometry import (GeometrySpec, _rect_loop, build_cell_geometry,
                                build_perforated_domain)
 from thinwall.nearfield import side_polygon
 from thinwall.params import DomainParams, HoleSpec
-from thinwall.triangulate import (GRADING_SIGMA, _incircle, _make_sizing,
-                                  _orient, _sample_edge, triangulate)
+from thinwall.triangulate import (GRADING_SIGMA, SEAM, _incircle, _make_sizing,
+                                  _orient, _period_box, _sample_edge,
+                                  _tiled_periods, triangulate)
 
 
 def square_geo():
@@ -263,7 +265,134 @@ def test_coarse_meshes_keep_their_hashes():
     tool = _mesh_hashes_tool()
     pins = {("cell", 0.15): "281115d6778f5339",
             ("limit", 0.08): "fe17d03fbef2837c",
-            ("ref 1/8", 0.1): "bd5e170b1b0c0bc2"}
+            ("ref 1/8", 0.1): "eea16f4f66c5df0e"}
     got = {(name, h0): tool.mesh_hash(triangulate(build(), h0))
            for name, h0, build in tool.MESHES if (name, h0) in pins}
     assert got == pins
+
+
+# -- tiled hole rows -------------------------------------------------------------
+
+def _graded_over_period_3():
+    """δ = 1/8 with one more graded corner a quarter period above period
+    3's box: its grading is finer than the hole term on periods 2 to 4."""
+    geo = build_perforated_domain(DomainParams(), 1 / 8)
+    x0, x1, _, y1 = _period_box(geo.row, 3)
+    extra = (0.5 * (x0 + x1), y1 + 0.25 * geo.row.period)
+    return replace(geo, corner_vertices=geo.corner_vertices + [extra])
+
+
+# name: (geometry, h0, the periods tiled); every period but the one next to
+# a corner or cut by the truncation arc is tiled
+TILED = {
+    "ref 1/8": (lambda: build_perforated_domain(DomainParams(), 1 / 8), 0.1,
+                range(1, 7)),
+    "ref 1/16": (lambda: build_perforated_domain(DomainParams(), 1 / 16), 0.1,
+                 range(1, 15)),
+    "ref 1/64": (lambda: build_perforated_domain(DomainParams(), 1 / 64), 0.05,
+                 range(1, 63)),
+    "cone": (lambda: build_cone_geometry(1.5 * math.pi, 20.0,
+                                         side_polygon("plus", HoleSpec())),
+             0.9, range(1, 19)),
+    "ref 1/8, graded over period 3": (_graded_over_period_3, 0.1, [1, 5, 6]),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _tiled(name):
+    build, h0, _ = TILED[name]
+    geo = build()
+    return geo, h0, triangulate(geo, h0), _tiled_periods(geo, h0)
+
+
+def _shoelace(poly):
+    x, y = poly[:, 0], poly[:, 1]
+    return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(np.roll(x, -1), y))
+
+
+def _in_box(points, box):
+    x0, x1, y0, y1 = box
+    return ((points[:, 0] > x0) & (points[:, 0] < x1)
+            & (points[:, 1] > y0) & (points[:, 1] < y1))
+
+
+@pytest.mark.parametrize("name", list(TILED))
+def test_tiled_mesh_is_conforming_and_sound(name):
+    geo, _, mesh, tiles = _tiled(name)
+    assert sorted(tiles) == list(TILED[name][2])
+    e = np.sort(mesh.elements[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+    edges, count = np.unique(e, axis=0, return_counts=True)
+    assert count.max() == 2
+    tagged = np.unique(np.sort(mesh.boundary_edges, axis=1), axis=0)
+    np.testing.assert_array_equal(edges[count == 1], tagged)
+    assert SEAM not in mesh.boundary_tags
+    assert len(np.unique(mesh.elements)) == mesh.num_nodes
+    assert mesh.min_angles_deg().min() >= 26.0
+    area = _shoelace(geo.loops[0][0]) - sum(_shoelace(poly)
+                                             for poly, _ in geo.loops[1:])
+    np.testing.assert_allclose(mesh.element_areas().sum(), area, rtol=1e-12)
+
+
+@pytest.mark.parametrize("name", list(TILED))
+def test_every_hole_keeps_its_edges(name):
+    geo, _, mesh, _ = _tiled(name)
+    holes = [poly for poly, _ in geo.loops[1:]]
+    centres = np.array([poly.mean(axis=0) for poly in holes])
+    ends = mesh.nodes[mesh.edges_with_tag("GammaHole")]
+    mid = ends.mean(axis=1)
+    owner = np.argmin(np.hypot(*(mid[:, None, :] - centres[None]).T), axis=0)
+    length = np.linalg.norm(ends[:, 1] - ends[:, 0], axis=1)
+    for i, poly in enumerate(holes):
+        assert np.sum(owner == i) >= len(poly) == 32
+        perimeter = np.linalg.norm(np.roll(poly, -1, 0) - poly, axis=1).sum()
+        np.testing.assert_allclose(length[owner == i].sum(), perimeter,
+                                   rtol=1e-12)
+        # each polygon vertex is a mesh node
+        gap = np.hypot(*(poly[:, None, :] - mesh.nodes[None]).T).min(axis=0)
+        assert gap.max() < 1e-12 * geo.row.period
+
+
+def _canonical(tris):
+    """Triangles (n, 3, 2) as one sorted array: vertices in lexicographic
+    order within each triangle, then the triangles in order."""
+    order = np.lexsort((tris[:, :, 1], tris[:, :, 0]), axis=1)
+    tris = np.take_along_axis(tris, order[:, :, None], axis=1).reshape(-1, 6)
+    return tris[np.lexsort(tris.T[::-1])]
+
+
+@pytest.mark.parametrize("name", list(TILED))
+def test_tiled_periods_are_the_tile_translated(name):
+    geo, _, mesh, tiles = _tiled(name)
+    row = geo.row
+    tris = mesh.nodes[mesh.elements]
+    centroid = tris.mean(axis=1)
+    k0 = min(tiles)
+    tile = _canonical(tris[_in_box(centroid, _period_box(row, k0))])
+    for k in tiles:
+        mine = tris[_in_box(centroid, _period_box(row, k))].copy()
+        mine[:, :, 0] -= (k - k0) * row.period
+        got = _canonical(mine)
+        assert got.shape == tile.shape
+        np.testing.assert_allclose(got, tile, rtol=0,
+                                   atol=1e-12 * abs(row.origin[0]) + 1e-15)
+
+
+@pytest.mark.parametrize("name", list(TILED))
+def test_tiled_periods_are_sized_as_the_tile(name):
+    geo, h0, _, tiles = _tiled(name)
+    row = geo.row
+    sizing = _make_sizing(geo, h0)
+    k0 = min(tiles)
+    x0, x1, y0, y1 = _period_box(row, k0)
+    box = (np.array([[x0, y0], [x1, y0], [x1, y1], [x0, y1]]), [SEAM] * 4)
+    tile_sizing = _make_sizing(GeometrySpec(loops=[box, geo.loops[tiles[k0]]]),
+                               h0)
+    rng = np.random.default_rng(3)
+    local = np.vstack([rng.uniform((0.0, y0), (row.period, y1), (60, 2)),
+                       [(0.0, y0), (row.period, y0), (0.0, y1),
+                        (row.period, y1), (0.5 * row.period, y0)]])
+    for k in tiles:
+        for dx, y in local:
+            want = tile_sizing(x0 + dx, y)
+            got = sizing(_period_box(row, k)[0] + dx, y)
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)

@@ -7,13 +7,15 @@ Run from the repository root:
 
 Each row is one mesh of the study's geometries (default DomainParams and
 HoleSpec, cell T = 6, cone at theta = 3 pi/2 and Rmax = 20): its name, h0,
-node and element counts, and the first 16 hex digits of a sha256 over the
-nodes, elements, boundary edges and boundary tags.  A change to the mesher
-that is meant to leave the meshes alone must leave this table unchanged.
+node and element counts, the first 16 hex digits of a sha256 over the
+nodes, elements, boundary edges and boundary tags, and the seconds
+triangulate took.  A change to the mesher that is meant to leave the meshes
+alone must leave this table unchanged but for the seconds.
 """
 
 import hashlib
 import math
+import time
 
 from thinwall.geometry import (build_cell_geometry, build_cone_geometry,
                                build_limit_domain, build_perforated_domain)
@@ -62,12 +64,16 @@ def mesh_hash(mesh):
 
 
 def main():
-    print("| mesh | h0 | nodes | elements | hash (16 hex) |")
-    print("|---|---|---|---|---|")
+    print("| mesh | h0 | nodes | elements | hash (16 hex) | seconds |")
+    print("|---|---|---|---|---|---|")
     for name, h0, build in MESHES:
-        mesh = triangulate(build(), h0)
+        geo = build()
+        start = time.perf_counter()
+        mesh = triangulate(geo, h0)
+        seconds = time.perf_counter() - start
         print(f"| {name} | {h0:g} | {mesh.num_nodes:,} | "
-              f"{mesh.num_elements:,} | {mesh_hash(mesh)} |", flush=True)
+              f"{mesh.num_elements:,} | {mesh_hash(mesh)} | {seconds:.2f} |",
+              flush=True)
 
 
 if __name__ == "__main__":

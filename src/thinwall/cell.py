@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fem
-from .cutoff import CutoffSpec, make_cutoff
+from .cutoff import make_cutoff
 from .errors import CompatibilityViolated
 from .geometry import build_cell_geometry
 from .params import HoleSpec
@@ -102,8 +102,8 @@ def _energy_pairing(K, a: fem.Field, b: fem.Field) -> complex:
 
 
 def build_cell(hole: HoleSpec, T: float = 6.0, h0: float = 0.06,
-               degree: int = 3, cutoff="exp") -> CellSolution:
-    cut = cutoff if isinstance(cutoff, CutoffSpec) else make_cutoff(cutoff)
+               degree: int = 3, cutoff: str = "exp") -> CellSolution:
+    cut = make_cutoff(cutoff)
     mesh = triangulate(build_cell_geometry(hole, T), h0)
     space = fem.Space(mesh, degree)
     if hole.is_empty:

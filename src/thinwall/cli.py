@@ -79,15 +79,18 @@ def _eval_number(s):
 _eval_number.__name__ = "number"
 
 
-# StudyConfig fields set by a flat key, with the type each value is read as
-_FIELDS = {"alpha": _eval_number, "exact_h0": _eval_number,
-           "exact_degree": int, "limit_h0": _eval_number, "limit_degree": int,
-           "cell_T": _eval_number, "cell_h0": _eval_number, "cell_degree": int,
-           "nf_Rmax": _eval_number, "nf_h0": _eval_number, "nf_degree": int,
-           "cutoff": str, "exact_max_dofs": int}
-# DomainParams fields set by a flat key; hole_radius sets the hole
-_PARAMS = {"L": _eval_number, "Lp": _eval_number, "H": _eval_number,
-           "Hp": _eval_number, "theta": _eval_number, "k0": _eval_number}
+_READ = {"float": _eval_number, "int": int, "str": str}
+
+
+def _keys(cls):
+    """{field: how a flat value is read} of cls's float, int, str fields."""
+    return {f.name: _READ[t] for f in dataclasses.fields(cls)
+            if (t := getattr(f.type, "__name__", f.type)) in _READ}
+
+
+# the StudyConfig and DomainParams fields a flat key sets; hole_radius sets
+# the hole and deltas the sweep
+_FIELDS, _PARAMS = _keys(StudyConfig), _keys(DomainParams)
 
 
 def _params_from(cfg: dict) -> DomainParams:
@@ -119,10 +122,14 @@ def _study_config(cfg: dict) -> StudyConfig:
 
 def _config_of(args) -> StudyConfig:
     """--config (or the defaults) with every flag given on the command line
-    on top; a flag's dest is the StudyConfig field it sets."""
+    on top; a flag's dest is the StudyConfig field it sets, and --delta is
+    the sweep, so that it is checked as a study's delta is."""
     cfg = _study_config(parse_config(args.config) if args.config else {})
-    return dataclasses.replace(cfg, **{k: v for k, v in vars(args).items()
-                                       if k in _FIELDS and v is not None})
+    flags = {k: v for k, v in vars(args).items()
+             if k in _FIELDS and v is not None}
+    if getattr(args, "delta", None) is not None:
+        flags["deltas"] = (args.delta,)
+    return dataclasses.replace(cfg, **flags)
 
 
 def _windows(cfg: dict) -> dict:

@@ -1,9 +1,9 @@
 """Parametric construction of every meshed domain.
 
 A GeometrySpec is a planar straight-line graph: one outer loop, optional
-hole loops (with carve seeds), and optional internal constraint chains
-(the slit interface).  All curved pieces (disk holes, truncation arcs) are
-already polygonized here; the triangulator only ever sees straight segments.
+hole loops, and optional internal constraint chains (the slit interface).
+All curved pieces (disk holes, truncation arcs) are already polygonized
+here; the triangulator only ever sees straight segments.
 """
 
 from __future__ import annotations
@@ -44,9 +44,11 @@ class GeometrySpec:
 
     loops: list of (points (n,2), tags list of n) - edge i joins point i to
     point (i+1) mod n.  The first loop is the outer boundary; the rest are
-    holes, each with a seed point in hole_seeds.
-    chains: list of (points (n,2), tag) - open internal constraint chains;
-    slit chains are doubled into node-disjoint copies after triangulation.
+    holes.  Every hole loop is convex (a disk polygon scaled, shifted or
+    mirrored), and triangulate carves it from the mean of its vertices.
+    chains: list of (points (n,2), tag) - open internal constraint chains.
+    Every chain is a slit: it is doubled into node-disjoint copies after
+    triangulation, tagged GammaInterface_top and GammaInterface_bottom.
     corner_vertices: points the mesh is graded into.
     grading_layers: depth of that grading: the mesh size halves towards a
     corner vertex down to h0 / 2^grading_layers; 0 leaves it ungraded.
@@ -62,9 +64,7 @@ class GeometrySpec:
     """
 
     loops: list
-    hole_seeds: list = field(default_factory=list)
     chains: list = field(default_factory=list)
-    slit: bool = False
     corner_vertices: list = field(default_factory=list)
     grading_layers: int = 0
     row: HoleRow | None = None
@@ -81,9 +81,8 @@ def _rect_loop(x0, x1, y0, y1, tags):
 
 
 def _add_hole(geo: GeometrySpec, poly: np.ndarray):
-    """Append a hole loop and its carve seed to geo."""
+    """Append a hole loop to geo."""
     geo.loops.append((poly, ["GammaHole"] * len(poly)))
-    geo.hole_seeds.append(tuple(poly.mean(axis=0)))
 
 
 def _chamber_wall_points(p: DomainParams):
@@ -120,7 +119,6 @@ def build_limit_domain(p: DomainParams) -> GeometrySpec:
     return GeometrySpec(
         loops=[(pts, tags)],
         chains=[(chain, "GammaInterface_top")],
-        slit=True,
         corner_vertices=[(-p.L, 0.0), (p.L, 0.0)],
         grading_layers=9,
     )

@@ -65,11 +65,18 @@ class StudyConfig:
         for name in ("exact_h0", "limit_h0", "cell_h0", "nf_h0"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
+        for name in ("exact_degree", "limit_degree", "cell_degree",
+                     "nf_degree"):
+            if getattr(self, name) not in (1, 2, 3):
+                raise ValueError(f"{name} must be 1, 2 or 3")
+        if not self.exact_max_dofs >= 1:
+            raise ValueError("exact_max_dofs must be at least 1")
         for d in self.deltas:
             if not d > 0:
                 raise ValueError(f"delta {d} must be positive")
+            # the wall holds 2L / delta periods, a positive whole number
             q = 2.0 * self.params.L / d
-            if abs(q - round(q)) > 1e-9:
+            if not (0.5 <= q < math.inf and abs(q - round(q)) <= 1e-9):
                 raise ValueError(f"delta {d} does not divide the wall")
 
 

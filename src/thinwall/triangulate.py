@@ -14,9 +14,9 @@ is the nearest one on it, and the corner grading is nowhere finer on it
 than the hole term (_tiled_periods).  The first such period, box and
 hole, is meshed once; its box edges, the seams, are sampled at SEAM_SIZE
 times the sizing and never split, and the left seam is a copy of the
-right's samples.  The rest of the domain is meshed as before around each
-run of consecutive tiled periods, which it sees as a hole bounded by the
-tiles' outer seam nodes, kept as they are.  Translated copies of the tile
+right's samples.  The rest of the domain is meshed around each run of
+consecutive tiled periods, which it sees as a hole bounded by the tiles'
+outer seam nodes, kept as they are.  Translated copies of the tile
 are then joined to it by node index; seams are not boundary edges.
 Refinement cannot split a seam, so it leaves a triangle whose circumcentre
 encroaches one; seams finer than the sizing make that rare.  At SEAM_SIZE
@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,7 +103,9 @@ class _Seg:
     slit: bool = False
 
 
-_UNDECIDED, _ALIVE, _DEAD = 0, 1, 2
+# triangle states: region undecided, meshed, carved out, and removed from
+# the structure by an insertion
+_UNDECIDED, _ALIVE, _CARVED, _GONE = 0, 1, 2, 3
 
 
 class _Triangulation:
@@ -116,8 +119,7 @@ class _Triangulation:
         self.sv = (0, 1, 2)
         self.tris = [[0, 1, 2]]        # [a, b, c] CCW
         self.adj = [[-1, -1, -1]]      # neighbor opposite each vertex, -1 none
-        self.dead = [False]            # removed from the structure
-        self.status = [_UNDECIDED]     # region status per triangle
+        self.status = [_UNDECIDED]     # state per triangle
         self.segs = {}                 # (min,max) vertex pair -> _Seg
         self.vert2tri = {0: 0, 1: 0, 2: 0}
         self.last = 0
@@ -128,11 +130,11 @@ class _Triangulation:
         """Return (tri, kind, aux): kind in {'in','edge','vertex'}.
 
         For 'edge', aux is the local edge index (opposite vertex aux);
-        for 'vertex', aux is the global vertex id.
+        for 'vertex', aux is the global vertex id.  The walk starts from
+        hint, or else from the triangle the last walk found or made; both
+        are always in the structure.
         """
         t = hint if hint is not None else self.last
-        if t >= len(self.tris) or self.dead[t]:
-            t = next(i for i in range(len(self.tris) - 1, -1, -1) if not self.dead[i])
         px, py = self.px, self.py
         for step in range(4 * len(self.tris) + 64):
             a, b, c = self.tris[t]
@@ -168,8 +170,7 @@ class _Triangulation:
         t, kind, aux = self.locate(x, y, hint)
         if kind == "vertex":
             return aux
-        tris, adj, segs, status, dead = (self.tris, self.adj, self.segs,
-                                         self.status, self.dead)
+        tris, adj, segs, status = self.tris, self.adj, self.segs, self.status
         px, py = self.px, self.py
         p = len(px)
         px.append(x)
@@ -207,7 +208,7 @@ class _Triangulation:
         boundary = []
         for s in in_cav:
             vs, ns, st = tris[s], adj[s], status[s]
-            dead[s] = True
+            status[s] = _GONE
             for i in (0, 1, 2):
                 if ns[i] not in in_cav:
                     boundary.append((vs[i - 2], vs[i - 1], ns[i], st, s))
@@ -217,7 +218,6 @@ class _Triangulation:
         for tid, (u, v, n, st, s_in) in enumerate(boundary, first):
             tris.append([u, v, p])
             adj.append([-1, -1, n])
-            dead.append(False)
             status.append(st)
             if n != -1:
                 an = adj[n]
@@ -243,7 +243,7 @@ class _Triangulation:
 
     def edge_exists(self, u, v):
         t0 = self.vert2tri.get(u)
-        if t0 is None or self.dead[t0]:
+        if t0 is None or self.status[t0] == _GONE:
             t0 = self._find_incident(u)
         for t in self._around(u, t0):
             if v in self.tris[t]:
@@ -252,7 +252,7 @@ class _Triangulation:
 
     def _find_incident(self, u):
         for t in range(len(self.tris) - 1, -1, -1):
-            if not self.dead[t] and u in self.tris[t]:
+            if self.status[t] != _GONE and u in self.tris[t]:
                 self.vert2tri[u] = t
                 return t
         raise MeshFailure(f"vertex {u} lost from triangulation")
@@ -263,7 +263,7 @@ class _Triangulation:
         stack = [t0]
         while stack:
             t = stack.pop()
-            if t in seen or t == -1 or self.dead[t]:
+            if t in seen or t == -1 or self.status[t] == _GONE:
                 continue
             if u not in self.tris[t]:
                 continue
@@ -301,17 +301,18 @@ class _Triangulation:
 
     # -- carving -----------------------------------------------------------------
 
-    def carve(self, hole_seeds):
+    def carve(self, seeds):
+        """Mark every undecided triangle carved or alive: flood from the
+        super vertices' triangles and from each seed's, up to the
+        constrained segments, carves; whatever is left is alive."""
         n = len(self.tris)
-        for t in range(n):
-            self.status[t] = _UNDECIDED
         sv = set(self.sv)
 
         def flood(start, mark):
             stack = [start]
             while stack:
                 t = stack.pop()
-                if t == -1 or self.dead[t] or self.status[t] != _UNDECIDED:
+                if t == -1 or self.status[t] != _UNDECIDED:
                     continue
                 self.status[t] = mark
                 vs = self.tris[t]
@@ -322,14 +323,13 @@ class _Triangulation:
                     stack.append(self.adj[t][i])
 
         for t in range(n):
-            if not self.dead[t] and (set(self.tris[t]) & sv):
-                if self.status[t] == _UNDECIDED:
-                    flood(t, _DEAD)
-        for sx, sy in hole_seeds:
+            if self.status[t] == _UNDECIDED and set(self.tris[t]) & sv:
+                flood(t, _CARVED)
+        for sx, sy in seeds:
             t, _, _ = self.locate(sx, sy)
-            flood(t, _DEAD)
+            flood(t, _CARVED)
         for t in range(n):
-            if not self.dead[t] and self.status[t] == _UNDECIDED:
+            if self.status[t] == _UNDECIDED:
                 flood(t, _ALIVE)
 
     # -- refinement ----------------------------------------------------------------
@@ -351,14 +351,11 @@ class _Triangulation:
     def refine(self, sizing):
         ratio_bound = 0.5 / math.sin(math.radians(MIN_ANGLE_DEG))
         inserted = 0
-        stack = [t for t in range(len(self.tris))
-                 if not self.dead[t] and self.status[t] == _ALIVE]
+        stack = [t for t in range(len(self.tris)) if self.status[t] == _ALIVE]
         skip = set()
         while stack:
             t = stack.pop()
-            if t >= len(self.tris) or self.dead[t] or self.status[t] != _ALIVE:
-                continue
-            if t in skip:
+            if self.status[t] != _ALIVE or t in skip:
                 continue
             cc = self._circum(t)
             if cc is None:
@@ -378,16 +375,12 @@ class _Triangulation:
                 continue
             if inserted >= MAX_INSERT:
                 raise MeshFailure("refinement exceeded the insertion budget")
-            # walk from t towards the circumcenter, watching constraints
-            blocked = self._walk_blocked(t, ux, uy)
+            blocked, tc = self._walk(t, ux, uy)
             if blocked is None:
-                blocked = self._encroached(ux, uy, t)
+                blocked = self._encroached(ux, uy, tc)
+            before = len(self.tris)
             if blocked is None:
-                before = len(self.tris)
-                self.insert(ux, uy, hint=t)
-                inserted += 1
-                stack.extend(range(before, len(self.tris)))
-                stack.append(t)
+                self.insert(ux, uy, hint=tc)
             else:
                 u, v = blocked
                 key = self._seg_key(u, v)
@@ -397,19 +390,18 @@ class _Triangulation:
                 if not self.segs[key].splittable or seglen < 0.55 * hseg:
                     skip.add(t)
                     continue
-                before = len(self.tris)
                 self.split_segment(u, v, self.segs.pop(key))
-                inserted += 1
-                stack.extend(range(before, len(self.tris)))
-                stack.append(t)
+            inserted += 1
+            stack.extend(range(before, len(self.tris)))
+            stack.append(t)
 
-    def _encroached(self, x, y, hint):
+    def _encroached(self, x, y, tc):
         """Constrained segment near (x, y) whose diametral circle contains it.
 
-        Only the 1-ring around the containing triangle is checked; that is
-        where encroachment by a circumcenter insertion actually matters.
+        Only the 1-ring around tc, the triangle containing (x, y), is
+        checked; that is where encroachment by a circumcenter insertion
+        actually matters.
         """
-        tc, _, _ = self.locate(x, y, hint)
         cand = [tc] + [n for n in self.adj[tc] if n != -1]
         for t in cand:
             vs = self.tris[t]
@@ -424,31 +416,33 @@ class _Triangulation:
                     return (u, v)
         return None
 
-    def _walk_blocked(self, t, x, y):
-        """Walk from triangle t towards (x, y).
-
-        Returns None if (x, y) is reachable inside the alive region, else the
-        constrained segment (u, v) that blocks the straight path.
+    def _walk(self, t, x, y):
+        """Walk from alive triangle t towards the circumcenter (x, y): returns
+        ((u, v), None) if constrained segment (u, v) blocks the straight path,
+        else (None, the triangle holding (x, y)), which locate finds if the
+        walk leaves the alive region or runs out of steps.  As in locate,
+        that triangle starts the next walk: the midpoint of a segment split
+        next lies on an edge, and its start picks which triangle it finds.
         """
         px, py = self.px, self.py
         cur = t
         for _ in range(len(self.tris)):
-            a, b, c = self.tris[cur]
+            a, b, c = vs = self.tris[cur]
             o0 = _orient(px[b], py[b], px[c], py[c], x, y)
             o1 = _orient(px[c], py[c], px[a], py[a], x, y)
             o2 = _orient(px[a], py[a], px[b], py[b], x, y)
             if o0 >= 0 and o1 >= 0 and o2 >= 0:
-                return None
+                self.last = cur
+                return None, cur
             worst = min((o0, 0), (o1, 1), (o2, 2))[1]
-            vs = self.tris[cur]
             u, v = vs[(worst + 1) % 3], vs[(worst + 2) % 3]
             if self._seg_key(u, v) in self.segs:
-                return (u, v)
+                return (u, v), None
             nxt = self.adj[cur][worst]
             if nxt == -1 or self.status[nxt] != _ALIVE:
-                return (u, v) if self._seg_key(u, v) in self.segs else None
+                break
             cur = nxt
-        return None
+        return None, self.locate(x, y, t)[0]
 
 
 # -- top-level driver -----------------------------------------------------------
@@ -543,28 +537,25 @@ def _sample_edge(a, b, sizing):
 
 
 class _Pslg:
-    """Points and the constrained segments (ia, ib, _Seg) joining them; a
-    point added twice keeps its first index."""
+    """Points, each mapped to its index in order of addition, and the
+    constrained segments (ia, ib, _Seg) joining them; a point added twice
+    keeps its first index."""
 
     def __init__(self):
-        self.pts, self.req, self._index = [], [], {}
+        self.pts, self.req = {}, []
 
     def path(self, samples, info, closed=False):
         """Add the segments between consecutive samples (closed: and back to
         the first); returns the samples' point indices."""
-        ids = []
-        for xy in samples:
-            key = (float(xy[0]), float(xy[1]))
-            if key not in self._index:
-                self._index[key] = len(self.pts)
-                self.pts.append(key)
-            ids.append(self._index[key])
+        ids = [self.pts.setdefault((float(x), float(y)), len(self.pts))
+               for x, y in samples]
         self.req.extend(zip(ids, ids[1:] + ids[:1] if closed else ids[1:],
                             itertools.repeat(info)))
         return ids
 
-    def add(self, loops, chains, slit, sizing):
-        """Loops and chains, each edge sampled at the sizing."""
+    def add(self, loops, chains, sizing):
+        """Loops and chains, each edge sampled at the sizing; every chain
+        is a slit."""
         for loop, tags in loops:
             n = len(loop)
             edges = [_sample_edge(loop[i], loop[(i + 1) % n], sizing)
@@ -577,11 +568,11 @@ class _Pslg:
                 edges[j] = [(x + sx, y + sy) for x, y in edges[i][::-1]]
             for tag, samples in zip(tags, edges):
                 splittable = tag not in ("Periodic_left", "Periodic_right")
-                self.path(samples, _Seg(tag, splittable, False))
+                self.path(samples, _Seg(tag, splittable))
         for chain, tag in chains:
             for i in range(len(chain) - 1):
                 self.path(_sample_edge(chain[i], chain[i + 1], sizing),
-                          _Seg(tag, True, slit))
+                          _Seg(tag, True, True))
 
 
 def _mesh(g: _Pslg, seeds, lo, hi, sizing):
@@ -604,16 +595,42 @@ def _mesh(g: _Pslg, seeds, lo, hi, sizing):
 
 def triangulate(geo: GeometrySpec, h0: float) -> Mesh:
     """Mesh a GeometrySpec at background size h0 and return a tagged Mesh;
-    the geometry carries every other sizing input (_make_sizing)."""
+    the geometry carries every other sizing input (_make_sizing).
+
+    Every hole loop is convex and is carved from the mean of its vertices.
+    The rest of the domain (outer loop, chains, untiled holes) is meshed
+    around each run of tiled periods (_tile_runs), whose translated tiles
+    are joined to it by node index; with no tiled period it is the mesh.
+    """
     if not h0 > 0:
         raise ValueError("h0 must be positive")
     sizing = _make_sizing(geo, h0)
     tiles = _tiled_periods(geo, h0)
-    if tiles:
-        return _tile_row(geo, h0, sizing, tiles)
-    g = _Pslg()
-    g.add(geo.loops, geo.chains, geo.slit, sizing)
-    return _mesh(g, geo.hole_seeds, *geo.bbox(), sizing)[0]
+    untiled = [loop for i, loop in enumerate(geo.loops[1:], 1)
+               if i not in tiles.values()]
+    rest = _Pslg()
+    rest.add([geo.loops[0]] + untiled, geo.chains, sizing)
+    tile, runs = _tile_runs(geo, h0, tiles)
+    outlines = [rest.path(xy[edge], _Seg(SEAM, False), closed=True)
+                for _, xy, edge, _ in runs]
+    seeds = ([poly.mean(axis=0) for poly, _ in untiled]
+             + [seed for *_, seed in runs])
+    mesh, node = _mesh(rest, seeds, *geo.bbox(), sizing)
+
+    nodes, elements = [mesh.nodes], [mesh.elements]
+    edges, tags = [mesh.boundary_edges], list(mesh.boundary_tags)
+    n = mesh.num_nodes
+    for (gid, xy, edge, _), pids in zip(runs, outlines):
+        final = np.full(len(xy), -1)
+        final[edge] = node[pids]
+        inner = np.setdiff1d(gid, edge)
+        final[inner] = n + np.arange(len(inner))
+        n += len(inner)
+        nodes.append(xy[inner])
+        elements.append(final[gid[:, tile.elements]].reshape(-1, 3))
+        edges.append(final[gid[:, tile.boundary_edges]].reshape(-1, 2))
+        tags += tile.boundary_tags * len(gid)
+    return Mesh(np.vstack(nodes), np.vstack(elements), np.vstack(edges), tags)
 
 
 # -- tiling the hole row -----------------------------------------------------------
@@ -682,12 +699,18 @@ def _tiled_periods(geo: GeometrySpec, h0: float) -> dict:
     return tiles
 
 
-def _tile_row(geo: GeometrySpec, h0: float, sizing, tiles: dict) -> Mesh:
+def _tile_runs(geo: GeometrySpec, h0: float, tiles: dict):
     """Mesh the first tiled period once, with its box edges (the seams)
     sampled at SEAM_SIZE times its sizing and the left seam a copy of the
-    right; mesh the rest of the domain around each run of consecutive tiled
-    periods, whose outer seam nodes it keeps as they are; and join the
-    translated tiles to it by node index."""
+    right, and lay it over each run of consecutive tiled periods.
+
+    Returns the tile's Mesh (None without tiles) and, per run, its tile
+    nodes numbered tile by tile (gid, one row per tile), their translated
+    coordinates xy, the run's outline as indices into xy and a carve seed
+    inside that outline.
+    """
+    if not tiles:
+        return None, []
     row = geo.row
     k0 = min(tiles)
     x0, x1, y0, y1 = _period_box(row, k0)
@@ -706,25 +729,18 @@ def _tile_row(geo: GeometrySpec, h0: float, sizing, tiles: dict) -> Mesh:
     g = _Pslg()
     ids = g.path([xy for side in sides for xy in side[:-1]],
                  _Seg(SEAM, False), closed=True)
-    g.add([hole], [], False, tile_sizing)
-    tile, node = _mesh(g, [geo.hole_seeds[tiles[k0] - 1]], (x0, y0),
-                       (x1, y1), tile_sizing)
+    g.add([hole], [], tile_sizing)
+    tile, node = _mesh(g, [hole[0].mean(axis=0)], (x0, y0), (x1, y1),
+                       tile_sizing)
     # each side's tile nodes, in sampling order, corners included
     start = np.cumsum([0] + [len(side) - 1 for side in sides])
     b, r, t, l = (node[np.take(ids, np.arange(s, s + len(side)), mode="wrap")]
                   for s, side in zip(start, sides))
 
-    untiled = [i for i in range(1, len(geo.loops)) if i not in tiles.values()]
-    rest = _Pslg()
-    rest.add([geo.loops[0]] + [geo.loops[i] for i in untiled], geo.chains,
-             geo.slit, sizing)
-    seeds = [geo.hole_seeds[i - 1] for i in untiled]
     ks = sorted(tiles)
-    runs = np.split(np.array(ks), np.flatnonzero(np.diff(ks) != 1) + 1)
-    blocks = []
-    for run in runs:
-        # tile nodes of the run, numbered tile by tile; a tile's left seam
-        # is the previous tile's right seam
+    runs = []
+    for run in np.split(np.array(ks), np.flatnonzero(np.diff(ks) != 1) + 1):
+        # a tile's left seam is the previous tile's right seam
         gid = np.arange(len(run) * tile.num_nodes).reshape(len(run), -1)
         gid[1:, l] = gid[:-1, r[::-1]]
         shift = np.zeros((len(run), 1, 2))
@@ -733,45 +749,22 @@ def _tile_row(geo: GeometrySpec, h0: float, sizing, tiles: dict) -> Mesh:
         # the run's outline, counter-clockwise from its lower left corner
         edge = np.concatenate([gid[:, b[:-1]].ravel(), gid[-1, r[:-1]],
                                gid[::-1, t[:-1]].ravel(), gid[0, l[:-1]]])
-        pids = rest.path(xy[edge], _Seg(SEAM, False), closed=True)
         xa, xb = _period_box(row, run[0])[0], _period_box(row, run[-1])[1]
-        seeds.append((0.5 * (xa + xb), 0.5 * (y0 + y1)))
-        blocks.append((gid, xy, edge, pids))
-    mesh, node = _mesh(rest, seeds, *geo.bbox(), sizing)
-
-    nodes, elements = [mesh.nodes], [mesh.elements]
-    edges, tags = [mesh.boundary_edges], list(mesh.boundary_tags)
-    n = mesh.num_nodes
-    for gid, xy, edge, pids in blocks:
-        final = np.full(len(xy), -1)
-        final[edge] = node[pids]
-        inner = np.setdiff1d(gid, edge)
-        final[inner] = n + np.arange(len(inner))
-        n += len(inner)
-        nodes.append(xy[inner])
-        elements.append(final[gid[:, tile.elements]].reshape(-1, 3))
-        edges.append(final[gid[:, tile.boundary_edges]].reshape(-1, 2))
-        tags += tile.boundary_tags * len(gid)
-    return Mesh(np.vstack(nodes), np.vstack(elements), np.vstack(edges), tags)
+        runs.append((gid, xy, edge, (0.5 * (xa + xb), 0.5 * (y0 + y1))))
+    return tile, runs
 
 
 def _extract(tri: _Triangulation):
     """The alive triangles as a Mesh, and the map from triangulation vertex
     to mesh node."""
-    alive = [t for t in range(len(tri.tris))
-             if not tri.dead[t] and tri.status[t] == _ALIVE]
+    alive = [t for t in range(len(tri.tris)) if tri.status[t] == _ALIVE]
     if not alive:
         raise MeshFailure("carving removed every triangle")
+    # mesh nodes numbered in order of first use
     remap = {}
-    nodes = []
-    elements = np.empty((len(alive), 3), dtype=np.int64)
-    for row, t in enumerate(alive):
-        for j, v in enumerate(tri.tris[t]):
-            if v not in remap:
-                remap[v] = len(nodes)
-                nodes.append((tri.px[v], tri.py[v]))
-            elements[row, j] = remap[v]
-    nodes = np.array(nodes, dtype=float)
+    elements = np.array([[remap.setdefault(v, len(remap)) for v in tri.tris[t]]
+                         for t in alive], dtype=np.int64)
+    nodes = np.array([(tri.px[v], tri.py[v]) for v in remap], dtype=float)
 
     # adjacency (alive triangle rows) per undirected segment
     seg_adj = {}
@@ -782,8 +775,7 @@ def _extract(tri: _Triangulation):
             if key in tri.segs:
                 seg_adj.setdefault(key, []).append(row)
 
-    bedges, btags = [], []
-    slit_items = []
+    bedges, btags, slit_items = [], [], []
     for key, info in tri.segs.items():
         rows = seg_adj.get(key, [])
         if not rows or info.tag == SEAM:
@@ -795,29 +787,21 @@ def _extract(tri: _Triangulation):
             bedges.append((u, v))
             btags.append(info.tag)
 
-    if slit_items:
-        deg = {}
-        for u, v in slit_items:
-            deg[u] = deg.get(u, 0) + 1
-            deg[v] = deg.get(v, 0) + 1
-        dup = {}
-        for w, d in deg.items():
-            if d >= 2:  # interior slit node: give the lower side its own copy
-                dup[w] = len(nodes) + len(dup)
-        if dup:
-            nodes = np.vstack([nodes, nodes[list(dup.keys())]])
-        # every element incident to a duplicated node and with its centroid
-        # below the slit line takes the lower copies
+    # an interior slit node gives the lower side its own copy: every element
+    # incident to it with its centroid below the slit line takes the copy
+    deg = Counter(itertools.chain.from_iterable(slit_items))
+    dup = {w: len(nodes) + i
+           for i, w in enumerate(w for w, d in deg.items() if d >= 2)}
+    if dup:
+        nodes = np.vstack([nodes, nodes[list(dup)]])
         copy = np.arange(len(nodes))
-        copy[list(dup.keys())] = list(dup.values())
-        below = (np.isin(elements, list(dup.keys())).any(axis=1)
+        copy[list(dup)] = list(dup.values())
+        below = (np.isin(elements, list(dup)).any(axis=1)
                  & (nodes[elements].mean(axis=1)[:, 1] < 0.0))
         elements[below] = copy[elements[below]]
-        for u, v in slit_items:
-            bedges.append((u, v))
-            btags.append("GammaInterface_top")
-            bedges.append((dup.get(u, u), dup.get(v, v)))
-            btags.append("GammaInterface_bottom")
+    for u, v in slit_items:
+        bedges += [(u, v), (dup.get(u, u), dup.get(v, v))]
+        btags += ["GammaInterface_top", "GammaInterface_bottom"]
 
     mesh = Mesh(nodes, elements, np.array(bedges, dtype=np.int64).reshape(-1, 2),
                 btags)

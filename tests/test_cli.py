@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -212,6 +213,39 @@ def test_bad_config_value_is_a_usage_error(tmp_path, capsys, monkeypatch,
     err = capsys.readouterr().err
     assert err.startswith("usage:")
     assert f"thinwall: error: {message}" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["cell-constants", "--degree", "4"], "cell_degree must be 1, 2 or 3"),
+    (["solve-exact", "--delta", "0.3"], "delta 0.3 does not divide the wall"),
+])
+def test_flag_the_study_rejects_is_a_usage_error(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:")
+    assert f"thinwall: error: {message}" in err
+
+
+def test_config_keys_are_the_dataclasses_float_int_str_fields():
+    @dataclasses.dataclass
+    class Probe:
+        a: float = 0.0
+        b: int = 0
+        c: str = ""
+        d: int | None = None
+        e: tuple = ()
+
+    assert cli._keys(Probe) == {"a": _eval_number, "b": int, "c": str}
+    num = _eval_number
+    assert cli._FIELDS == {
+        "alpha": num, "exact_h0": num, "exact_degree": int, "limit_h0": num,
+        "limit_degree": int, "cell_T": num, "cell_h0": num, "cell_degree": int,
+        "nf_Rmax": num, "nf_h0": num, "nf_degree": int, "cutoff": str,
+        "exact_max_dofs": int}
+    assert cli._PARAMS == {key: num for key in ("L", "Lp", "H", "Hp", "theta",
+                                                "k0")}
 
 
 def test_non_positive_h0_flag_is_a_usage_error(capsys):

@@ -96,6 +96,26 @@ def test_study_config_validation():
         StudyConfig(alpha=0.0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("exact_degree", 4), ("limit_degree", 0), ("nf_degree", 5),
+    ("cell_degree", 7)])
+def test_degree_outside_1_to_3_raises_before_the_sweep(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be 1, 2 or 3"):
+        StudyConfig(**{field: value})
+
+
+def test_dof_cap_below_one_raises_before_the_sweep():
+    with pytest.raises(ValueError, match="exact_max_dofs must be at least 1"):
+        StudyConfig(exact_max_dofs=0)
+
+
+@pytest.mark.parametrize("deltas", [(math.inf,), (1 / 8, math.inf)])
+def test_delta_of_no_period_raises_before_the_sweep(deltas):
+    # 2L / inf = 0 is a whole number, but not a positive one
+    with pytest.raises(ValueError, match="does not divide the wall"):
+        StudyConfig(deltas=deltas)
+
+
 @pytest.mark.parametrize("deltas", [(0.0,), (-1 / 8, 1 / 16), (1 / 8, -0.25)])
 def test_non_positive_delta_raises_before_the_sweep(deltas):
     # -1/8 divides the wall, so only the sign check stops it

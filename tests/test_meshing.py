@@ -88,6 +88,33 @@ def test_perforated_mesh_resolves_holes():
         assert not np.any(inside)
 
 
+def test_hole_loop_is_carved_from_its_vertex_mean():
+    # a hand-built convex hole, with nothing but its loop to say it is one
+    pts, tags = _rect_loop(0.0, 1.0, 0.0, 1.0, ("GammaN",) * 4)
+    ang = 2.0 * np.pi * np.arange(32) / 32
+    poly = 0.5 + 0.2 * np.column_stack([np.cos(ang), np.sin(ang)])
+    mesh = triangulate(GeometrySpec(loops=[(pts, tags),
+                                           (poly, ["GammaHole"] * 32)]), 0.1)
+    np.testing.assert_allclose(mesh.element_areas().sum(),
+                               1.0 - _shoelace(poly), rtol=0, atol=1e-12)
+    assert len(mesh.edges_with_tag("GammaHole")) >= 32
+
+
+def test_every_chain_is_a_slit():
+    pts, tags = _rect_loop(-1.0, 1.0, -1.0, 1.0, ("GammaN",) * 4)
+    chain = np.array([[-0.5, 0.0], [0.5, 0.0]])
+    mesh = triangulate(GeometrySpec(loops=[(pts, tags)],
+                                    chains=[(chain, "GammaInterface_top")]),
+                       0.2)
+    top = mesh.edges_with_tag("GammaInterface_top")
+    bot = mesh.edges_with_tag("GammaInterface_bottom")
+    assert len(top) == len(bot) > 0
+    # the two faces share only the chain's ends
+    shared = np.intersect1d(np.unique(top), np.unique(bot))
+    np.testing.assert_allclose(np.sort(mesh.nodes[shared][:, 0]), [-0.5, 0.5])
+    np.testing.assert_allclose(mesh.element_areas().sum(), 4.0, rtol=1e-12)
+
+
 # -- exact predicates ------------------------------------------------------------
 
 def _orient_oracle(ax, ay, bx, by, cx, cy):
@@ -259,11 +286,14 @@ def _mesh_hashes_tool():
 
 
 def test_coarse_meshes_keep_their_hashes():
-    """Node order, elements, boundary edges and tags of three coarse meshes,
+    """Node order, elements, boundary edges and tags of four coarse meshes,
     pinned byte for byte (tools/mesh_hashes.py prints all fourteen).  A
-    mesher change that moves them is a change of the study's numbers."""
+    mesher change that moves them is a change of the study's numbers.  The
+    reference and the cone both tile their hole row, the cone's with unit
+    period from an origin at -19."""
     tool = _mesh_hashes_tool()
     pins = {("cell", 0.15): "281115d6778f5339",
+            ("cone", 0.9): "600be8fc769ab4f5",
             ("limit", 0.08): "fe17d03fbef2837c",
             ("ref 1/8", 0.1): "eea16f4f66c5df0e"}
     got = {(name, h0): tool.mesh_hash(triangulate(build(), h0))

@@ -3,7 +3,7 @@
 
 Run from the repository root:
 
-    PYTHONPATH=src python3 tools/mesh_hashes.py
+    python3 tools/mesh_hashes.py
 
 Each row is one mesh of the study's geometries (default DomainParams and
 HoleSpec, cell T = 6, cone at theta = 3 pi/2 and Rmax = 20): its name, h0,
@@ -15,13 +15,17 @@ alone must leave this table unchanged but for the seconds.
 
 import hashlib
 import math
+import sys
 import time
+from pathlib import Path
 
-from thinwall.geometry import (build_cell_geometry, build_cone_geometry,
-                               build_limit_domain, build_perforated_domain)
-from thinwall.nearfield import side_polygon
-from thinwall.params import DomainParams, HoleSpec
-from thinwall.triangulate import triangulate
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+from thinwall.geometry import (build_cell_geometry,  # noqa: E402
+                               build_cone_geometry, build_limit_domain,
+                               build_perforated_domain)
+from thinwall.nearfield import side_polygon  # noqa: E402
+from thinwall.params import DomainParams, HoleSpec  # noqa: E402
+from thinwall.triangulate import triangulate  # noqa: E402
 
 
 def _cell():

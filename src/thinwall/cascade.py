@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import make_interp_spline
 
 from . import fem
 from .bessel import bessel_j_array, bessel_y_array
@@ -129,6 +128,8 @@ def _interface_samples(space: fem.Space):
 
 
 def _complex_spline(x, vals, k=3):
+    from scipy.interpolate import make_interp_spline
+
     sr = make_interp_spline(x, np.real(vals), k=k)
     si = make_interp_spline(x, np.imag(vals), k=k)
 

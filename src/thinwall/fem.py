@@ -17,6 +17,9 @@ u_full = C u_free + d, and every constrained value (Dirichlet data, a
 prescribed inter-face jump) is the per-solve vector d.  Every operator here
 is symmetric, so the reduced matrix is factored in its own dtype under a
 minimum-degree ordering of A + A^T (George & Liu, SIAM Review 31, 1989).
+SuperLU (Demmel et al., SIAM J. Matrix Anal. Appl. 20, 1999) factors it
+with two fixed supernode settings, RELAX = 1 and PANEL_SIZE = 8 (see
+Solver).
 """
 
 from __future__ import annotations
@@ -35,6 +38,9 @@ __all__ = ["Space", "Constraints", "Solver", "Field", "stiffness", "mass",
            "paired_dofs"]
 
 RTOL = 1e-10         # largest relative residual a direct solve may leave
+# SuperLU's supernode settings (see Solver); SuperLU needs RELAX <= PANEL_SIZE
+RELAX = 1
+PANEL_SIZE = 8
 
 
 # -- reference element ------------------------------------------------------------
@@ -516,6 +522,18 @@ class Solver:
     column's largest entry.  A singular operator, such as a pure-Neumann
     one, needs a fixed dof in the pattern to remove its kernel, and
     compatible loads.
+
+    Supernodes are not relaxed (RELAX = 1), and a panel is PANEL_SIZE = 8
+    columns.  SuperLU's default relaxation makes dense supernodes out of
+    the small subtrees at the leaves of the elimination tree; on these
+    minimum-degree-ordered matrices that leaves L+U as it is and costs time
+    and memory.  At one BLAS thread the study's P3 reference at delta =
+    1/64 (263,910 unknowns) factors in 6.9 s and 848 MB peak with it and
+    in 2.2 s and 528 MB without (tools/factor_table.py); at 1/128 (488,135)
+    it takes 113 s and 2.7 GB with it and 4.1 s and 0.9 GB without.
+    Panels of 2 to 12 columns take about the same time, and a wider one
+    more memory.  SuperLU needs RELAX <= PANEL_SIZE: a relaxation wider
+    than the panel corrupts its heap.
     """
 
     def __init__(self, A, constraints: Constraints | None = None):
@@ -530,7 +548,8 @@ class Solver:
         self.A_red = A_red
         try:
             self.lu = splu(A_red, permc_spec="MMD_AT_PLUS_A",
-                           diag_pivot_thresh=0.01,
+                           diag_pivot_thresh=0.01, relax=RELAX,
+                           panel_size=PANEL_SIZE,
                            options=dict(SymmetricMode=True))
         except RuntimeError as exc:
             raise SingularSystem(f"factorization failed: {exc}") from exc

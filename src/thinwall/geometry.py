@@ -27,6 +27,8 @@ __all__ = [
 ]
 
 ARC_STEP = 0.02  # largest angular step of the cone's truncation arc
+CELL_T_MIN = 4.0      # least half-height T of the periodicity cell
+CONE_RMAX_MIN = 20.0  # least truncation radius of the corner cone
 
 
 class HoleRow(NamedTuple):
@@ -181,8 +183,8 @@ def build_cell_geometry(h: HoleSpec, T: float) -> GeometrySpec:
     have mild r^(lambda-1) singularities there that otherwise dominate the
     error of the cell's energy pairings.
     """
-    if T < 4:
-        raise ValueError("cell truncation must satisfy T >= 4")
+    if not T >= CELL_T_MIN:
+        raise ValueError(f"cell truncation must satisfy T >= {CELL_T_MIN:g}")
     h.validate_in_cell()
     pts, tags = _rect_loop(0.0, 1.0, -T, T,
                            ("Truncation", "Periodic_right", "Truncation", "Periodic_left"))
@@ -206,8 +208,8 @@ def build_cone_geometry(theta: float, Rmax: float,
     image under x -> -x of this cone built on the polygon mirrored about
     X1 = 1/2 (nearfield.side_polygon).
     """
-    if Rmax < 20:
-        raise ValueError("Rmax >= 20 required")
+    if not Rmax >= CONE_RMAX_MIN:
+        raise ValueError(f"Rmax >= {CONE_RMAX_MIN:g} required")
     n_arc = max(64, int(math.ceil(theta / ARC_STEP)))
     ang = np.linspace(0.0, theta, n_arc + 1)
     arc = Rmax * np.column_stack([np.cos(ang), np.sin(ang)])

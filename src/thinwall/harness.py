@@ -18,8 +18,10 @@ import numpy as np
 from . import fem
 from .cascade import ExpansionSet, build_expansion
 from .cell import build_cell, compute_constants
+from .cutoff import make_cutoff
 from .errors import DegenerateFit
 from .exact import solve_exact
+from .geometry import CELL_T_MIN, CONE_RMAX_MIN
 from .nearfield import solve_S
 from .params import DomainParams
 
@@ -55,8 +57,9 @@ class StudyConfig:
     nf_degree: int = 2
     cutoff: str = "exp"
     # cap on the reference-system size, which guards memory; solve_exact
-    # raises above it.  800,000 admits delta = 1/128 (446,408 P3 dofs,
-    # 1.7 GB peak) and stops delta = 1/256 (851,694 dofs, 2.6 GB)
+    # raises above it.  800,000 admits delta = 1/128 (488,135 P3 dofs, 11 s
+    # and 1.2 GB peak at one BLAS thread) and stops delta = 1/256 (924,330
+    # dofs, 21 s and 2.1 GB)
     exact_max_dofs: int = 800_000
 
     def __post_init__(self):
@@ -71,6 +74,14 @@ class StudyConfig:
                 raise ValueError(f"{name} must be 1, 2 or 3")
         if not self.exact_max_dofs >= 1:
             raise ValueError("exact_max_dofs must be at least 1")
+        if self.exact_grading is not None and self.exact_grading < 0:
+            raise ValueError("exact_grading must be None or at least 0")
+        # the limits each stage's geometry and cut-off would raise at
+        if not self.cell_T >= CELL_T_MIN:
+            raise ValueError(f"cell_T must be at least {CELL_T_MIN:g}")
+        if not self.nf_Rmax >= CONE_RMAX_MIN:
+            raise ValueError(f"nf_Rmax must be at least {CONE_RMAX_MIN:g}")
+        make_cutoff(self.cutoff)
         for d in self.deltas:
             if not d > 0:
                 raise ValueError(f"delta {d} must be positive")

@@ -218,6 +218,9 @@ def test_bad_config_value_is_a_usage_error(tmp_path, capsys, monkeypatch,
 @pytest.mark.parametrize("argv, message", [
     (["cell-constants", "--degree", "4"], "cell_degree must be 1, 2 or 3"),
     (["solve-exact", "--delta", "0.3"], "delta 0.3 does not divide the wall"),
+    (["cell-constants", "--T", "3"], "cell_T must be at least 4"),
+    (["nearfield", "--rmax", "10"], "nf_Rmax must be at least 20"),
+    (["cell-constants", "--cutoff", "tanh"], "unknown cut-off profile 'tanh'"),
 ])
 def test_flag_the_study_rejects_is_a_usage_error(argv, message, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -310,3 +313,15 @@ def test_cli_keeps_a_set_blas_thread_count():
 def test_library_import_leaves_blas_threads_alone():
     assert _openblas_threads("import thinwall, thinwall.cli\n", None) \
         == {"numpy": "None", "after": "None"}
+
+
+def test_cli_import_leaves_spline_and_optimize_unloaded():
+    # scipy.interpolate, which pulls in scipy.optimize, loads only when the
+    # cascade splines its interface data
+    code = ("import sys, thinwall.cli\n"
+            "print(*sorted(m for m in ('scipy.interpolate', 'scipy.optimize')"
+            " if m in sys.modules))\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split() == []

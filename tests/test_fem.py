@@ -9,8 +9,9 @@ from helpers import helmholtz_square_solve, l2_error, square_space
 from thinwall import fem
 from thinwall.errors import SingularSystem
 from thinwall.exact import helmholtz_matrix, kdelta_field
-from thinwall.geometry import build_limit_domain, build_perforated_domain
-from thinwall.params import DomainParams
+from thinwall.geometry import (build_cell_geometry, build_limit_domain,
+                               build_perforated_domain)
+from thinwall.params import DomainParams, HoleSpec
 from thinwall.triangulate import triangulate
 
 
@@ -183,6 +184,39 @@ def test_symmetric_ordering_cuts_reference_fill():
     colamd = splu(solver.A_red)
     fill = solver.lu.L.nnz + solver.lu.U.nnz
     assert fill <= 0.6 * (colamd.L.nnz + colamd.U.nnz)
+
+
+def _reference_system():
+    p = DomainParams()
+    space = fem.Space(triangulate(build_perforated_domain(p, 1 / 8), 0.25), 3)
+    return helmholtz_matrix(space, p, kdelta_field(p, 1 / 8)), None
+
+
+def _cell_system():
+    # build_cell's periodic Laplace operator, tied and with one dof fixed
+    T = 4.0
+    space = fem.Space(triangulate(build_cell_geometry(HoleSpec(), T), 0.15), 3)
+    cons = fem.Constraints(space)
+    cons.tie(*fem.paired_dofs(space, "Periodic_right", "Periodic_left", 1))
+    xy = space.dof_coords
+    cons.dirichlet(int(np.argmin(np.hypot(xy[:, 0] - 0.5, xy[:, 1] - T))))
+    return fem.stiffness(space), cons
+
+
+@pytest.mark.parametrize("system", [_reference_system, _cell_system])
+def test_supernode_settings_keep_fill_and_solution(system):
+    # Solver's supernodes against SuperLU's defaults under the same ordering
+    # and pivoting: the same L+U, and the same solution to round-off
+    assert 1 <= fem.RELAX <= fem.PANEL_SIZE
+    solver = fem.Solver(*system())
+    default = splu(solver.A_red, permc_spec="MMD_AT_PLUS_A",
+                   diag_pivot_thresh=0.01, options=dict(SymmetricMode=True))
+    assert (solver.lu.L.nnz + solver.lu.U.nnz
+            == default.L.nnz + default.U.nnz)
+    rng = np.random.default_rng(3)
+    b = rng.standard_normal(solver.A_red.shape[0]).astype(solver.A_red.dtype)
+    x, y = solver.lu.solve(b), default.solve(b)
+    assert np.linalg.norm(x - y) <= 1e-12 * np.linalg.norm(y)
 
 
 def test_dirichlet_constraint():

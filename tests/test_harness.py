@@ -6,10 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thinwall.errors import DegenerateFit
+from thinwall.geometry import (CELL_T_MIN, CONE_RMAX_MIN, build_cell_geometry,
+                               build_cone_geometry)
 from thinwall.harness import (CSV_HEADER, ConvergenceReport, StudyConfig,
                               _region_quadrature, emit_outputs, fit_slope,
                               read_report_csv)
-from thinwall.params import DomainParams
+from thinwall.params import DomainParams, HoleSpec
 
 
 def test_fit_slope_exact_power():
@@ -128,3 +130,35 @@ def test_non_positive_delta_raises_before_the_sweep(deltas):
 def test_non_positive_mesh_size_raises_before_the_sweep(name, value):
     with pytest.raises(ValueError, match=f"{name} must be positive"):
         StudyConfig(**{name: value})
+
+
+def test_negative_grading_raises_before_the_sweep():
+    # a negative depth would mesh the references ungraded, as 0 does
+    StudyConfig(exact_grading=None)
+    StudyConfig(exact_grading=0)
+    with pytest.raises(ValueError, match="exact_grading must be None or at "
+                                         "least 0"):
+        StudyConfig(exact_grading=-3)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("cell_T", 3.5, "cell_T must be at least 4"),
+    ("cell_T", math.nan, "cell_T must be at least 4"),
+    ("nf_Rmax", 19.0, "nf_Rmax must be at least 20"),
+    ("cutoff", "tanh", "unknown cut-off profile 'tanh'")])
+def test_stage_limits_raise_before_the_sweep(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        StudyConfig(**{field: value})
+
+
+def test_stage_limits_are_the_geometrys():
+    # the study admits the least cell and cone the geometry builds, and
+    # nothing below them
+    StudyConfig(cell_T=CELL_T_MIN, nf_Rmax=CONE_RMAX_MIN)
+    build_cell_geometry(HoleSpec(), CELL_T_MIN)
+    build_cone_geometry(1.5 * math.pi, CONE_RMAX_MIN, np.zeros((0, 2)))
+    with pytest.raises(ValueError):
+        build_cell_geometry(HoleSpec(), 0.99 * CELL_T_MIN)
+    with pytest.raises(ValueError):
+        build_cone_geometry(1.5 * math.pi, 0.99 * CONE_RMAX_MIN,
+                            np.zeros((0, 2)))

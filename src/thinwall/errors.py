@@ -40,6 +40,11 @@ class SingularSystem(ThinwallError):
     master, or two paired boundaries are not congruent."""
 
 
+class FactorOutOfMemory(ThinwallError, MemoryError):
+    """The sparse factorization could not allocate its memory: the system
+    is too large for this machine, which says nothing of its singularity."""
+
+
 # -- cell / corner / nearfield ------------------------------------------------
 
 class CompatibilityViolated(ThinwallError):

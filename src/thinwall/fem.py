@@ -30,7 +30,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .errors import OutsideRegion, SingularElement, SingularSystem
+from .errors import (FactorOutOfMemory, OutsideRegion, SingularElement,
+                     SingularSystem)
 from .mesh import Mesh
 
 __all__ = ["Space", "Constraints", "Solver", "Field", "stiffness", "mass",
@@ -552,6 +553,12 @@ class Solver:
                            panel_size=PANEL_SIZE,
                            options=dict(SymmetricMode=True))
         except RuntimeError as exc:
+            # SuperLU reports a failed allocation as "... malloc fails ..."
+            # or "... memory ...", and a zero pivot as "... singular"
+            msg = str(exc).lower()
+            if "alloc" in msg or "memory" in msg:
+                raise FactorOutOfMemory(
+                    f"factorization ran out of memory: {exc}") from exc
             raise SingularSystem(f"factorization failed: {exc}") from exc
 
     def solve(self, b, d=None):

@@ -46,9 +46,8 @@ class GeometrySpec:
 
     loops: list of (points (n,2), tags list of n) - edge i joins point i to
     point (i+1) mod n.  The first loop is the outer boundary; the rest are
-    holes.  Every hole loop is convex (a disk polygon scaled, shifted or
-    mirrored), and triangulate carves it from the mean of its vertices.
-    chains: list of (points (n,2), tag) - open internal constraint chains.
+    holes, each a simple polygon of any shape, disjoint from the other loops.
+    chains: list of points (n,2) - open internal constraint polylines.
     Every chain is a slit: it is doubled into node-disjoint copies after
     triangulation, tagged GammaInterface_top and GammaInterface_bottom.
     corner_vertices: points the mesh is graded into.
@@ -120,7 +119,7 @@ def build_limit_domain(p: DomainParams) -> GeometrySpec:
     chain = np.array([[-p.L, 0.0], [p.L, 0.0]])
     return GeometrySpec(
         loops=[(pts, tags)],
-        chains=[(chain, "GammaInterface_top")],
+        chains=[chain],
         corner_vertices=[(-p.L, 0.0), (p.L, 0.0)],
         grading_layers=9,
     )

@@ -1,11 +1,17 @@
 """In-repo constrained Delaunay triangulation with quality refinement.
 
 Bowyer-Watson incremental insertion with walking point location, midpoint
-segment recovery, region carving by flood fill, and Ruppert-style
+segment recovery, region carving by crossing parity, and Ruppert-style
 refinement (encroached-segment splitting + circumcenter insertion) driven
 by a spatial sizing function with geometric corner grading.  The
 orientation and incircle tests are a float filter with an exact integer
 fallback (Shewchuk, Discrete Comput. Geom. 18, 1997).
+
+Carving needs no point inside a hole.  A flood from the super vertices
+labels each triangle with the parity of the constrained segments crossed
+to reach it: even is outside the domain or inside a hole, odd is meshed.
+A slit (a chain's segment) has the domain on both sides and is crossed
+without a flip.  So a hole may be any simple polygon.
 
 A geometry with a hole row (GeometrySpec.row) has its congruent periods
 tiled.  A period is tiled where its sizing is the tile's, translated: its
@@ -30,7 +36,6 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,7 +49,9 @@ MIN_ANGLE_DEG = 26.0     # refinement splits triangles with a smaller angle
 MAX_INSERT = 400_000     # refinement insertions before MeshFailure
 GRADING_SIGMA = 0.5      # size ratio of successive layers of corner grading
 SEAM = "Seam"            # tag of a tile's box edges, never a boundary edge
+SLIT = "Slit"            # tag of a chain's segments, doubled into two faces
 SEAM_SIZE = 0.4          # seams are sampled at this fraction of the sizing
+_FIXED = ("Periodic_left", "Periodic_right", SEAM)  # tags refinement never splits
 
 
 # -- geometric predicates (float filter, exact integer fallback) ----------------
@@ -96,13 +103,6 @@ def _incircle(ax, ay, bx, by, cx, cy, dx, dy):
     return 1.0 if d > 0 else (-1.0 if d < 0 else 0.0)
 
 
-@dataclass
-class _Seg:
-    tag: str
-    splittable: bool = True
-    slit: bool = False
-
-
 # triangle states: region undecided, meshed, carved out, and removed from
 # the structure by an insertion
 _UNDECIDED, _ALIVE, _CARVED, _GONE = 0, 1, 2, 3
@@ -120,7 +120,7 @@ class _Triangulation:
         self.tris = [[0, 1, 2]]        # [a, b, c] CCW
         self.adj = [[-1, -1, -1]]      # neighbor opposite each vertex, -1 none
         self.status = [_UNDECIDED]     # state per triangle
-        self.segs = {}                 # (min,max) vertex pair -> _Seg
+        self.segs = {}                 # (min,max) vertex pair -> tag
         self.vert2tri = {0: 0, 1: 0, 2: 0}
         self.last = 0
 
@@ -234,58 +234,40 @@ class _Triangulation:
         vert2tri[p] = first
         self.last = first
         if hit_seg is not None:
-            eu, ev, info = hit_seg
-            segs[self._seg_key(eu, p)] = info
-            segs[self._seg_key(p, ev)] = info
+            eu, ev, tag = hit_seg
+            segs[self._seg_key(eu, p)] = tag
+            segs[self._seg_key(p, ev)] = tag
         return p
 
     # -- segment recovery --------------------------------------------------------
 
     def edge_exists(self, u, v):
-        t0 = self.vert2tri.get(u)
-        if t0 is None or self.status[t0] == _GONE:
-            t0 = self._find_incident(u)
-        for t in self._around(u, t0):
-            if v in self.tris[t]:
+        """Whether u and v share a triangle: one turn round u's fan, from
+        vert2tri[u].  Insertion keeps vert2tri on a live triangle, and the
+        super triangle closes the fan of every inserted vertex."""
+        tris, adj = self.tris, self.adj
+        t0 = t = self.vert2tri[u]
+        while True:
+            vs = tris[t]
+            if v in vs:
                 return True
-        return False
+            t = adj[t][vs.index(u) - 1]
+            if t == t0:
+                return False
 
-    def _find_incident(self, u):
-        for t in range(len(self.tris) - 1, -1, -1):
-            if self.status[t] != _GONE and u in self.tris[t]:
-                self.vert2tri[u] = t
-                return t
-        raise MeshFailure(f"vertex {u} lost from triangulation")
-
-    def _around(self, u, t0):
-        """All live triangles incident to u (handles boundary fans)."""
-        seen = set()
-        stack = [t0]
-        while stack:
-            t = stack.pop()
-            if t in seen or t == -1 or self.status[t] == _GONE:
-                continue
-            if u not in self.tris[t]:
-                continue
-            seen.add(t)
-            i = self.tris[t].index(u)
-            stack.append(self.adj[t][(i + 1) % 3])
-            stack.append(self.adj[t][(i + 2) % 3])
-        return seen
-
-    def recover_segment(self, u, v, info: _Seg, depth=0):
+    def recover_segment(self, u, v, tag, depth=0):
         """Make (u, v) an edge of the triangulation and constrain it."""
         if u == v:
             return
         if self.edge_exists(u, v):
-            self.segs[self._seg_key(u, v)] = info
+            self.segs[self._seg_key(u, v)] = tag
             return
-        self.split_segment(u, v, info, depth)
+        self.split_segment(u, v, tag, depth)
 
-    def split_segment(self, u, v, info: _Seg, depth=0):
+    def split_segment(self, u, v, tag, depth=0):
         """Insert the midpoint m of segment (u, v) and recover (u, m) and
-        (m, v) as info's subsegments.  (u, v) is not in segs: recovery has
-        not constrained it yet, and refinement takes it out first.
+        (m, v) as subsegments with its tag.  (u, v) is not in segs: recovery
+        has not constrained it yet, and refinement takes it out first.
 
         The float midpoint may fall a rounding error off the exact segment,
         so the halves are recovered rather than assumed to exist.
@@ -296,41 +278,30 @@ class _Triangulation:
                         0.5 * (self.py[u] + self.py[v]))
         if m == u or m == v:
             raise MeshFailure("degenerate segment split")
-        self.recover_segment(u, m, info, depth + 1)
-        self.recover_segment(m, v, info, depth + 1)
+        self.recover_segment(u, m, tag, depth + 1)
+        self.recover_segment(m, v, tag, depth + 1)
 
     # -- carving -----------------------------------------------------------------
 
-    def carve(self, seeds):
-        """Mark every undecided triangle carved or alive: flood from the
-        super vertices' triangles and from each seed's, up to the
-        constrained segments, carves; whatever is left is alive."""
-        n = len(self.tris)
-        sv = set(self.sv)
-
-        def flood(start, mark):
-            stack = [start]
-            while stack:
-                t = stack.pop()
-                if t == -1 or self.status[t] != _UNDECIDED:
+    def carve(self):
+        """Mark every triangle carved or alive: flood from a super vertex's
+        triangle, carved, and flip the mark across each constrained segment
+        but a slit."""
+        tris, adj, segs, status = self.tris, self.adj, self.segs, self.status
+        stack = [(self.vert2tri[self.sv[0]], _CARVED)]
+        while stack:
+            t, mark = stack.pop()
+            if status[t] != _UNDECIDED:
+                continue
+            status[t] = mark
+            vs = tris[t]
+            for i in (0, 1, 2):
+                n = adj[t][i]
+                if n == -1:
                     continue
-                self.status[t] = mark
-                vs = self.tris[t]
-                for i in range(3):
-                    uvkey = self._seg_key(vs[(i + 1) % 3], vs[(i + 2) % 3])
-                    if uvkey in self.segs:
-                        continue
-                    stack.append(self.adj[t][i])
-
-        for t in range(n):
-            if self.status[t] == _UNDECIDED and set(self.tris[t]) & sv:
-                flood(t, _CARVED)
-        for sx, sy in seeds:
-            t, _, _ = self.locate(sx, sy)
-            flood(t, _CARVED)
-        for t in range(n):
-            if self.status[t] == _UNDECIDED:
-                flood(t, _ALIVE)
+                tag = segs.get(self._seg_key(vs[i - 2], vs[i - 1]))
+                stack.append((n, mark if tag in (None, SLIT)
+                              else _ALIVE + _CARVED - mark))
 
     # -- refinement ----------------------------------------------------------------
 
@@ -387,7 +358,7 @@ class _Triangulation:
                 seglen = math.dist((self.px[u], self.py[u]), (self.px[v], self.py[v]))
                 hseg = sizing(0.5 * (self.px[u] + self.px[v]),
                               0.5 * (self.py[u] + self.py[v]))
-                if not self.segs[key].splittable or seglen < 0.55 * hseg:
+                if self.segs[key] in _FIXED or seglen < 0.55 * hseg:
                     skip.add(t)
                     continue
                 self.split_segment(u, v, self.segs.pop(key))
@@ -538,24 +509,24 @@ def _sample_edge(a, b, sizing):
 
 class _Pslg:
     """Points, each mapped to its index in order of addition, and the
-    constrained segments (ia, ib, _Seg) joining them; a point added twice
+    constrained segments (ia, ib, tag) joining them; a point added twice
     keeps its first index."""
 
     def __init__(self):
         self.pts, self.req = {}, []
 
-    def path(self, samples, info, closed=False):
+    def path(self, samples, tag, closed=False):
         """Add the segments between consecutive samples (closed: and back to
         the first); returns the samples' point indices."""
         ids = [self.pts.setdefault((float(x), float(y)), len(self.pts))
                for x, y in samples]
         self.req.extend(zip(ids, ids[1:] + ids[:1] if closed else ids[1:],
-                            itertools.repeat(info)))
+                            itertools.repeat(tag)))
         return ids
 
     def add(self, loops, chains, sizing):
-        """Loops and chains, each edge sampled at the sizing; every chain
-        is a slit."""
+        """Loops and chains, each edge sampled at the sizing; every chain's
+        segments are tagged SLIT."""
         for loop, tags in loops:
             n = len(loop)
             edges = [_sample_edge(loop[i], loop[(i + 1) % n], sizing)
@@ -567,27 +538,25 @@ class _Pslg:
                 sx, sy = loop[j] - loop[(i + 1) % n]
                 edges[j] = [(x + sx, y + sy) for x, y in edges[i][::-1]]
             for tag, samples in zip(tags, edges):
-                splittable = tag not in ("Periodic_left", "Periodic_right")
-                self.path(samples, _Seg(tag, splittable))
-        for chain, tag in chains:
+                self.path(samples, tag)
+        for chain in chains:
             for i in range(len(chain) - 1):
-                self.path(_sample_edge(chain[i], chain[i + 1], sizing),
-                          _Seg(tag, True, True))
+                self.path(_sample_edge(chain[i], chain[i + 1], sizing), SLIT)
 
 
-def _mesh(g: _Pslg, seeds, lo, hi, sizing):
-    """Mesh g inside the box lo-hi, carve from the seeds and refine to the
-    sizing; returns the Mesh and the mesh node of each of g's points."""
+def _mesh(g: _Pslg, lo, hi, sizing):
+    """Mesh g inside the box lo-hi, carve and refine to the sizing; returns
+    the Mesh and the mesh node of each of g's points."""
     tri = _Triangulation([float(v) for v in lo], [float(v) for v in hi])
     actual = [tri.insert(x, y) for x, y in g.pts]
-    for ia, ib, info in g.req:
-        tri.recover_segment(actual[ia], actual[ib], info)
-    tri.carve(seeds)
+    for ia, ib, tag in g.req:
+        tri.recover_segment(actual[ia], actual[ib], tag)
+    tri.carve()
     tri.refine(sizing)
     # a seam's nodes are shared with the mesh on its other side
-    if any(info.tag == SEAM
+    if any(tag == SEAM
            and tri._seg_key(actual[ia], actual[ib]) not in tri.segs
-           for ia, ib, info in g.req):
+           for ia, ib, tag in g.req):
         raise MeshFailure("a seam was split")
     mesh, remap = _extract(tri)
     return mesh, np.array([remap.get(v, -1) for v in actual])
@@ -597,13 +566,14 @@ def triangulate(geo: GeometrySpec, h0: float) -> Mesh:
     """Mesh a GeometrySpec at background size h0 and return a tagged Mesh;
     the geometry carries every other sizing input (_make_sizing).
 
-    Every hole loop is convex and is carved from the mean of its vertices.
     The rest of the domain (outer loop, chains, untiled holes) is meshed
     around each run of tiled periods (_tile_runs), whose translated tiles
     are joined to it by node index; with no tiled period it is the mesh.
     """
     if not h0 > 0:
         raise ValueError("h0 must be positive")
+    if geo.grading_layers < 0:
+        raise ValueError("grading_layers must be at least 0")
     sizing = _make_sizing(geo, h0)
     tiles = _tiled_periods(geo, h0)
     untiled = [loop for i, loop in enumerate(geo.loops[1:], 1)
@@ -611,16 +581,13 @@ def triangulate(geo: GeometrySpec, h0: float) -> Mesh:
     rest = _Pslg()
     rest.add([geo.loops[0]] + untiled, geo.chains, sizing)
     tile, runs = _tile_runs(geo, h0, tiles)
-    outlines = [rest.path(xy[edge], _Seg(SEAM, False), closed=True)
-                for _, xy, edge, _ in runs]
-    seeds = ([poly.mean(axis=0) for poly, _ in untiled]
-             + [seed for *_, seed in runs])
-    mesh, node = _mesh(rest, seeds, *geo.bbox(), sizing)
+    outlines = [rest.path(xy[edge], SEAM, closed=True) for _, xy, edge in runs]
+    mesh, node = _mesh(rest, *geo.bbox(), sizing)
 
     nodes, elements = [mesh.nodes], [mesh.elements]
     edges, tags = [mesh.boundary_edges], list(mesh.boundary_tags)
     n = mesh.num_nodes
-    for (gid, xy, edge, _), pids in zip(runs, outlines):
+    for (gid, xy, edge), pids in zip(runs, outlines):
         final = np.full(len(xy), -1)
         final[edge] = node[pids]
         inner = np.setdiff1d(gid, edge)
@@ -668,7 +635,7 @@ def _tiled_periods(geo: GeometrySpec, h0: float) -> dict:
     if row is None:
         return {}
     holes, segs = {}, [(geo.loops[0][0], np.roll(geo.loops[0][0], -1, 0))]
-    segs += [(chain[:-1], chain[1:]) for chain, _ in geo.chains]
+    segs += [(chain[:-1], chain[1:]) for chain in geo.chains]
     for i, (poly, _) in enumerate(geo.loops[1:], 1):
         k = math.floor((poly[:, 0].mean() - row.origin[0]) / row.period)
         x0, x1, y0, y1 = _period_box(row, k)
@@ -706,8 +673,7 @@ def _tile_runs(geo: GeometrySpec, h0: float, tiles: dict):
 
     Returns the tile's Mesh (None without tiles) and, per run, its tile
     nodes numbered tile by tile (gid, one row per tile), their translated
-    coordinates xy, the run's outline as indices into xy and a carve seed
-    inside that outline.
+    coordinates xy and the run's outline as indices into xy.
     """
     if not tiles:
         return None, []
@@ -727,11 +693,9 @@ def _tile_runs(geo: GeometrySpec, h0: float, tiles: dict):
     left = [(x0, y) for _, y in right[::-1]]
     sides = (bottom, right, top, left)
     g = _Pslg()
-    ids = g.path([xy for side in sides for xy in side[:-1]],
-                 _Seg(SEAM, False), closed=True)
+    ids = g.path([xy for side in sides for xy in side[:-1]], SEAM, closed=True)
     g.add([hole], [], tile_sizing)
-    tile, node = _mesh(g, [hole[0].mean(axis=0)], (x0, y0), (x1, y1),
-                       tile_sizing)
+    tile, node = _mesh(g, (x0, y0), (x1, y1), tile_sizing)
     # each side's tile nodes, in sampling order, corners included
     start = np.cumsum([0] + [len(side) - 1 for side in sides])
     b, r, t, l = (node[np.take(ids, np.arange(s, s + len(side)), mode="wrap")]
@@ -749,8 +713,7 @@ def _tile_runs(geo: GeometrySpec, h0: float, tiles: dict):
         # the run's outline, counter-clockwise from its lower left corner
         edge = np.concatenate([gid[:, b[:-1]].ravel(), gid[-1, r[:-1]],
                                gid[::-1, t[:-1]].ravel(), gid[0, l[:-1]]])
-        xa, xb = _period_box(row, run[0])[0], _period_box(row, run[-1])[1]
-        runs.append((gid, xy, edge, (0.5 * (xa + xb), 0.5 * (y0 + y1))))
+        runs.append((gid, xy, edge))
     return tile, runs
 
 
@@ -776,16 +739,16 @@ def _extract(tri: _Triangulation):
                 seg_adj.setdefault(key, []).append(row)
 
     bedges, btags, slit_items = [], [], []
-    for key, info in tri.segs.items():
+    for key, tag in tri.segs.items():
         rows = seg_adj.get(key, [])
-        if not rows or info.tag == SEAM:
+        if not rows or tag == SEAM:
             continue  # buried in a carved region, or joined to a tile
         u, v = (remap[key[0]], remap[key[1]])
-        if info.slit and len(rows) == 2:
+        if tag == SLIT:  # carving gives both its sides one mark
             slit_items.append((u, v))
         else:
             bedges.append((u, v))
-            btags.append(info.tag)
+            btags.append(tag)
 
     # an interior slit node gives the lower side its own copy: every element
     # incident to it with its centroid below the slit line takes the copy

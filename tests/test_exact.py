@@ -1,4 +1,5 @@
 import cmath
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -40,6 +41,15 @@ def test_dof_cap_raises(monkeypatch):
     monkeypatch.setattr(exact, "helmholtz_matrix", no_assembly)
     with pytest.raises(ValueError, match=f"{ndof} P3 dofs.*cap of {ndof - 1}"):
         solve_exact(p, 0.25, h0=0.15, degree=3, max_dofs=ndof - 1)
+
+
+def test_negative_grading_raises():
+    p = DomainParams(k0=2.0)
+    geo = build_perforated_domain(p, 0.25)
+    with pytest.raises(ValueError, match="grading_layers must be at least 0"):
+        triangulate(replace(geo, grading_layers=-3), 0.15)
+    with pytest.raises(ValueError, match="grading_layers must be at least 0"):
+        solve_exact(p, 0.25, h0=0.15, grading=-3)
 
 
 def test_no_hole_solve_matches_continuous_limit():

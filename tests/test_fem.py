@@ -7,7 +7,7 @@ from scipy.sparse.linalg import splu
 
 from helpers import helmholtz_square_solve, l2_error, square_space
 from thinwall import fem
-from thinwall.errors import SingularSystem
+from thinwall.errors import FactorOutOfMemory, SingularSystem
 from thinwall.exact import helmholtz_matrix, kdelta_field
 from thinwall.geometry import (build_cell_geometry, build_limit_domain,
                                build_perforated_domain)
@@ -325,6 +325,23 @@ def test_pure_neumann_laplace_is_singular():
     u, res = fem.solve(K, b, cons, d)
     assert res <= 1e-12 and u[0] == 2.5
     np.testing.assert_allclose(np.linalg.norm(K @ u - b), 0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("message, error", [
+    ("SUPERLU_MALLOC fails for buf in doubleMalloc()", FactorOutOfMemory),
+    ("Factor is exactly singular", SingularSystem),
+])
+def test_factor_failure_names_its_cause(monkeypatch, message, error):
+    # a failed allocation is out of memory, not a singular system
+    def failing(*args, **kwargs):
+        raise RuntimeError(message)
+
+    monkeypatch.setattr(fem, "splu", failing)
+    space = square_space(0.4, 1)
+    with pytest.raises(error) as info:
+        fem.Solver(fem.stiffness(space))
+    assert message in str(info.value)
+    assert isinstance(info.value, MemoryError) == (error is FactorOutOfMemory)
 
 
 def test_pure_neumann_gauge_is_a_constant():

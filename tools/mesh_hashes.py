@@ -8,7 +8,8 @@ Run from the repository root:
 Each row is one mesh of the study's geometries (default DomainParams and
 HoleSpec, cell T = 6, cone at theta = 3 pi/2 and Rmax = 20): its name, h0,
 node and element counts, the first 16 hex digits of a sha256 over the
-nodes, elements, boundary edges and boundary tags, and the seconds
+nodes, elements, boundary edges and boundary tags, its smallest angle in
+degrees (triangulate refines towards MIN_ANGLE_DEG, 26), and the seconds
 triangulate took.  A change to the mesher that is meant to leave the meshes
 alone must leave this table unchanged but for the seconds.
 """
@@ -68,15 +69,17 @@ def mesh_hash(mesh):
 
 
 def main():
-    print("| mesh | h0 | nodes | elements | hash (16 hex) | seconds |")
-    print("|---|---|---|---|---|---|")
+    print("| mesh | h0 | nodes | elements | hash (16 hex) | min angle | "
+          "seconds |")
+    print("|---|---|---|---|---|---|---|")
     for name, h0, build in MESHES:
         geo = build()
         start = time.perf_counter()
         mesh = triangulate(geo, h0)
         seconds = time.perf_counter() - start
         print(f"| {name} | {h0:g} | {mesh.num_nodes:,} | "
-              f"{mesh.num_elements:,} | {mesh_hash(mesh)} | {seconds:.2f} |",
+              f"{mesh.num_elements:,} | {mesh_hash(mesh)} | "
+              f"{mesh.min_angles_deg().min():.3f} | {seconds:.2f} |",
               flush=True)
 
 

@@ -24,8 +24,8 @@ import numpy as np
 from . import fem
 from .bessel import bessel_j_array, bessel_y_array
 from .cell import EffectiveConstants
-from .corner import (CornerFrame, LiftField, extract_ell, jump_data, lambda_n,
-                     solve_angular_profile, w_base)
+from .corner import (CornerFrame, LiftField, extract_ell, lambda_n,
+                     mode_profiles, w_base)
 from .cutoff import make_cutoff
 from .errors import IndexUnsupported
 from .exact import helmholtz_matrix, incident_robin_load
@@ -127,18 +127,6 @@ def _interface_samples(space: fem.Space):
     return mids[order]
 
 
-def _complex_spline(x, vals, k=3):
-    from scipy.interpolate import make_interp_spline
-
-    sr = make_interp_spline(x, np.real(vals), k=k)
-    si = make_interp_spline(x, np.imag(vals), k=k)
-
-    def f(t, nu=0):
-        return sr(t, nu=nu) + 1.0j * si(t, nu=nu)
-
-    return f
-
-
 class _Clamped:
     """Callable of x1 frozen to its limit values on the last stretch of the
     interface, keeping the discrete data bounded where the subtracted
@@ -206,13 +194,15 @@ def compute_u01(p: DomainParams, space: fem.Space, u00: fem.Field,
     J_{lambda1 - 1} lift per corner, whose profile has the slit jumps
     jump_data prescribes and whose amplitude is (k0 / (2 lambda1)) ell_1.
     """
+    from scipy.interpolate import make_interp_spline
+
     lam1 = lambda_n(1, p.theta)
     cut = make_cutoff(cutoff)
 
     mids = _interface_samples(space)
     xs = mids[:, 0]
-    trace = _complex_spline(xs, u00.evaluate(mids))
-    dx2 = _complex_spline(xs, u00.gradient(mids)[:, 1])
+    trace = make_interp_spline(xs, u00.evaluate(mids))
+    dx2 = make_interp_spline(xs, u00.gradient(mids)[:, 1])
 
     D1, D2 = constants.D1, constants.D2
     N1, N2, N3 = constants.N1, constants.N2, constants.N3
@@ -224,8 +214,7 @@ def compute_u01(p: DomainParams, space: fem.Space, u00: fem.Field,
         return N1 * trace(x) + N2 * trace(x, nu=2) + N3 * dx2(x, nu=1)
 
     lifts = [LiftField(c.frame, bessel_j_array, lam1 - 1.0,
-                       solve_angular_profile(
-                           1, *jump_data(lam1, side, constants), p.theta),
+                       mode_profiles(1, side, constants, p.theta)[1],
                        cut, p.k0, coeff=(p.k0 / (2.0 * lam1)) * c.ell[1])
              for side, c in corners.items()]
     return _solve_hat(space, p, lifts, solver, g=g01, h=h01)

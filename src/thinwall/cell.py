@@ -50,14 +50,6 @@ class CellSolution:
     K: object = None              # periodic-cell stiffness matrix
     D1: complex = 0.0
 
-    def D_value(self, pts):
-        """Kernel profile D = X2 + W at cell points."""
-        pts = np.asarray(pts, dtype=float).reshape(-1, 2)
-        base = pts[:, 1].astype(complex)
-        if self.W is None:
-            return base
-        return base + self.W.evaluate(pts)
-
 
 def _band_average(space, vals_at_quad, lo, hi):
     pts, w = space.quad_global()

@@ -14,6 +14,12 @@ The jumps across the slit are never evaluated on the two faces: they are
 read in closed form from the profile's two cosine branches at theta = pi
 (AngularProfile.slit_jumps), and a lift's from its profile's
 (LiftField.slit_jumps).
+
+Both sides of the corner match fit the sector modes cos(lambda_m theta),
+m in MODES, by one least-squares fit on Gauss panels (fit_modes,
+gauss_panels): ell_m of u00 here (extract_ell), and the decaying
+amplitudes of S_n in nearfield.extract_L.  mode_profiles builds the pair
+(w_{n,0}, w_{n,1}) that the cascade's lifts and the cone's arc data read.
 """
 
 from __future__ import annotations
@@ -27,11 +33,15 @@ from .bessel import bessel_j
 from .errors import IllConditioned, ResonantCase
 
 __all__ = ["lambda_n", "AngularProfile", "solve_angular_profile",
-           "jump_data", "w_base", "CornerFrame", "LiftField", "extract_ell"]
+           "jump_data", "w_base", "mode_profiles", "CornerFrame",
+           "LiftField", "gauss_panels", "fit_modes", "extract_ell"]
 
+# The sector modes w_m = cos(lambda_m theta) that both corner extractions
+# fit: lambda_4 = 4 pi / Theta > 2 for Theta < 2 pi, so these are every
+# mode with lambda < 2.
+MODES = (0, 1, 2, 3)
 ELL_RADII = (0.1, 0.15, 0.2)  # extraction radii of the corner coefficients
-ELL_N_THETA = 96              # angular Gauss points per extraction circle
-ELL_MODES = (0, 1, 2, 3)      # sector modes whose coefficients are extracted
+ELL_N_GAUSS = 48              # Gauss points per panel of an extraction circle
 
 
 def lambda_n(n, theta):
@@ -92,32 +102,22 @@ class AngularProfile:
                   else (self.b, self.mu * (theta - self.ref)))
         return amp * np.cos(t) if d == 0 else -amp * self.mu * np.sin(t)
 
-    def _select(self, theta, d):
+    def __call__(self, theta):
         """Each theta read from its branch (the slit theta = pi reads the
         top one), 0 outside the sector."""
         theta = np.asarray(theta, dtype=float)
         out = np.zeros(theta.shape, dtype=complex)
         top = (theta >= -1e-13) & (theta <= math.pi + 1e-13)
         bot = (theta > math.pi + 1e-13) & (theta <= self.theta + 1e-13)
-        out[top] = self.branch(0, theta[top], d)
-        out[bot] = self.branch(1, theta[bot], d)
+        out[top] = self.branch(0, theta[top])
+        out[bot] = self.branch(1, theta[bot])
         return out
-
-    def __call__(self, theta):
-        return self._select(theta, 0)
-
-    def dtheta(self, theta):
-        return self._select(theta, 1)
 
     def slit_jumps(self):
         """([w], [w']) at the slit theta = pi, top face minus bottom face:
         the two branches read at pi."""
         return tuple(complex(self.branch(0, math.pi, d)
                              - self.branch(1, math.pi, d)) for d in (0, 1))
-
-    @property
-    def is_zero(self):
-        return abs(self.a) < 1e-300 and abs(self.b) < 1e-300
 
 
 def w_base(n, theta) -> AngularProfile:
@@ -163,6 +163,15 @@ def jump_data(lam_n, side, constants):
     jump_val = lam_n * (-D1 * c + constants.D2 * s)
     jump_der = -lam_n * (lam_n - 1.0) * (constants.N2 * c - N3 * s)
     return jump_val, jump_der
+
+
+def mode_profiles(n, side, constants, theta):
+    """The profile pair (w_{n,0}, w_{n,1}) of mode n at a side's corner:
+    the continuous sector mode, and the jumping profile the constants'
+    slit data give it."""
+    return (w_base(n, theta),
+            solve_angular_profile(
+                n, *jump_data(lambda_n(n, theta), side, constants), theta))
 
 
 class LiftField:
@@ -247,47 +256,51 @@ class LiftField:
         return out
 
 
+def gauss_panels(cuts, n):
+    """n-point Gauss (points, weights) on each interval between consecutive
+    cuts."""
+    xg, wg = np.polynomial.legendre.leggauss(n)
+    return [(0.5 * (lo + hi) + 0.5 * (hi - lo) * xg, 0.5 * (hi - lo) * wg)
+            for lo, hi in zip(cuts[:-1], cuts[1:])]
+
+
+def fit_modes(values, thetas, wts, theta):
+    """Coefficients, in MODES order, of the weighted least-squares fit of
+    values at the angles thetas (quadrature weights wts) by the sector
+    modes w_{m,0} of opening angle theta."""
+    Amat = (np.column_stack([np.real(w_base(m, theta)(thetas))
+                             for m in MODES]) * np.sqrt(wts)[:, None])
+    c, *_ = np.linalg.lstsq(Amat, values * np.sqrt(wts), rcond=None)
+    return c
+
+
 def extract_ell(evaluate, frame: CornerFrame, k0):
     """Corner coefficients ell_m of J_{lambda_m}(k0 r) w_{m,0}(theta) in a
-    field, for every m in ELL_MODES.
+    field, for every m in MODES.
 
     evaluate(points) -> complex values.  Each radius of ELL_RADII is
     sampled once, on Gauss panels split at the slit whose points never lie
-    on it; the projection onto each mode gives an estimate ell_m(r), and the
-    estimates are averaged over the radii.  A radius near a zero of
-    J_{lambda_m}(k0 r) raises IllConditioned.  Returns ({m: ell_m},
-    {m: relative scatter of ell_m over the radii}).
+    on it; the mode fit there over J_{lambda_m}(k0 r) gives an estimate
+    ell_m(r), and the estimates are averaged over the radii.  A radius near
+    a zero of J_{lambda_m}(k0 r) raises IllConditioned.  Returns
+    ({m: ell_m}, {m: relative scatter of ell_m over the radii}).
     """
     th = frame.theta
-    xg, wg = np.polynomial.legendre.leggauss(ELL_N_THETA // 2)
-
-    def panel(lo, hi):
-        mid, hl = 0.5 * (hi + lo), 0.5 * (hi - lo)
-        return mid + hl * xg, hl * wg
-
-    panels = [panel(0.0, math.pi), panel(math.pi, th)]
-    # each mode's profile on each panel, and its projection's norm
-    modes = {m: ([w_base(m, th)(thetas) for thetas, _ in panels],
-                 th if m == 0 else th / 2.0) for m in ELL_MODES}
-
-    vals = {m: [] for m in ELL_MODES}
+    thetas, wts = map(np.concatenate,
+                      zip(*gauss_panels((0.0, math.pi, th), ELL_N_GAUSS)))
+    est = []
     for r in ELL_RADII:
-        us = [evaluate(frame.point(r, thetas)) for thetas, _ in panels]
-        for m, (wm, c_m) in modes.items():
-            lam_m = lambda_n(m, th)
-            Jm = bessel_j(lam_m, k0 * r)
+        J = np.array([bessel_j(lambda_n(m, th), k0 * r) for m in MODES])
+        for m, Jm in zip(MODES, J):
             if abs(Jm) <= 1e-8:
                 raise IllConditioned(
                     f"extraction radius {r} is near a zero of "
-                    f"J_{lam_m:.4f}(k0 r)")
-            proj = 0.0
-            for (_, wts), u, w in zip(panels, us, wm):
-                proj = proj + np.sum(wts * u * w)
-            vals[m].append(proj / (c_m * Jm))
-    ell, scatter = {}, {}
-    for m, v in vals.items():
-        v = np.array(v)
-        ell[m] = complex(np.mean(v))
-        scatter[m] = float(np.max(np.abs(v - ell[m]))
-                           / max(abs(ell[m]), 1e-300))
-    return ell, scatter
+                    f"J_{lambda_n(m, th):.4f}(k0 r)")
+        est.append(fit_modes(evaluate(frame.point(r, thetas)), thetas, wts,
+                             th) / J)
+    est = np.array(est)
+    ell = est.mean(axis=0)
+    scatter = np.max(np.abs(est - ell), axis=0) / np.maximum(np.abs(ell),
+                                                              1e-300)
+    return ({m: complex(v) for m, v in zip(MODES, ell)},
+            {m: float(v) for m, v in zip(MODES, scatter)})

@@ -6,16 +6,17 @@ class ThinwallError(Exception):
 
 
 # -- geometry / meshing -------------------------------------------------------
+# the geometry errors are bad input values, so ValueErrors too
 
-class NonIntegerPeriod(ThinwallError):
+class NonIntegerPeriod(ThinwallError, ValueError):
     """2L/delta is not a positive integer."""
 
 
-class HoleCollision(ThinwallError):
+class HoleCollision(ThinwallError, ValueError):
     """A scaled hole touches or crosses the domain boundary."""
 
 
-class HoleOutOfCell(ThinwallError):
+class HoleOutOfCell(ThinwallError, ValueError):
     """Canonical hole not strictly inside the unit periodicity cell."""
 
 

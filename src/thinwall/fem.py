@@ -530,11 +530,14 @@ class Solver:
     minimum-degree-ordered matrices that leaves L+U as it is and costs time
     and memory.  At one BLAS thread the study's P3 reference at delta =
     1/64 (263,910 unknowns) factors in 6.9 s and 848 MB peak with it and
-    in 2.2 s and 528 MB without (tools/factor_table.py); at 1/128 (488,135)
+    in 1.9 s and 528 MB without (tools/factor_table.py); at 1/128 (488,135)
     it takes 113 s and 2.7 GB with it and 4.1 s and 0.9 GB without.
     Panels of 2 to 12 columns take about the same time, and a wider one
-    more memory.  SuperLU needs RELAX <= PANEL_SIZE: a relaxation wider
-    than the panel corrupts its heap.
+    more memory.  Panel 4 peaks 1 to 5 % lower than 8 on the nine systems
+    of tools/factor_table.py, but factors four of them slower (the cell,
+    and the references at delta 1/16 to 1/64: 2.0 s against 1.9 s at
+    1/64), so the panel stays at 8.  SuperLU needs RELAX <= PANEL_SIZE: a
+    relaxation wider than the panel corrupts its heap.
     """
 
     def __init__(self, A, constraints: Constraints | None = None):

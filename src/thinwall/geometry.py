@@ -48,8 +48,10 @@ class GeometrySpec:
     point (i+1) mod n.  The first loop is the outer boundary; the rest are
     holes, each a simple polygon of any shape, disjoint from the other loops.
     chains: list of points (n,2) - open internal constraint polylines.
-    Every chain is a slit: it is doubled into node-disjoint copies after
-    triangulation, tagged GammaInterface_top and GammaInterface_bottom.
+    Every chain is a slit on y = 0 (triangulate raises ValueError for any
+    other): it is doubled into node-disjoint copies after triangulation,
+    tagged GammaInterface_top and GammaInterface_bottom, the lower copy
+    taken by the elements below y = 0.
     corner_vertices: points the mesh is graded into.
     grading_layers: depth of that grading: the mesh size halves towards a
     corner vertex down to h0 / 2^grading_layers; 0 leaves it ungraded.

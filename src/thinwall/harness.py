@@ -21,7 +21,8 @@ from .cell import build_cell, compute_constants
 from .cutoff import make_cutoff
 from .errors import DegenerateFit
 from .exact import solve_exact
-from .geometry import CELL_T_MIN, CONE_RMAX_MIN
+from .geometry import (CELL_T_MIN, CONE_RMAX_MIN, build_cell_geometry,
+                       build_perforated_domain)
 from .nearfield import solve_S
 from .params import DomainParams
 
@@ -89,6 +90,11 @@ class StudyConfig:
             q = 2.0 * self.params.L / d
             if not (0.5 <= q < math.inf and abs(q - round(q)) <= 1e-9):
                 raise ValueError(f"delta {d} does not divide the wall")
+        # the geometries raise a hole outside the cell or one a delta
+        # scales into a wall (ValueErrors) before any stage runs
+        build_cell_geometry(self.params.hole, self.cell_T)
+        for d in self.deltas:
+            build_perforated_domain(self.params, d)
 
 
 @dataclass

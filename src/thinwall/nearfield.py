@@ -6,7 +6,10 @@ truncation arc given by the matched two-term macro behaviour
 R^lambda_n w_{n,0} + R^(lambda_n - 1) w_{n,1}.  Because the cone is
 connected through the hole row, the jumping second term is blended across
 the layer before being imposed.  The quantity of interest is the
-coefficient of the decaying mode R^(-lambda_m) w_{m,0} in S_n.
+coefficient of the decaying mode R^(-lambda_m) w_{m,0} in S_n: at each
+window radius the modes of corner.MODES are fitted by corner.fit_modes, as
+the corner coefficients of u00 are, on Gauss panels that skip the layer
+strip, and each mode's track is then fitted in R.
 
 Every side is solved in the plus corner's frame (sector (0, Theta) about
 the origin, holes on the negative X1 axis): the minus corner is the plus
@@ -25,8 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fem
-from .corner import (AngularProfile, CornerFrame, jump_data, lambda_n,
-                     solve_angular_profile, w_base)
+from .corner import (MODES, AngularProfile, CornerFrame, fit_modes,
+                     gauss_panels, lambda_n, mode_profiles)
 from .cutoff import make_cutoff
 from .errors import ExtractionUnstable
 from .geometry import build_cone_geometry
@@ -37,7 +40,6 @@ __all__ = ["NearFieldSolution", "solve_S", "extract_L", "arc_data",
 
 SAME_VERTEX_TOL = 1e-12  # a hole this close to its mirror keeps one cone
 
-L_MODES = (0, 1, 2, 3)   # sector modes fitted by extract_L
 L_EXCLUDE = 3.0          # half-width of the layer strip left out of the fit
 L_N_RADII = 8            # fit radii in (Rmax/4, Rmax/2)
 
@@ -151,9 +153,7 @@ def solve_S(sides, n, constants, hole, theta=1.5 * math.pi, Rmax=20.0,
     residual exceeds 0.1.  Every mode's residual stays in radial_residual.
     """
     frame = CornerFrame("plus", 0.0, theta)
-    lam_n = lambda_n(n, theta)
     cut = make_cutoff(cutoff)
-    w0 = w_base(n, theta)
     cones, sols = [], {}
     for side in sides:
         poly = side_polygon(side, hole)
@@ -163,8 +163,7 @@ def solve_S(sides, n, constants, hole, theta=1.5 * math.pi, Rmax=20.0,
         if not reused:
             cone = _build_cone(poly, theta, Rmax, h0, degree)
             cones.append(cone)
-        w1 = solve_angular_profile(n, *jump_data(lam_n, side, constants),
-                                   theta)
+        w0, w1 = mode_profiles(n, side, constants, theta)
         xy = cone.space.dof_coords[cone.arc_dofs]
         d = np.zeros(cone.space.ndof, dtype=complex)
         d[cone.arc_dofs] = arc_data(n, frame, w0, w1, cut)(xy[:, 0], xy[:, 1])
@@ -195,15 +194,8 @@ def _window_panels(theta, R, exclude):
                 cuts.append(e)
     cuts.append(theta)
     cuts = sorted(cuts)
-    xg, wg = np.polynomial.legendre.leggauss(24)
-    panels = []
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        mid = 0.5 * (lo + hi)
-        if abs(R * math.sin(mid)) <= exclude:
-            continue
-        panels.append((0.5 * (lo + hi) + 0.5 * (hi - lo) * xg,
-                       0.5 * (hi - lo) * wg))
-    return panels
+    return [p for lo, hi, p in zip(cuts[:-1], cuts[1:], gauss_panels(cuts, 24))
+            if abs(R * math.sin(0.5 * (lo + hi))) > exclude]
 
 
 def extract_L(evaluate, frame: CornerFrame, n, w0, w1, Rmax):
@@ -211,35 +203,26 @@ def extract_L(evaluate, frame: CornerFrame, n, w0, w1, Rmax):
 
     evaluate(points) -> complex values of the field u.  At each radius in
     (Rmax/4, Rmax/2) the residual of u against the known growing behaviour
-    is projected (windowed least squares, layer strip excluded) onto the
-    sector modes; each coefficient track c_m(R) is then fit with decaying +
+    is fitted (corner.fit_modes, layer strip excluded) by the sector
+    modes; each coefficient track c_m(R) is then fit with decaying +
     growing radial powers, the growing column absorbing arc-truncation
     reflection.  A second fit with an R^(-lambda) log R column reports the
     spurious-log diagnostic.
     """
     lam_n = lambda_n(n, frame.theta)
     radii = np.linspace(Rmax / 4.0, Rmax / 2.0, L_N_RADII)
-    profs = {m: w_base(m, frame.theta) for m in L_MODES}
-
-    coeff = {m: [] for m in L_MODES}
+    tracks = []
     for R in radii:
-        panels = _window_panels(frame.theta, R, L_EXCLUDE)
-        thetas = np.concatenate([p[0] for p in panels])
-        wts = np.concatenate([p[1] for p in panels])
+        thetas, wts = map(np.concatenate,
+                          zip(*_window_panels(frame.theta, R, L_EXCLUDE)))
         vals = evaluate(frame.point(R, thetas))
         resid = vals - (R ** lam_n * w0(thetas)
                         + R ** (lam_n - 1.0) * w1(thetas))
-        Amat = (np.column_stack([np.real(profs[m](thetas)) for m in L_MODES])
-                * np.sqrt(wts)[:, None])
-        rhs = resid * np.sqrt(wts)
-        c, *_ = np.linalg.lstsq(Amat, rhs, rcond=None)
-        for i, m in enumerate(L_MODES):
-            coeff[m].append(c[i])
+        tracks.append(fit_modes(resid, thetas, wts, frame.theta))
 
     ell, res_rel, log_rel = {}, {}, {}
     lnR = np.log(radii)
-    for m in L_MODES:
-        cm = np.array(coeff[m])
+    for m, cm in zip(MODES, np.transpose(tracks)):
         lam = lambda_n(m, frame.theta)
         # decaying target power plus a growing power absorbing the
         # reflection of the truncated arc data

@@ -10,8 +10,8 @@ fallback (Shewchuk, Discrete Comput. Geom. 18, 1997).
 Carving needs no point inside a hole.  A flood from the super vertices
 labels each triangle with the parity of the constrained segments crossed
 to reach it: even is outside the domain or inside a hole, odd is meshed.
-A slit (a chain's segment) has the domain on both sides and is crossed
-without a flip.  So a hole may be any simple polygon.
+A slit (a chain's segment, on y = 0) has the domain on both sides and is
+crossed without a flip.  So a hole may be any simple polygon.
 
 A geometry with a hole row (GeometrySpec.row) has its congruent periods
 tiled.  A period is tiled where its sizing is the tile's, translated: its
@@ -574,6 +574,10 @@ def triangulate(geo: GeometrySpec, h0: float) -> Mesh:
         raise ValueError("h0 must be positive")
     if geo.grading_layers < 0:
         raise ValueError("grading_layers must be at least 0")
+    # _extract gives a slit's lower face the elements below y = 0
+    if any(np.any(np.asarray(c, dtype=float)[:, 1] != 0.0)
+           for c in geo.chains):
+        raise ValueError("every chain must lie on y = 0")
     sizing = _make_sizing(geo, h0)
     tiles = _tiled_periods(geo, h0)
     untiled = [loop for i, loop in enumerate(geo.loops[1:], 1)

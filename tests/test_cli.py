@@ -197,6 +197,8 @@ def test_zero_denominator_in_a_config_raises_value_error():
     ("cell_h0 = -0.1", "cell_h0 must be positive"),
     ("cell_h = 0.1", "unknown config key: cell_h"),
     ("check_e0 = 1.1, 0.85", "check_e0 = 1.1, 0.85: expected 'lo, hi'"),
+    ("hole_radius = 0.6", "hole must be strictly inside (0,1) x (-1,1)"),
+    ("deltas = 1", "delta = 1.0 too large for the domain"),
 ])
 def test_bad_config_value_is_a_usage_error(tmp_path, capsys, monkeypatch,
                                            line, message):
@@ -221,6 +223,7 @@ def test_bad_config_value_is_a_usage_error(tmp_path, capsys, monkeypatch,
     (["cell-constants", "--T", "3"], "cell_T must be at least 4"),
     (["nearfield", "--rmax", "10"], "nf_Rmax must be at least 20"),
     (["cell-constants", "--cutoff", "tanh"], "unknown cut-off profile 'tanh'"),
+    (["solve-exact", "--delta", "1"], "delta = 1.0 too large for the domain"),
 ])
 def test_flag_the_study_rejects_is_a_usage_error(argv, message, capsys):
     with pytest.raises(SystemExit) as exc:

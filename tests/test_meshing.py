@@ -121,6 +121,10 @@ def test_every_chain_is_a_slit():
     shared = np.intersect1d(np.unique(top), np.unique(bot))
     np.testing.assert_allclose(np.sort(mesh.nodes[shared][:, 0]), [-0.5, 0.5])
     np.testing.assert_allclose(mesh.element_areas().sum(), 4.0, rtol=1e-12)
+    # the lower face is told apart by y < 0, so a chain off y = 0 is refused
+    with pytest.raises(ValueError, match="y = 0"):
+        triangulate(GeometrySpec(loops=[(pts, tags)],
+                                 chains=[chain + [0.0, 0.3]]), 0.2)
 
 
 # -- exact predicates ------------------------------------------------------------

@@ -25,8 +25,8 @@ import re
 import numpy as np
 
 from .exact import solve_exact
-from .harness import (StudyConfig, build_model, cell_constants, emit_outputs,
-                      run_study)
+from .harness import (STUDY_PARAMS, StudyConfig, build_model, cell_constants,
+                      emit_outputs, run_study)
 from .nearfield import solve_S
 from .params import DomainParams, HoleSpec
 
@@ -100,12 +100,13 @@ def _params_from(cfg: dict) -> DomainParams:
         r = _eval_number(cfg["hole_radius"])
         kw["hole"] = (HoleSpec(kind="none") if r == 0.0
                       else HoleSpec(kind="disk", center=(0.5, 0.0), radius=r))
-    return dataclasses.replace(StudyConfig().params, **kw)
+    return dataclasses.replace(STUDY_PARAMS, **kw)
 
 
-def _study_config(cfg: dict) -> StudyConfig:
-    """The StudyConfig of a flat config; check_* windows are left to
-    _windows, and any other key the study does not read raises."""
+def _study_config(cfg: dict, **flags) -> StudyConfig:
+    """The StudyConfig of a flat config, with the StudyConfig fields flags
+    on top; check_* windows are left to _windows, and any other key the
+    study does not read raises."""
     unknown = [key for key in cfg if key not in _FIELDS and key not in _PARAMS
                and key not in ("deltas", "hole_radius")
                and not key.startswith("check_")]
@@ -117,19 +118,19 @@ def _study_config(cfg: dict) -> StudyConfig:
     for key, cast in _FIELDS.items():
         if key in cfg:
             kw[key] = cast(cfg[key])
-    return StudyConfig(**kw)
+    return StudyConfig(**{**kw, **flags})
 
 
 def _config_of(args) -> StudyConfig:
     """--config (or the defaults) with every flag given on the command line
     on top; a flag's dest is the StudyConfig field it sets, and --delta is
     the sweep, so that it is checked as a study's delta is."""
-    cfg = _study_config(parse_config(args.config) if args.config else {})
     flags = {k: v for k, v in vars(args).items()
              if k in _FIELDS and v is not None}
     if getattr(args, "delta", None) is not None:
         flags["deltas"] = (args.delta,)
-    return dataclasses.replace(cfg, **flags)
+    return _study_config(parse_config(args.config) if args.config else {},
+                         **flags)
 
 
 def _windows(cfg: dict) -> dict:

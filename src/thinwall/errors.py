@@ -48,10 +48,6 @@ class FactorOutOfMemory(ThinwallError, MemoryError):
 
 # -- cell / corner / nearfield ------------------------------------------------
 
-class CompatibilityViolated(ThinwallError):
-    """Cell-problem right-hand side violates a solvability condition."""
-
-
 class ResonantCase(ThinwallError):
     """Angular profile requested at a resonant exponent (not supported)."""
 

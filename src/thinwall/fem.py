@@ -372,14 +372,6 @@ def _scatter(space: Space, rows, loc):
     return b
 
 
-def _edge_basis_1d(p, t):
-    """1D Lagrange basis on [0,1] at lattice 0, 1/p, ..., 1 in edge-dof order."""
-    nodes = np.concatenate([[0.0], np.arange(1, p) / p, [1.0]])
-    V = np.vander(nodes, p + 1, increasing=True)
-    C = np.linalg.inv(V)
-    return np.vander(t, p + 1, increasing=True) @ C
-
-
 class _EdgeRule(NamedTuple):
     """An nq-point Gauss rule on the edges of one boundary tag."""
 
@@ -387,7 +379,7 @@ class _EdgeRule(NamedTuple):
     rows: np.ndarray    # (E, p+1) dofs along each edge, from a to b
     t: np.ndarray       # (Q,) Gauss points on [0, 1]
     w: np.ndarray       # (Q,) their weights
-    phi: np.ndarray     # (Q, p+1) 1D basis at t
+    phi: np.ndarray     # (Q, p+1) basis along an edge at t, in rows' order
     pa: np.ndarray      # (E, 2) first endpoints
     pb: np.ndarray      # (E, 2) second endpoints
     lens: np.ndarray    # (E,) edge lengths
@@ -402,10 +394,13 @@ def _edge_rule(space: Space, tag: str, nq: int) -> _EdgeRule:
     edges = space.mesh.edges_with_tag(tag)
     t, w = np.polynomial.legendre.leggauss(nq)
     t = 0.5 * (t + 1.0)
+    # the element basis on reference edge (0, 1): vertex 0, that edge's
+    # interior dofs in order, vertex 1
+    phi = space.ref.eval(np.column_stack([t, np.zeros_like(t)]))
+    phi = phi[:, [0, *range(3, space.p + 2), 1]]
     pa = space.mesh.nodes[edges[:, 0]]
     pb = space.mesh.nodes[edges[:, 1]]
-    return _EdgeRule(edges, space._edge_rows(edges), t, 0.5 * w,
-                     _edge_basis_1d(space.p, t), pa, pb,
+    return _EdgeRule(edges, space._edge_rows(edges), t, 0.5 * w, phi, pa, pb,
                      np.linalg.norm(pb - pa, axis=1))
 
 

@@ -26,18 +26,21 @@ from .geometry import (CELL_T_MIN, CONE_RMAX_MIN, build_cell_geometry,
 from .nearfield import solve_S
 from .params import DomainParams
 
-__all__ = ["StudyConfig", "ConvergenceReport", "cell_constants",
-           "build_model", "run_study", "fit_slope", "emit_outputs",
-           "read_report_csv"]
+__all__ = ["STUDY_PARAMS", "StudyConfig", "ConvergenceReport",
+           "cell_constants", "build_model", "run_study", "fit_slope",
+           "emit_outputs", "read_report_csv"]
 
 CSV_HEADER = "delta,dofs,e0,e1,e2"
 
 
+# the study's default parameters; configs/study.cfg states how its k0 is
+# chosen
+STUDY_PARAMS = DomainParams(k0=2.5 * math.pi)
+
+
 @dataclass
 class StudyConfig:
-    # configs/study.cfg states how the study's k0 is chosen
-    params: DomainParams = dc_field(
-        default_factory=lambda: DomainParams(k0=2.5 * math.pi))
+    params: DomainParams = STUDY_PARAMS
     alpha: float = 0.25
     deltas: tuple = (1 / 8, 1 / 16, 1 / 32, 1 / 64)
     # reference (perforated) solves

@@ -109,32 +109,91 @@ def test_kernel_profile_far_field(coarse_cell):
                                    atol=5e-4)
 
 
-def test_correctors_flatten_in_far_bands(coarse_cell):
+@pytest.fixture(scope="module")
+def correctors(coarse_cell, coarse_constants):
+    """Reference solves of the pairing field U1 and the correctors V11 and
+    V12 on the coarse cell's space, through the fem API: build_cell's
+    periodic operator, each load balanced along the constants' load, each
+    field gauged to a zero symmetric far-band mean.  Returns the stiffness
+    and {name: (field coefficients, balanced load)}."""
+    space, T = coarse_cell.space, 5.0
+    K = fem.stiffness(space)
+    cons = fem.Constraints(space)
+    cons.tie(*fem.paired_dofs(space, "Periodic_right", "Periodic_left", 1))
+    xy = space.dof_coords
+    cons.dirichlet(int(np.argmin(np.hypot(xy[:, 0] - 0.5, xy[:, 1] - T))))
+    solver = fem.Solver(K, cons)
+    w = fem.volume_load(space, lambda x, y: np.ones_like(x))
+    pts, wq = space.quad_global()
+    far = np.abs(pts[:, 1]) > T - 1.0
+
+    def solve(b):
+        b = b - b.sum() / w.sum() * w
+        u = solver.solve(b)[0]
+        vals = fem.Field(space, u).values_at_own_quad()
+        top, bot = (np.sum(wq[s] * vals[s]) / np.sum(wq[s])
+                    for s in (far & (pts[:, 1] > 0), far & (pts[:, 1] < 0)))
+        return u - 0.5 * (top + bot), b
+
+    cut = make_cutoff("exp")
+    D1 = coarse_constants.D1
+    hole = fem.boundary_load_normal(space, "GammaHole",
+                                    lambda x, y, nx, ny: -nx)
+    f11 = lambda x, y: 0.5 * D1 * np.sign(y) * cut(y)[2]
+    f12 = lambda x, y: 2.0 * cut(y)[1] + y * cut(y)[2]
+    return K, {"U1": solve(hole),
+               "V11": solve(fem.volume_load(space, f11) + hole),
+               "V12": solve(fem.volume_load(space, f12))}
+
+
+def test_cell_solves_twice(monkeypatch):
+    # the W and U1 solves; every other constant is a load pairing
+    calls = []
+    solve = fem.Solver.solve
+    monkeypatch.setattr(fem.Solver, "solve",
+                        lambda self, *a: calls.append(1) or solve(self, *a))
+    build_cell(HoleSpec(), T=4.0, h0=0.3, degree=2)
+    assert len(calls) == 2
+
+
+def test_correctors_flatten_in_far_bands(coarse_cell, correctors):
     # far from the hole the correctors lose all X1 structure and settle to
     # opposite constants above and below (gauged to a zero symmetric mean)
     xs = np.linspace(0.05, 0.95, 7)
-    for f in (coarse_cell.V11, coarse_cell.V12):
+    for name in ("V11", "V12"):
+        f = fem.Field(coarse_cell.space, correctors[1][name][0])
         top = f.evaluate(np.column_stack([xs, np.full(7, 4.6)])).real
         bot = f.evaluate(np.column_stack([xs, np.full(7, -4.6)])).real
         assert top.std() < 1e-4 and bot.std() < 1e-4
         np.testing.assert_allclose(top.mean(), -bot.mean(), atol=5e-4)
 
 
-def test_v12_holds_every_row_of_its_periodic_system(coarse_cell):
+def test_v12_holds_every_row_of_its_periodic_system(coarse_cell,
+                                                    coarse_constants,
+                                                    correctors):
     # V12's load is balanced only up to quadrature; with that remainder
     # taken off along the constants' load, the solved field satisfies every
     # row of the reduced periodic system, the fixed dof's row included
-    space = coarse_cell.space
-    cut = make_cutoff("exp")
-    def f12(x, y):
-        _, dchi, d2chi = cut(y)
-        return 2.0 * dchi + y * d2chi
-
-    b = fem.volume_load(space, f12)
-    w = fem.volume_load(space, lambda x, y: np.ones_like(x))
-    b = b - b.sum() / w.sum() * w
-    cons = fem.Constraints(space)
-    cons.tie(*fem.paired_dofs(space, "Periodic_right", "Periodic_left", 1))
+    K, fields = correctors
+    V12, b = fields["V12"]
+    cons = fem.Constraints(coarse_cell.space)
+    cons.tie(*fem.paired_dofs(coarse_cell.space, "Periodic_right",
+                              "Periodic_left", 1))
     C, _ = cons.build()
-    rows = C.T @ (coarse_cell.K @ coarse_cell.V12.coeffs - b)
+    rows = C.T @ (K @ V12 - b)
     assert np.abs(rows).max() <= 1e-10 * np.abs(C.T @ b).max()
+    # so the pairing a(U1, V12) is U1 against V12's load, and N3 is both
+    U1 = fields["U1"][0]
+    scale = max(abs(coarse_constants.D2), abs(coarse_constants.N2))
+    assert abs(U1 @ b - U1 @ (K @ V12)) <= 1e-12 * scale
+    assert abs(coarse_constants.N3 - U1 @ b) <= 1e-12 * scale
+    assert abs(coarse_constants.N3 - U1 @ (K @ V12)) <= 1e-12 * scale
+
+
+def test_n2_is_the_v11_pairing(coarse_cell, coarse_constants, correctors):
+    # N2 = |B| + a(U1, V11), read as U1 against V11's balanced load
+    K, fields = correctors
+    U1, (V11, b) = fields["U1"][0], fields["V11"]
+    area = 16.0 * 0.15 ** 2 * np.sin(2 * np.pi / 32)
+    scale = max(abs(coarse_constants.D2), abs(coarse_constants.N2))
+    assert abs(coarse_constants.N2 - area - U1 @ (K @ V11)) <= 1e-12 * scale

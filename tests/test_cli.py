@@ -162,6 +162,20 @@ def test_flags_override_config(tmp_path):
     assert _config_of(_parser().parse_args(["cell-constants"])) == StudyConfig()
 
 
+def test_config_of_builds_one_study_config(monkeypatch):
+    # each StudyConfig build checks every geometry: --config and a flag
+    # make one build, not one per layer of overrides
+    runs = []
+    post_init = StudyConfig.__post_init__
+    monkeypatch.setattr(StudyConfig, "__post_init__",
+                        lambda self: runs.append(1) or post_init(self))
+    args = _parser().parse_args(["cell-constants", "--config",
+                                 str(ROOT / "configs" / "study.cfg"),
+                                 "--h0", "0.1"])
+    assert _config_of(args).cell_h0 == 0.1
+    assert len(runs) == 1
+
+
 def test_number_flags_take_the_config_forms():
     args = _parser().parse_args(["cell-constants", "--h0", "1/20",
                                  "--T", "6"])

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from thinwall.bessel import bessel_j_array
 from thinwall.corner import CornerFrame, LiftField
-from thinwall.cutoff import make_cutoff
+from thinwall.cutoff import _PROFILES, make_cutoff
 
 
 @pytest.fixture(params=["exp", "poly"])
@@ -45,6 +46,19 @@ def test_derivatives_match_finite_differences(cut):
     np.testing.assert_allclose(dchi, d_fd, atol=1e-7)
     d2_fd = (cut(t + h)[1] - cut(t - h)[1]) / (2 * h)
     np.testing.assert_allclose(d2chi, d2_fd, atol=1e-6)
+
+
+@pytest.mark.parametrize("profile", sorted(_PROFILES))
+def test_cell_volume_loads_balance(profile):
+    # the cell's volume profiles sign(t) chi''(t) (V11's, up to D1/2) and
+    # 2 chi' + t chi'' (V12's) are odd, so over the bands 1 < |t| < 2 their
+    # integrals cancel: that is the solvability of both cell problems
+    cut = make_cutoff(profile)
+    for f in (lambda t: np.sign(t) * cut(t)[2],
+              lambda t: 2.0 * cut(t)[1] + t * cut(t)[2]):
+        lower, upper = (quad(lambda t: float(f(np.array([t]))[0]), lo, hi,
+                             limit=200)[0] for lo, hi in ((-2, -1), (1, 2)))
+        assert abs(lower + upper) <= 1e-12
 
 
 def test_corner_cutoff_plateaus():

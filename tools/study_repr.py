@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Print the benchmark's scaled convergence study to every digit (repr):
-its rows, its slopes and L_{-1} of each corner.  Run from the repository
+its rows, its slopes, L_{-1} of each corner and the cell's effective
+constants.  Run from the repository
 root, at one BLAS thread:
 
     OPENBLAS_NUM_THREADS=1 python3 tools/study_repr.py
@@ -24,3 +25,5 @@ for name, fit in sorted(rep.slopes.items()):
     print("slope", name, repr(fit[0]))
 for side, val in sorted(rep.L_minus_1.items()):
     print("L_minus_1", side, repr(val))
+for name, val in sorted(rep.constants.items()):
+    print("constant", name, repr(val))

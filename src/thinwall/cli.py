@@ -193,7 +193,8 @@ def cmd_solve_exact(args, cfg):
     res = solve_exact(cfg.params, args.delta, h0=cfg.exact_h0,
                       degree=cfg.exact_degree, grading=cfg.exact_grading,
                       max_dofs=cfg.exact_max_dofs)
-    print(f"ndof {res.ndof}  residual {res.residual:.3e}  "
+    print(f"ndof {res.ndof}  factored {res.factored}  "
+          f"residual {res.residual:.3e}  "
           f"flux-balance defect {res.flux_balance():.3e}")
     if args.out:
         space = res.field.space

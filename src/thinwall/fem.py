@@ -253,18 +253,22 @@ class Space:
             self._tab = (qp, qw, self.ref.eval(qp), self.ref.grad(qp))
         return self._tab
 
-    def quad_global(self):
-        """Physical quadrature points and weights, flattened over elements."""
-        if self._quad is None:
-            qp, qw, _, _ = self._rule()
-            pts = self.mesh.nodes[self.mesh.elements]
-            phys = (pts[:, None, 0, :]
-                    + qp[None, :, 0, None] * (pts[:, 1] - pts[:, 0])[:, None, :]
-                    + qp[None, :, 1, None] * (pts[:, 2] - pts[:, 0])[:, None, :])
-            _, _, detJ = self._jacobians()
-            w = 0.5 * detJ[:, None] * qw[None, :]
-            self._quad = (phys.reshape(-1, 2), w.reshape(-1))
-        return self._quad
+    def quad_global(self, elements=None):
+        """Physical quadrature points and weights, flattened over elements:
+        all of them (cached), or those listed in elements."""
+        if elements is None and self._quad is not None:
+            return self._quad
+        qp, qw, _, _ = self._rule()
+        sel = slice(None) if elements is None else elements
+        pts = self.mesh.nodes[self.mesh.elements[sel]]
+        phys = (pts[:, None, 0, :]
+                + qp[None, :, 0, None] * (pts[:, 1] - pts[:, 0])[:, None, :]
+                + qp[None, :, 1, None] * (pts[:, 2] - pts[:, 0])[:, None, :])
+        w = 0.5 * self._jacobians()[2][sel, None] * qw[None, :]
+        quad = (phys.reshape(-1, 2), w.reshape(-1))
+        if elements is None:
+            self._quad = quad
+        return quad
 
     # -- point location -----------------------------------------------------------
 
@@ -307,12 +311,22 @@ class Space:
 
 # -- assembly ----------------------------------------------------------------------
 
-def stiffness(space: Space):
+def _on(space: Space, elements):
+    """(element dofs, Jinv, detJ) of the listed elements, or of all."""
+    _, Jinv, detJ = space._jacobians()
+    rows = space.element_dofs
+    if elements is None:
+        return rows, Jinv, detJ
+    return rows[elements], Jinv[elements], detJ[elements]
+
+
+def stiffness(space: Space, elements=None):
     """Stiffness matrix: per element, the reference tensor
     S[(j,k),(n,m)] = sum_q w_q d_j phi_n(q) d_k phi_m(q) contracted with
-    1/2 detJ Jinv Jinv^T."""
+    1/2 detJ Jinv Jinv^T.  elements, if given, lists the elements summed;
+    the matrix is over all dofs either way."""
     _, qw, _, gphi = space._rule()
-    _, Jinv, detJ = space._jacobians()
+    rows, Jinv, detJ = _on(space, elements)
     nloc = gphi.shape[1]
     S = np.einsum("q,qnj,qmk->jknm", qw, gphi, gphi).reshape(4, nloc * nloc)
     # couplings that vanish for every triangle stay out of the pattern; for
@@ -320,27 +334,27 @@ def stiffness(space: Space):
     # integral of (4 l_i - 1) l_k is zero, and quadrature leaves round-off
     keep = np.abs(S).max(axis=0) > 1e-12 * np.abs(S).max()
     G = 0.5 * detJ[:, None, None] * (Jinv @ Jinv.transpose(0, 2, 1))
-    return _matrix(space, space.element_dofs, G.reshape(-1, 4) @ S[:, keep],
-                   keep)
+    return _matrix(space, rows, G.reshape(-1, 4) @ S[:, keep], keep)
 
 
-def mass(space: Space, coeff=None):
-    """Weighted mass matrix; coeff is a constant or a vectorized callable.
+def mass(space: Space, coeff=None, elements=None):
+    """Weighted mass matrix; coeff is a constant or a vectorized callable,
+    and elements, if given, lists the elements summed (see stiffness).
 
     Per element, the pointwise coefficient times 1/2 detJ contracts the
     reference tensor P[q,(n,m)] = w_q phi_n(q) phi_m(q).
     """
     _, qw, phi, _ = space._rule()
-    _, _, detJ = space._jacobians()
+    rows, _, detJ = _on(space, elements)
     M, Q, nloc = detJ.size, qw.size, phi.shape[1]
     P = np.einsum("q,qn,qm->qnm", qw, phi, phi).reshape(Q, nloc * nloc)
     if callable(coeff):
-        pts, _ = space.quad_global()
+        pts, _ = space.quad_global(elements)
         cval = np.asarray(coeff(pts[:, 0], pts[:, 1])).reshape(M, Q)
     else:
         cval = np.broadcast_to(1.0 if coeff is None else coeff, (M, Q))
     loc = (cval * (0.5 * detJ)[:, None]) @ P
-    return _matrix(space, space.element_dofs, loc)
+    return _matrix(space, rows, loc)
 
 
 def volume_load(space: Space, f):

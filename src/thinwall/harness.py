@@ -60,10 +60,11 @@ class StudyConfig:
     nf_h0: float = 0.45
     nf_degree: int = 2
     cutoff: str = "exp"
-    # cap on the reference-system size, which guards memory; solve_exact
-    # raises above it.  800,000 admits delta = 1/128 (488,135 P3 dofs, 11 s
-    # and 1.2 GB peak at one BLAS thread) and stops delta = 1/256 (924,330
-    # dofs, 21 s and 2.1 GB)
+    # cap on the unknowns SuperLU factors for one reference (the tile's
+    # interior and the reduced system), which guards memory; solve_exact
+    # raises above it before assembly.  800,000 admits delta = 1/512: it
+    # factors 307,058 of its 1,837,112 P3 dofs (22 s and 1.7 GB peak at one
+    # BLAS thread), and 1/256 177,474 of 924,330 (11 s and 1.0 GB)
     exact_max_dofs: int = 800_000
 
     def __post_init__(self):

@@ -15,17 +15,26 @@ class Mesh:
     Across a slit interface the top/bottom edge copies are node-disjoint but
     geometrically coincident; everywhere else interior edges are shared by
     exactly two triangles.
+
+    A mesh whose hole row is tiled (triangulate) keeps its tile map: row c of
+    tiles lists copy c's elements in the tile's element order, each a
+    translate of copy 0's with the same vertex order.  Without a tiled
+    period it has no rows.
     """
 
     nodes: np.ndarray           # (N, 2) float
     elements: np.ndarray        # (M, 3) int, positively oriented
     boundary_edges: np.ndarray  # (K, 2) int
     boundary_tags: list         # K strings, one tag per boundary edge
+    tiles: np.ndarray | None = None  # (C, Mt) int, each copy's elements
 
     def __post_init__(self):
         self.nodes = np.asarray(self.nodes, dtype=float).reshape(-1, 2)
         self.elements = np.asarray(self.elements, dtype=np.int64).reshape(-1, 3)
         self.boundary_edges = np.asarray(self.boundary_edges, dtype=np.int64).reshape(-1, 2)
+        if self.tiles is None:
+            self.tiles = np.zeros((0, 0), dtype=np.int64)
+        self.tiles = np.asarray(self.tiles, dtype=np.int64)
 
     @property
     def num_nodes(self):

@@ -569,6 +569,8 @@ def triangulate(geo: GeometrySpec, h0: float) -> Mesh:
     The rest of the domain (outer loop, chains, untiled holes) is meshed
     around each run of tiled periods (_tile_runs), whose translated tiles
     are joined to it by node index; with no tiled period it is the mesh.
+    Its elements come first, then each copy's in the tile's order, which
+    the mesh's tile map records.
     """
     if not h0 > 0:
         raise ValueError("h0 must be positive")
@@ -590,7 +592,8 @@ def triangulate(geo: GeometrySpec, h0: float) -> Mesh:
 
     nodes, elements = [mesh.nodes], [mesh.elements]
     edges, tags = [mesh.boundary_edges], list(mesh.boundary_tags)
-    n = mesh.num_nodes
+    n, m = mesh.num_nodes, mesh.num_elements
+    copies = []
     for (gid, xy, edge), pids in zip(runs, outlines):
         final = np.full(len(xy), -1)
         final[edge] = node[pids]
@@ -601,7 +604,11 @@ def triangulate(geo: GeometrySpec, h0: float) -> Mesh:
         elements.append(final[gid[:, tile.elements]].reshape(-1, 3))
         edges.append(final[gid[:, tile.boundary_edges]].reshape(-1, 2))
         tags += tile.boundary_tags * len(gid)
-    return Mesh(np.vstack(nodes), np.vstack(elements), np.vstack(edges), tags)
+        copies.append(m + np.arange(len(gid) * tile.num_elements).reshape(
+            len(gid), -1))
+        m += copies[-1].size
+    return Mesh(np.vstack(nodes), np.vstack(elements), np.vstack(edges), tags,
+                np.vstack(copies) if copies else None)
 
 
 # -- tiling the hole row -----------------------------------------------------------

@@ -7,9 +7,10 @@ import numpy as np
 
 from thinwall import fem
 from thinwall.cascade import solve_transmission
-from thinwall.geometry import GeometrySpec, _rect_loop, build_limit_domain
+from thinwall.geometry import (GeometrySpec, _rect_loop, build_limit_domain,
+                               build_perforated_domain)
 from thinwall.params import DomainParams, HoleSpec
-from thinwall.triangulate import triangulate
+from thinwall.triangulate import _period_box, triangulate
 
 KSQ = 1.69  # off any Neumann eigenvalue of the unit square
 
@@ -222,3 +223,13 @@ def minus_corner_profiles(n, constants, theta):
         return B * np.cos(mu * (np.asarray(t) - (math.pi - theta)))
 
     return w0, up, low
+
+
+def graded_over_period_3():
+    """δ = 1/8 with one more graded corner a quarter period above period
+    3's box: its grading is finer than the hole term on periods 2 to 4, so
+    the row tiles in two runs, periods 1 and 5 to 6."""
+    geo = build_perforated_domain(DomainParams(), 1 / 8)
+    x0, x1, _, y1 = _period_box(geo.row, 3)
+    extra = (0.5 * (x0 + x1), y1 + 0.25 * geo.row.period)
+    return replace(geo, corner_vertices=geo.corner_vertices + [extra])

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -280,7 +281,11 @@ def test_out_names_the_file_written(tmp_path, capsys):
     rc = main(["solve-exact", "--delta", "0.5", "--h0", "0.3", "--degree",
                "2", "--out", str(out)])
     assert rc == 0
-    wrote = capsys.readouterr().out.splitlines()[-1]
+    first, *_, wrote = capsys.readouterr().out.splitlines()
+    # the full dof count and the unknowns SuperLU factored
+    ndof, factored = map(int, re.match(r"ndof (\d+)  factored (\d+)  ",
+                                       first).groups())
+    assert 0 < factored <= ndof
     assert wrote.startswith("wrote ")
     path = Path(wrote[len("wrote "):])
     assert path.exists()

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from helpers import graded_over_period_3
 
 from thinwall import exact, fem
 from thinwall.exact import incident_robin_load, kdelta_field, solve_exact
@@ -31,16 +32,50 @@ def test_incident_robin_load_value():
 
 
 def test_dof_cap_raises(monkeypatch):
+    # the cap is on the unknowns SuperLU factors, checked before assembly
     p = DomainParams(k0=2.0)
-    mesh = triangulate(build_perforated_domain(p, 0.25), 0.15)
-    ndof = fem.Space(mesh, 3).ndof
+    res = solve_exact(p, 0.25, h0=0.15, degree=3)
+    n = res.factored
+    assert n < res.ndof
 
     def no_assembly(*args, **kwargs):
         raise AssertionError("assembled past the dof cap")
 
-    monkeypatch.setattr(exact, "helmholtz_matrix", no_assembly)
-    with pytest.raises(ValueError, match=f"{ndof} P3 dofs.*cap of {ndof - 1}"):
-        solve_exact(p, 0.25, h0=0.15, degree=3, max_dofs=ndof - 1)
+    for name in ("stiffness", "mass", "boundary_mass", "boundary_load"):
+        monkeypatch.setattr(fem, name, no_assembly)
+    with pytest.raises(ValueError, match=f"factors {n} of its {res.ndof} P3 "
+                                         f"dofs, over the cap of {n - 1}"):
+        solve_exact(p, 0.25, h0=0.15, degree=3, max_dofs=n - 1)
+
+
+def _uncondensed(res):
+    """The full system on the condensed solve's Space, factored whole."""
+    p, space = res.params, res.field.space
+    A = exact.helmholtz_matrix(space, p, kdelta_field(p, res.delta))
+    b = fem.boundary_load(space, "GammaR_minus", incident_robin_load(p))
+    u, _ = fem.solve(A, b)
+    return u
+
+
+@pytest.mark.parametrize("geometry", ["ref 1/8", "graded over period 3",
+                                      "ref 1/8 with khat"])
+def test_condensed_solve_equals_the_full_one(geometry, monkeypatch):
+    p = DomainParams()
+    if geometry == "graded over period 3":
+        # two tile runs, periods 1 and 5 to 6
+        monkeypatch.setattr(exact, "build_perforated_domain",
+                            lambda p, delta: graded_over_period_3())
+    if geometry == "ref 1/8 with khat":
+        # every copy takes the tile's operator: kdelta_field is periodic
+        p = DomainParams(khat=lambda X1, X2: 3.0 + np.cos(2 * np.pi * X1) * X2)
+    res = solve_exact(p, 1 / 8, h0=0.1, degree=3)
+    mesh = res.field.space.mesh
+    assert len(mesh.tiles) == (3 if geometry == "graded over period 3" else 6)
+    assert res.factored < res.ndof
+    assert res.residual <= 1e-12
+    u = _uncondensed(res)
+    assert (np.linalg.norm(res.field.coeffs - u) / np.linalg.norm(u)
+            <= 1e-10)
 
 
 def test_negative_grading_raises():

@@ -270,6 +270,20 @@ def test_real_operator_complex_load():
                                atol=1e-12 * np.abs(want).max())
 
 
+def test_assembly_over_listed_elements_sums_to_the_whole():
+    space = square_space(0.3, 2)
+    halves = np.array_split(np.arange(space.mesh.num_elements), 2)
+
+    def k2(x, y):
+        return 1.0 + x * y
+
+    A = sum(fem.stiffness(space, elements=e)
+            + fem.mass(space, coeff=k2, elements=e) for e in halves)
+    whole = fem.stiffness(space) + fem.mass(space, coeff=k2)
+    assert A.shape == whole.shape
+    np.testing.assert_allclose((A - whole).toarray(), 0.0, atol=1e-13)
+
+
 def test_array_constraints_match_scalar_calls():
     space = square_space(0.4, 1)
     slaves, masters = np.array([1, 2, 3]), np.array([0, 4, 5])

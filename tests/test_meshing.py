@@ -8,7 +8,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from helpers import graded_over_period_3
 
+from thinwall import fem
 from thinwall.geometry import (GeometrySpec, _rect_loop, build_cell_geometry,
                                build_cone_geometry, build_limit_domain,
                                build_perforated_domain)
@@ -315,15 +317,6 @@ def test_coarse_meshes_keep_their_hashes():
 
 # -- tiled hole rows -------------------------------------------------------------
 
-def _graded_over_period_3():
-    """δ = 1/8 with one more graded corner a quarter period above period
-    3's box: its grading is finer than the hole term on periods 2 to 4."""
-    geo = build_perforated_domain(DomainParams(), 1 / 8)
-    x0, x1, _, y1 = _period_box(geo.row, 3)
-    extra = (0.5 * (x0 + x1), y1 + 0.25 * geo.row.period)
-    return replace(geo, corner_vertices=geo.corner_vertices + [extra])
-
-
 # name: (geometry, h0, the periods tiled); every period but the one next to
 # a corner or cut by the truncation arc is tiled
 TILED = {
@@ -336,7 +329,7 @@ TILED = {
     "cone": (lambda: build_cone_geometry(1.5 * math.pi, 20.0,
                                          side_polygon("plus", HoleSpec())),
              0.9, range(1, 19)),
-    "ref 1/8, graded over period 3": (_graded_over_period_3, 0.1, [1, 5, 6]),
+    "ref 1/8, graded over period 3": (graded_over_period_3, 0.1, [1, 5, 6]),
 }
 
 
@@ -438,3 +431,30 @@ def test_tiled_periods_are_sized_as_the_tile(name):
             want = tile_sizing(x0 + dx, y)
             got = sizing(_period_box(row, k)[0] + dx, y)
             assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("name", ["ref 1/8", "cone",
+                                  "ref 1/8, graded over period 3"])
+def test_tile_map_lists_each_copy_translated(name):
+    """Row c of mesh.tiles is the copy in period k: copy 0's triangles,
+    vertex by vertex, and its dofs, position by position, moved by
+    (k - k0) periods."""
+    geo, _, mesh, tiles = _tiled(name)
+    row = geo.row
+    assert len(np.unique(mesh.tiles)) == mesh.tiles.size
+    tris = mesh.nodes[mesh.elements[mesh.tiles]]
+    k = np.floor((tris[..., 0].mean(axis=(1, 2)) - row.origin[0])
+                 / row.period).astype(int)
+    assert list(k) == sorted(tiles)
+    space = fem.Space(mesh, 3)
+    dofs = space.dof_coords[space.element_dofs[mesh.tiles]]
+    for xy in (tris, dofs):
+        moved = xy.copy()
+        moved[..., 0] -= (k - k[0])[:, None, None] * row.period
+        np.testing.assert_allclose(moved, np.broadcast_to(xy[0], xy.shape),
+                                   rtol=0,
+                                   atol=1e-12 * abs(row.origin[0]) + 1e-15)
+
+
+def test_untiled_mesh_has_an_empty_tile_map():
+    assert triangulate(square_geo(), 0.3).tiles.shape == (0, 0)

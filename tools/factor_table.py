@@ -5,9 +5,11 @@ the repository root, at one BLAS thread:
 
     OPENBLAS_NUM_THREADS=1 python3 tools/factor_table.py > factors.json
 
-The systems are the five the benchmark's scaled study factors (cell, cone,
+The systems are those the benchmark's scaled study factors (cell, cone,
 limit cascade and its two references; perfbench/workloads.py) and the full
-study's references at every delta of configs/study.cfg.  Each reduced
+study's references at every delta of configs/study.cfg.  A reference
+factors two, its tile's interior and then its reduced system (exact.py),
+both labelled "reference".  Each reduced
 matrix is written to a temporary directory, then factored REPEATS times by
 fem.Solver in a fresh process per setting; "default" passes no relax or
 panel size to splu.  A row records the family, delta, the unknowns of the

@@ -57,9 +57,10 @@ class GeometrySpec:
     corner vertex down to h0 / 2^grading_layers; 0 leaves it ungraded.
     row: the HoleRow the hole loops repeat along, or None.  triangulate
     meshes one period box with its hole once, its edges (the seams)
-    sampled at a fixed fraction of the sizing (triangulate.SEAM_SIZE), and
-    tiles it over every period whose box lies inside the domain and is
-    sized by its own hole alone: the corner grading is nowhere finer on it.
+    sampled at its sizing and split by refinement, the left and right ones
+    in pairs, and tiles it over every period whose box lies inside the
+    domain and is sized by its own hole alone: the corner grading is
+    nowhere finer on it.
     A period box holds the hole whose centroid falls in it.  None meshes
     every hole on its own.
     Together with the hole loops, whose sizing triangulate derives from

@@ -62,9 +62,9 @@ class StudyConfig:
     cutoff: str = "exp"
     # cap on the unknowns SuperLU factors for one reference (the tile's
     # interior and the reduced system), which guards memory; solve_exact
-    # raises above it before assembly.  800,000 admits delta = 1/512: it
-    # factors 307,058 of its 1,837,112 P3 dofs (22 s and 1.7 GB peak at one
-    # BLAS thread), and 1/256 177,474 of 924,330 (11 s and 1.0 GB)
+    # raises above it before assembly.  800,000 admits delta = 1/1024: it
+    # factors 414,333 of its 3,269,049 P3 dofs (31 s and 2.3 GB peak at one
+    # BLAS thread), and 1/512 224,705 of 1,725,746 (13 s and 1.2 GB)
     exact_max_dofs: int = 800_000
 
     def __post_init__(self):

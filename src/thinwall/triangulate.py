@@ -13,22 +13,27 @@ to reach it: even is outside the domain or inside a hole, odd is meshed.
 A slit (a chain's segment, on y = 0) has the domain on both sides and is
 crossed without a flip.  So a hole may be any simple polygon.
 
+A cell's Periodic_right and Periodic_left edges are paired: the left is
+sampled as a copy of the right's samples, and refinement splits a segment
+of either together with its partner, the segment of the other at the same
+y, so the two stay translates (Ruppert, J. Algorithms 18, 1995, splits
+every encroached segment).
+
 A geometry with a hole row (GeometrySpec.row) has its congruent periods
 tiled.  A period is tiled where its sizing is the tile's, translated: its
 box [x, x + p] x [y - p/2, y + p/2] lies inside the domain, so its own hole
 is the nearest one on it, and the corner grading is nowhere finer on it
 than the hole term (_tiled_periods).  The first such period, box and
-hole, is meshed once; its box edges, the seams, are sampled at SEAM_SIZE
-times the sizing and never split, and the left seam is a copy of the
-right's samples.  The rest of the domain is meshed around each run of
-consecutive tiled periods, which it sees as a hole bounded by the tiles'
-outer seam nodes, kept as they are.  Translated copies of the tile
-are then joined to it by node index; seams are not boundary edges.
-Refinement cannot split a seam, so it leaves a triangle whose circumcentre
-encroaches one; seams finer than the sizing make that rare.  At SEAM_SIZE
-0.4, 24 of 25 reference and cone meshes (delta 1/8 to 1/64, five h0 each)
-keep the 26 degree bound; at 0.5, 10 of them keep a 20.9 degree triangle
-at a tile's side seam.
+hole, is meshed once.  Its box edges, the seams, are sampled at its sizing;
+the right and left seams are paired as a cell's edges are, and the bottom
+and top split freely.  The rest of the domain is meshed around each run
+of consecutive tiled periods, which it sees as a hole bounded by the
+tiles' outer seam nodes, kept as they are.  Where a triangle of the rest
+under the angle bound would split one of those seam segments, the tile
+splits it instead, in its own copy, and refines again, and the rest is
+meshed again around the new seams; so every copy stays the tile.
+Translated copies of the tile are then joined to the rest by node index;
+seams are not boundary edges.
 """
 
 from __future__ import annotations
@@ -48,10 +53,15 @@ __all__ = ["triangulate"]
 MIN_ANGLE_DEG = 26.0     # refinement splits triangles with a smaller angle
 MAX_INSERT = 400_000     # refinement insertions before MeshFailure
 GRADING_SIGMA = 0.5      # size ratio of successive layers of corner grading
-SEAM = "Seam"            # tag of a tile's box edges, never a boundary edge
+SEAM = "Seam"            # tag of a run's outline in the rest, never split
 SLIT = "Slit"            # tag of a chain's segments, doubled into two faces
-SEAM_SIZE = 0.4          # seams are sampled at this fraction of the sizing
-_FIXED = ("Periodic_left", "Periodic_right", SEAM)  # tags refinement never splits
+# tags of a tile's box edges, bottom, right, top and left; like SEAM, none
+# is a boundary edge
+TILE = ("Tile_bottom", "Tile_right", "Tile_top", "Tile_left")
+# paired edges, right: left, each a vertical edge; refinement splits a
+# segment of either with its partner, the other's segment at the same y
+_PAIRS = {"Periodic_right": "Periodic_left", TILE[1]: TILE[3]}
+_PAIRED = (*_PAIRS, *_PAIRS.values())
 
 
 # -- geometric predicates (float filter, exact integer fallback) ----------------
@@ -121,6 +131,7 @@ class _Triangulation:
         self.adj = [[-1, -1, -1]]      # neighbor opposite each vertex, -1 none
         self.status = [_UNDECIDED]     # state per triangle
         self.segs = {}                 # (min,max) vertex pair -> tag
+        self.partner = {}              # vertex of a paired edge -> its partner
         self.vert2tri = {0: 0, 1: 0, 2: 0}
         self.last = 0
 
@@ -264,10 +275,23 @@ class _Triangulation:
             return
         self.split_segment(u, v, tag, depth)
 
+    def split(self, u, v):
+        """Split the constrained segment (u, v) at its midpoint, and a
+        paired one's partner with it: the edges are vertical, so both
+        midpoints have the same y."""
+        tag = self.segs.pop(self._seg_key(u, v))
+        m = self.split_segment(u, v, tag)
+        if tag in _PAIRED:
+            pu, pv = self.partner[u], self.partner[v]
+            pm = self.split_segment(pu, pv,
+                                    self.segs.pop(self._seg_key(pu, pv)))
+            self.partner[m], self.partner[pm] = pm, m
+
     def split_segment(self, u, v, tag, depth=0):
-        """Insert the midpoint m of segment (u, v) and recover (u, m) and
-        (m, v) as subsegments with its tag.  (u, v) is not in segs: recovery
-        has not constrained it yet, and refinement takes it out first.
+        """Insert the midpoint m of segment (u, v), recover (u, m) and
+        (m, v) as subsegments with its tag, and return m.  (u, v) is not in
+        segs: recovery has not constrained it yet, and refinement takes it
+        out first.
 
         The float midpoint may fall a rounding error off the exact segment,
         so the halves are recovered rather than assumed to exist.
@@ -280,6 +304,7 @@ class _Triangulation:
             raise MeshFailure("degenerate segment split")
         self.recover_segment(u, m, tag, depth + 1)
         self.recover_segment(m, v, tag, depth + 1)
+        return m
 
     # -- carving -----------------------------------------------------------------
 
@@ -320,10 +345,12 @@ class _Triangulation:
         return ux, uy, math.hypot(ux - ax, uy - ay)
 
     def refine(self, sizing):
+        """Refine to the sizing and the angle bound; returns the SEAM
+        segments that a triangle left under the bound would split."""
         ratio_bound = 0.5 / math.sin(math.radians(MIN_ANGLE_DEG))
         inserted = 0
         stack = [t for t in range(len(self.tris)) if self.status[t] == _ALIVE]
-        skip = set()
+        skip, wanted = set(), {}
         while stack:
             t = stack.pop()
             if self.status[t] != _ALIVE or t in skip:
@@ -358,13 +385,17 @@ class _Triangulation:
                 seglen = math.dist((self.px[u], self.py[u]), (self.px[v], self.py[v]))
                 hseg = sizing(0.5 * (self.px[u] + self.px[v]),
                               0.5 * (self.py[u] + self.py[v]))
-                if self.segs[key] in _FIXED or seglen < 0.55 * hseg:
+                fixed = self.segs[key] == SEAM
+                if fixed or seglen < 0.55 * hseg:
                     skip.add(t)
+                    if fixed and bad_shape and seglen >= 0.55 * hseg:
+                        wanted[t] = key
                     continue
-                self.split_segment(u, v, self.segs.pop(key))
+                self.split(u, v)
             inserted += 1
             stack.extend(range(before, len(self.tris)))
             stack.append(t)
+        return {key for t, key in wanted.items() if self.status[t] == _ALIVE}
 
     def _encroached(self, x, y, tc):
         """Constrained segment near (x, y) whose diametral circle contains it.
@@ -508,12 +539,12 @@ def _sample_edge(a, b, sizing):
 
 
 class _Pslg:
-    """Points, each mapped to its index in order of addition, and the
-    constrained segments (ia, ib, tag) joining them; a point added twice
-    keeps its first index."""
+    """Points, each mapped to its index in order of addition, the
+    constrained segments (ia, ib, tag) joining them, and the pairs of
+    points on paired edges; a point added twice keeps its first index."""
 
     def __init__(self):
-        self.pts, self.req = {}, []
+        self.pts, self.req, self.pairs = {}, [], []
 
     def path(self, samples, tag, closed=False):
         """Add the segments between consecutive samples (closed: and back to
@@ -531,35 +562,31 @@ class _Pslg:
             n = len(loop)
             edges = [_sample_edge(loop[i], loop[(i + 1) % n], sizing)
                      for i in range(n)]
-            if "Periodic_left" in tags:
+            pairs = [(tags.index(right), tags.index(left))
+                     for right, left in _PAIRS.items() if left in tags]
+            for i, j in pairs:
                 # the sizing need not be periodic: the left edge is the right
-                # edge's samples, translated and reversed, so the two match
-                i, j = tags.index("Periodic_right"), tags.index("Periodic_left")
-                sx, sy = loop[j] - loop[(i + 1) % n]
-                edges[j] = [(x + sx, y + sy) for x, y in edges[i][::-1]]
-            for tag, samples in zip(tags, edges):
-                self.path(samples, tag)
+                # edge's samples at its own x, reversed, so the two match
+                edges[j] = [(float(loop[j][0]), y) for _, y in edges[i][::-1]]
+            ids = [self.path(samples, tag) for tag, samples in zip(tags, edges)]
+            for i, j in pairs:
+                self.pairs.extend(zip(ids[i], ids[j][::-1]))
         for chain in chains:
             for i in range(len(chain) - 1):
                 self.path(_sample_edge(chain[i], chain[i + 1], sizing), SLIT)
 
 
-def _mesh(g: _Pslg, lo, hi, sizing):
-    """Mesh g inside the box lo-hi, carve and refine to the sizing; returns
-    the Mesh and the mesh node of each of g's points."""
+def _mesh(g: _Pslg, lo, hi):
+    """Triangulate g's points inside the box lo-hi, recover its segments
+    and carve; returns the triangulation and the vertex of each point."""
     tri = _Triangulation([float(v) for v in lo], [float(v) for v in hi])
     actual = [tri.insert(x, y) for x, y in g.pts]
+    for a, b in g.pairs:
+        tri.partner[actual[a]], tri.partner[actual[b]] = actual[b], actual[a]
     for ia, ib, tag in g.req:
         tri.recover_segment(actual[ia], actual[ib], tag)
     tri.carve()
-    tri.refine(sizing)
-    # a seam's nodes are shared with the mesh on its other side
-    if any(tag == SEAM
-           and tri._seg_key(actual[ia], actual[ib]) not in tri.segs
-           for ia, ib, tag in g.req):
-        raise MeshFailure("a seam was split")
-    mesh, remap = _extract(tri)
-    return mesh, np.array([remap.get(v, -1) for v in actual])
+    return tri, actual
 
 
 def triangulate(geo: GeometrySpec, h0: float) -> Mesh:
@@ -584,17 +611,40 @@ def triangulate(geo: GeometrySpec, h0: float) -> Mesh:
     tiles = _tiled_periods(geo, h0)
     untiled = [loop for i, loop in enumerate(geo.loops[1:], 1)
                if i not in tiles.values()]
-    rest = _Pslg()
-    rest.add([geo.loops[0]] + untiled, geo.chains, sizing)
-    tile, runs = _tile_runs(geo, h0, tiles)
-    outlines = [rest.path(xy[edge], SEAM, closed=True) for _, xy, edge in runs]
-    mesh, node = _mesh(rest, *geo.bbox(), sizing)
+    tile_tri, tile_sizing = _tile(geo, h0, tiles)
+    while True:
+        rest = _Pslg()
+        rest.add([geo.loops[0]] + untiled, geo.chains, sizing)
+        tile, runs = _tile_runs(geo, tiles, tile_tri)
+        outlines = [rest.path(xy[edge], SEAM, closed=True)
+                    for _, xy, edge, _ in runs]
+        tri, actual = _mesh(rest, *geo.bbox())
+        wanted = tri.refine(sizing)
+        if not wanted:
+            break
+        # the tile splits each outline segment the rest would split, in its
+        # own copy, and refines again; the rest is meshed again around it
+        in_tile = {}
+        for (*_, pair), pids in zip(runs, outlines):
+            ring = [actual[i] for i in pids]
+            ends = zip(ring, ring[1:] + ring[:1])
+            in_tile.update(zip(map(frozenset, ends), pair.tolist()))
+        for a, b in (in_tile[frozenset(key)] for key in wanted):
+            if tile_tri._seg_key(a, b) in tile_tri.segs:
+                tile_tri.split(a, b)
+        tile_tri.refine(tile_sizing)
+    # a seam's nodes are shared with the tiles on its other side
+    if any(tag == SEAM and tri._seg_key(actual[ia], actual[ib]) not in tri.segs
+           for ia, ib, tag in rest.req):
+        raise MeshFailure("a seam was split")
+    mesh, remap = _extract(tri)
+    node = np.array([remap.get(v, -1) for v in actual])
 
     nodes, elements = [mesh.nodes], [mesh.elements]
     edges, tags = [mesh.boundary_edges], list(mesh.boundary_tags)
     n, m = mesh.num_nodes, mesh.num_elements
     copies = []
-    for (gid, xy, edge), pids in zip(runs, outlines):
+    for (gid, xy, edge, _), pids in zip(runs, outlines):
         final = np.full(len(xy), -1)
         final[edge] = node[pids]
         inner = np.setdiff1d(gid, edge)
@@ -677,40 +727,47 @@ def _tiled_periods(geo: GeometrySpec, h0: float) -> dict:
     return tiles
 
 
-def _tile_runs(geo: GeometrySpec, h0: float, tiles: dict):
-    """Mesh the first tiled period once, with its box edges (the seams)
-    sampled at SEAM_SIZE times its sizing and the left seam a copy of the
-    right, and lay it over each run of consecutive tiled periods.
+def _tile(geo: GeometrySpec, h0: float, tiles: dict):
+    """The first tiled period, box and hole, triangulated and refined to its
+    own sizing, with that sizing; (None, None) without tiles.  Its box
+    edges, the seams, are sampled at the sizing, and the left seam is a
+    copy of the right and split with it."""
+    if not tiles:
+        return None, None
+    k0 = min(tiles)
+    x0, x1, y0, y1 = _period_box(geo.row, k0)
+    box = (np.array([[x0, y0], [x1, y0], [x1, y1], [x0, y1]]), list(TILE))
+    hole = geo.loops[tiles[k0]]
+    sizing = _make_sizing(GeometrySpec(loops=[box, hole]), h0)
+    g = _Pslg()
+    g.add([box, hole], [], sizing)
+    tri, _ = _mesh(g, (x0, y0), (x1, y1))
+    tri.refine(sizing)
+    return tri, sizing
 
-    Returns the tile's Mesh (None without tiles) and, per run, its tile
-    nodes numbered tile by tile (gid, one row per tile), their translated
-    coordinates xy and the run's outline as indices into xy.
+
+def _tile_runs(geo: GeometrySpec, tiles: dict, tri: _Triangulation):
+    """The tile's Mesh, extracted from its triangulation tri, laid over each
+    run of consecutive tiled periods (None and [] without tiles).
+
+    Per run: its tile nodes numbered tile by tile (gid, one row per tile),
+    their translated coordinates xy, the run's outline as indices into xy,
+    and the pair of tri's vertices each outline segment joins in its own
+    copy.
     """
     if not tiles:
         return None, []
     row = geo.row
     k0 = min(tiles)
     x0, x1, y0, y1 = _period_box(row, k0)
-    box = (np.array([[x0, y0], [x1, y0], [x1, y1], [x0, y1]]), [SEAM] * 4)
-    hole = geo.loops[tiles[k0]]
-    tile_sizing = _make_sizing(GeometrySpec(loops=[box, hole]), h0)
-
-    def seam_sizing(x, y):
-        return SEAM_SIZE * tile_sizing(x, y)
-
-    bottom = _sample_edge((x0, y0), (x1, y0), seam_sizing)
-    right = _sample_edge((x1, y0), (x1, y1), seam_sizing)
-    top = _sample_edge((x1, y1), (x0, y1), seam_sizing)
-    left = [(x0, y) for _, y in right[::-1]]
-    sides = (bottom, right, top, left)
-    g = _Pslg()
-    ids = g.path([xy for side in sides for xy in side[:-1]], SEAM, closed=True)
-    g.add([hole], [], tile_sizing)
-    tile, node = _mesh(g, (x0, y0), (x1, y1), tile_sizing)
-    # each side's tile nodes, in sampling order, corners included
-    start = np.cumsum([0] + [len(side) - 1 for side in sides])
-    b, r, t, l = (node[np.take(ids, np.arange(s, s + len(side)), mode="wrap")]
-                  for s, side in zip(start, sides))
+    tile, remap = _extract(tri)
+    vertex = np.empty(tile.num_nodes, dtype=np.int64)
+    vertex[list(remap.values())] = list(remap)
+    # each side's tile nodes, corners included, counter-clockwise; the left
+    # and right seams were split in pairs, so they hold the same y's
+    x, y = tile.nodes.T
+    b, r, t, l = (np.flatnonzero(on)[np.argsort(key[on])] for on, key in (
+        (y == y0, x), (x == x1, y), (y == y1, -x), (x == x0, -y)))
 
     ks = sorted(tiles)
     runs = []
@@ -724,7 +781,11 @@ def _tile_runs(geo: GeometrySpec, h0: float, tiles: dict):
         # the run's outline, counter-clockwise from its lower left corner
         edge = np.concatenate([gid[:, b[:-1]].ravel(), gid[-1, r[:-1]],
                                gid[::-1, t[:-1]].ravel(), gid[0, l[:-1]]])
-        runs.append((gid, xy, edge))
+        # the tile nodes each outline segment joins, in its own copy
+        ends = (np.concatenate([np.tile(b[s], len(run)), r[s],
+                                np.tile(t[s], len(run)), l[s]])
+                for s in (np.s_[:-1], np.s_[1:]))
+        runs.append((gid, xy, edge, vertex[np.column_stack([*ends])]))
     return tile, runs
 
 
@@ -752,7 +813,7 @@ def _extract(tri: _Triangulation):
     bedges, btags, slit_items = [], [], []
     for key, tag in tri.segs.items():
         rows = seg_adj.get(key, [])
-        if not rows or tag == SEAM:
+        if not rows or tag == SEAM or tag in TILE:
             continue  # buried in a carved region, or joined to a tile
         u, v = (remap[key[0]], remap[key[1]])
         if tag == SLIT:  # carving gives both its sides one mark

@@ -16,9 +16,9 @@ from thinwall.geometry import (GeometrySpec, _rect_loop, build_cell_geometry,
                                build_perforated_domain)
 from thinwall.nearfield import side_polygon
 from thinwall.params import DomainParams, HoleSpec
-from thinwall.triangulate import (GRADING_SIGMA, SEAM, _incircle, _make_sizing,
-                                  _orient, _period_box, _sample_edge,
-                                  _tiled_periods, triangulate)
+from thinwall.triangulate import (GRADING_SIGMA, MIN_ANGLE_DEG, SEAM, _incircle,
+                                  _make_sizing, _orient, _period_box,
+                                  _sample_edge, _tiled_periods, triangulate)
 
 
 def square_geo():
@@ -306,13 +306,30 @@ def test_coarse_meshes_keep_their_hashes():
     reference and the cone both tile their hole row, the cone's with unit
     period from an origin at -19."""
     tool = _mesh_hashes_tool()
-    pins = {("cell", 0.15): "281115d6778f5339",
-            ("cone", 0.9): "600be8fc769ab4f5",
+    pins = {("cell", 0.15): "9dfeb3ab707c325d",
+            ("cone", 0.9): "af02ba20da727697",
             ("limit", 0.08): "fe17d03fbef2837c",
-            ("ref 1/8", 0.1): "eea16f4f66c5df0e"}
+            ("ref 1/8", 0.1): "21d7819da8064a7e"}
     got = {(name, h0): tool.mesh_hash(triangulate(build(), h0))
            for name, h0, build in tool.MESHES if (name, h0) in pins}
     assert got == pins
+
+
+# -- periodic cell -----------------------------------------------------------------
+
+def test_periodic_cell_keeps_its_bound_and_its_ties():
+    """Refinement splits a periodic edge with its partner, so the coarse
+    cell reaches the angle bound and its two edges stay translates."""
+    mesh = triangulate(build_cell_geometry(HoleSpec(), 6.0), 0.15)
+    assert mesh.min_angles_deg().min() >= MIN_ANGLE_DEG
+    right = mesh.nodes[np.unique(mesh.edges_with_tag("Periodic_right"))]
+    left = mesh.nodes[np.unique(mesh.edges_with_tag("Periodic_left"))]
+    assert np.all(right[:, 0] == 1.0) and np.all(left[:, 0] == 0.0)
+    np.testing.assert_array_equal(np.sort(right[:, 1]), np.sort(left[:, 1]))
+    space = fem.Space(mesh, 3)
+    a, b = fem.paired_dofs(space, "Periodic_right", "Periodic_left", 1)
+    assert np.array_equal(np.sort(a), space.boundary_dofs("Periodic_right"))
+    assert np.array_equal(np.sort(b), space.boundary_dofs("Periodic_left"))
 
 
 # -- tiled hole rows -------------------------------------------------------------
@@ -324,6 +341,9 @@ TILED = {
                 range(1, 7)),
     "ref 1/16": (lambda: build_perforated_domain(DomainParams(), 1 / 16), 0.1,
                  range(1, 15)),
+    # the rest asks the tile for seam nodes beside the first and last copy
+    "ref 1/32": (lambda: build_perforated_domain(DomainParams(), 1 / 32), 0.1,
+                 range(1, 31)),
     "ref 1/64": (lambda: build_perforated_domain(DomainParams(), 1 / 64), 0.05,
                  range(1, 63)),
     "cone": (lambda: build_cone_geometry(1.5 * math.pi, 20.0,
@@ -366,6 +386,17 @@ def test_tiled_mesh_is_conforming_and_sound(name):
     area = _shoelace(geo.loops[0][0]) - sum(_shoelace(poly)
                                              for poly, _ in geo.loops[1:])
     np.testing.assert_allclose(mesh.element_areas().sum(), area, rtol=1e-12)
+
+
+@pytest.mark.parametrize("name", list(TILED))
+def test_tile_side_seams_hold_the_same_ys(name):
+    """Refinement splits the tile's left and right seams in pairs."""
+    geo, _, mesh, tiles = _tiled(name)
+    x0, x1, y0, y1 = _period_box(geo.row, min(tiles))
+    x, y = mesh.nodes[np.unique(mesh.elements[mesh.tiles[0]])].T
+    left, right = np.sort(y[x == x0]), np.sort(y[x == x1])
+    assert left[0] == right[0] == y0 and left[-1] == right[-1] == y1
+    np.testing.assert_array_equal(left, right)
 
 
 @pytest.mark.parametrize("name", list(TILED))

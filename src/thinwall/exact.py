@@ -106,7 +106,6 @@ class ExactSolveResult:
     ndof: int
     factored: int       # unknowns SuperLU factors: tile interior + reduced
     residual: float
-    h0: float
     degree: int
     params: DomainParams
 
@@ -211,4 +210,4 @@ def solve_exact(p: DomainParams, delta: float, h0: float = 0.05,
                              f"{fem.RTOL}")
     return ExactSolveResult(field=fem.Field(space, u), delta=delta,
                             ndof=space.ndof, factored=factored,
-                            residual=residual, h0=h0, degree=degree, params=p)
+                            residual=residual, degree=degree, params=p)

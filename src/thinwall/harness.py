@@ -1,10 +1,12 @@
 """Convergence study: sweep the layer period, measure expansion errors.
 
-For every delta in the sweep, the perforated problem is solved directly and
-the truncated macroscopic sums are evaluated at the quadrature points of
-the reference mesh that lie outside the excluded strip around the wall;
-the weighted point differences give the L2 errors whose log-log slopes are
-the headline numbers.
+For every delta in the sweep, reference_samples solves the perforated
+problem directly and keeps only its error-region samples: the quadrature
+points, weights and field values of the reference mesh outside the
+excluded strip around the wall.  errors_on_region scores a model's
+truncated sums against those samples alone; the weighted point
+differences give the L2 errors whose log-log slopes are the headline
+numbers.
 """
 
 from __future__ import annotations
@@ -12,10 +14,10 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field as dc_field
+from typing import NamedTuple
 
 import numpy as np
 
-from . import fem
 from .cascade import ExpansionSet, build_expansion
 from .cell import build_cell, compute_constants
 from .cutoff import make_cutoff
@@ -26,9 +28,10 @@ from .geometry import (CELL_T_MIN, CONE_RMAX_MIN, build_cell_geometry,
 from .nearfield import solve_S
 from .params import DomainParams
 
-__all__ = ["STUDY_PARAMS", "StudyConfig", "ConvergenceReport",
-           "cell_constants", "build_model", "run_study", "fit_slope",
-           "emit_outputs", "read_report_csv"]
+__all__ = ["STUDY_PARAMS", "StudyConfig", "ConvergenceReport", "Samples",
+           "cell_constants", "build_model", "reference_samples",
+           "errors_on_region", "run_study", "fit_slope", "emit_outputs",
+           "read_report_csv"]
 
 CSV_HEADER = "delta,dofs,e0,e1,e2"
 
@@ -137,22 +140,36 @@ def fit_slope(pairs):
     return slope, intercept, 2.0 * math.sqrt(var)
 
 
-def _region_quadrature(space: fem.Space, p: DomainParams, alpha):
-    """Quadrature points/weights of the mesh lying outside the wall strip."""
-    pts, w = space.quad_global()
-    keep = (np.abs(pts[:, 1]) >= alpha) | (np.abs(pts[:, 0]) >= p.L + alpha)
-    return pts[keep], w[keep], keep
+class Samples(NamedTuple):
+    """A reference's error-region samples, all the scoring reads of it:
+    the quadrature points pts and weights w of its mesh outside the wall
+    strip, and its field u there."""
+
+    delta: float
+    ndof: int
+    degree: int
+    pts: np.ndarray
+    w: np.ndarray
+    u: np.ndarray
 
 
-def errors_on_region(exact_result, expansion: ExpansionSet, alpha):
-    """L2 errors e0..e2 of the truncations against the reference field,
-    measured outside the excluded strip."""
-    space = exact_result.field.space
-    delta = exact_result.delta
-    pts, w, keep = _region_quadrature(space, exact_result.params, alpha)
-    u_ref = exact_result.field.values_at_own_quad()[keep]
-    return [float(np.sqrt(np.sum(w * np.abs(u_ref - t) ** 2)))
-            for t in expansion.truncations(pts, delta)]
+def reference_samples(cfg: StudyConfig, delta) -> Samples:
+    """Solve the reference at delta and sample it on the error region; the
+    solve, its mesh and its factor-sized field are freed on return."""
+    res = solve_exact(cfg.params, delta, h0=cfg.exact_h0,
+                      degree=cfg.exact_degree, grading=cfg.exact_grading,
+                      max_dofs=cfg.exact_max_dofs)
+    pts, w = res.field.space.quad_global()
+    L, alpha = cfg.params.L, cfg.alpha
+    keep = (np.abs(pts[:, 1]) >= alpha) | (np.abs(pts[:, 0]) >= L + alpha)
+    return Samples(delta, res.ndof, res.degree, pts[keep], w[keep],
+                   res.field.values_at_own_quad()[keep])
+
+
+def errors_on_region(samples: Samples, expansion: ExpansionSet):
+    """L2 errors e0..e2 of the truncations against a reference's samples."""
+    return [float(np.sqrt(np.sum(samples.w * np.abs(samples.u - t) ** 2)))
+            for t in expansion.truncations(samples.pts, samples.delta)]
 
 
 def cell_constants(cfg: StudyConfig):
@@ -205,16 +222,12 @@ def run_study(cfg: StudyConfig, log=print) -> ConvergenceReport:
 
     for delta in cfg.deltas:
         td = time.time()
-        res = solve_exact(cfg.params, delta, h0=cfg.exact_h0,
-                          degree=cfg.exact_degree, grading=cfg.exact_grading,
-                          max_dofs=cfg.exact_max_dofs)
-        l2 = errors_on_region(res, expansion, cfg.alpha)
-        ndof = res.ndof
-        rep.degrees.append(res.degree)
-        del res  # free the factorization-sized field before the next solve
-        rep.rows.append((delta, ndof, l2[0], l2[1], l2[2]))
+        samples = reference_samples(cfg, delta)
+        l2 = errors_on_region(samples, expansion)
+        rep.degrees.append(samples.degree)
+        rep.rows.append((delta, samples.ndof, l2[0], l2[1], l2[2]))
         rep.walltimes[f"delta={delta}"] = time.time() - td
-        log(f"[study] delta=1/{round(1/delta)} dofs={ndof} "
+        log(f"[study] delta=1/{round(1/delta)} dofs={samples.ndof} "
             f"e0={l2[0]:.4e} e1={l2[1]:.4e} e2={l2[2]:.4e} "
             f"({rep.walltimes[f'delta={delta}']:.1f}s)")
 

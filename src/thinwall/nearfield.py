@@ -118,7 +118,6 @@ class NearFieldSolution:
     side: str
     n: int
     Rmax: float
-    theta: float
     field: fem.Field
     ell: dict = field(default_factory=dict)
     radial_residual: dict = field(default_factory=dict)
@@ -168,7 +167,7 @@ def solve_S(sides, n, constants, hole, theta=1.5 * math.pi, Rmax=20.0,
         d = np.zeros(cone.space.ndof, dtype=complex)
         d[cone.arc_dofs] = arc_data(n, frame, w0, w1, cut)(xy[:, 0], xy[:, 1])
         u, _ = cone.solver.solve(0, d)
-        sol = NearFieldSolution(side=side, n=n, Rmax=Rmax, theta=theta,
+        sol = NearFieldSolution(side=side, n=n, Rmax=Rmax,
                                 field=fem.Field(cone.space, u),
                                 ndof=cone.space.ndof,
                                 reused_factorization=reused)

@@ -1,17 +1,20 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from thinwall import harness
 from thinwall.errors import DegenerateFit
 from thinwall.geometry import (CELL_T_MIN, CONE_RMAX_MIN, build_cell_geometry,
                                build_cone_geometry)
-from thinwall.harness import (CSV_HEADER, ConvergenceReport, StudyConfig,
-                              _region_quadrature, emit_outputs, fit_slope,
-                              read_report_csv)
-from thinwall.params import DomainParams, HoleSpec
+from thinwall.harness import (CSV_HEADER, ConvergenceReport, Samples,
+                              StudyConfig, emit_outputs, errors_on_region,
+                              fit_slope, read_report_csv, reference_samples)
+from thinwall.params import HoleSpec
 
 
 def test_fit_slope_exact_power():
@@ -76,18 +79,54 @@ def test_emit_and_read_round_trip(tmp_path):
         read_report_csv(tmp_path / "out" / "bad.csv")
 
 
+class _Offsets:
+    """A stub expansion whose truncations lie off u by 0, 1 and 2i."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def truncations(self, points, delta):
+        return self.u, self.u + 1, self.u + 2j
+
+
+def test_errors_read_only_the_samples():
+    u, w = np.array([1.0 + 2.0j, -0.5j, 3.0]), np.array([0.25, 0.5, 2.0])
+    samples = Samples(delta=0.125, ndof=0, degree=3, pts=np.zeros((3, 2)),
+                      w=w, u=u)
+    e = errors_on_region(samples, _Offsets(u))
+    np.testing.assert_allclose(e, [0.0, math.sqrt(w.sum()),
+                                   2.0 * math.sqrt(w.sum())], rtol=1e-15)
+
+
+_COARSE = StudyConfig(exact_h0=0.15, exact_degree=1, deltas=(0.25,))
+
+
 def test_region_quadrature_excludes_wall_strip():
-    from thinwall.cascade import build_limit_space
-    p = DomainParams()
-    space = build_limit_space(p, h0=0.3, degree=1)
-    alpha = 0.25
-    pts, w, keep = _region_quadrature(space, p, alpha)
-    assert np.all(w > 0)
-    assert np.all((np.abs(pts[:, 1]) >= alpha)
-                  | (np.abs(pts[:, 0]) >= p.L + alpha))
+    s = reference_samples(_COARSE, 0.25)
+    alpha, L = _COARSE.alpha, _COARSE.params.L
+    assert (s.delta, s.degree) == (0.25, 1)
+    assert len(s.pts) == len(s.w) == len(s.u) > 0
+    assert np.all(s.w > 0)
+    assert np.all((np.abs(s.pts[:, 1]) >= alpha)
+                  | (np.abs(s.pts[:, 0]) >= L + alpha))
     # the strip really is removed: some quadrature points were dropped
-    full_pts, _ = space.quad_global()
-    assert keep.sum() == len(pts) < len(full_pts)
+    full = harness.solve_exact(_COARSE.params, 0.25, h0=0.15, degree=1)
+    assert s.ndof == full.ndof
+    assert len(s.pts) < len(full.field.space.quad_global()[0])
+
+
+def test_reference_samples_free_the_solve(monkeypatch):
+    solve, spaces = harness.solve_exact, []
+
+    def traced(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        spaces.append(weakref.ref(res.field.space))
+        return res
+
+    monkeypatch.setattr(harness, "solve_exact", traced)
+    reference_samples(_COARSE, 0.25)
+    gc.collect()
+    assert len(spaces) == 1 and spaces[0]() is None
 
 
 def test_study_config_validation():

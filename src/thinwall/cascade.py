@@ -33,9 +33,9 @@ from .geometry import build_limit_domain
 from .params import DomainParams
 from .triangulate import triangulate
 
-__all__ = ["CornerData", "ExpansionSet",
+__all__ = ["CornerData", "CorrectionParts", "ExpansionSet",
            "build_limit_space", "limit_solver", "solve_transmission",
-           "compute_u00", "compute_u01", "compute_u20"]
+           "compute_u00", "compute_u01", "compute_u20", "build_expansion"]
 
 
 @dataclass

@@ -24,13 +24,12 @@ import re
 
 import numpy as np
 
-from .exact import solve_exact
 from .harness import (STUDY_PARAMS, StudyConfig, build_model, cell_constants,
-                      emit_outputs, run_study)
-from .nearfield import solve_S
+                      emit_outputs, near_fields, run_study, solve_reference)
 from .params import DomainParams, HoleSpec
 
-__all__ = ["main", "parse_config"]
+__all__ = ["main", "parse_config", "cmd_cell_constants", "cmd_nearfield",
+           "cmd_solve_exact", "cmd_cascade", "cmd_study"]
 
 
 def parse_config(path):
@@ -97,9 +96,7 @@ def _params_from(cfg: dict) -> DomainParams:
     """The study's default parameters with the keys of cfg on top."""
     kw = {key: cast(cfg[key]) for key, cast in _PARAMS.items() if key in cfg}
     if "hole_radius" in cfg:
-        r = _eval_number(cfg["hole_radius"])
-        kw["hole"] = (HoleSpec(kind="none") if r == 0.0
-                      else HoleSpec(kind="disk", center=(0.5, 0.0), radius=r))
+        kw["hole"] = HoleSpec(radius=_eval_number(cfg["hole_radius"]))
     return dataclasses.replace(STUDY_PARAMS, **kw)
 
 
@@ -181,18 +178,14 @@ def cmd_cell_constants(args, cfg):
 
 
 def cmd_nearfield(args, cfg):
-    p = cfg.params
-    sol = solve_S((args.side,), args.n, cell_constants(cfg), p.hole,
-                  theta=p.theta, Rmax=cfg.nf_Rmax, h0=cfg.nf_h0,
-                  degree=cfg.nf_degree, cutoff=cfg.cutoff)[args.side]
+    sol = near_fields(cfg, cell_constants(cfg), (args.side,),
+                      args.n)[args.side]
     print(json.dumps(sol.as_dict(), indent=2))
     return 0
 
 
 def cmd_solve_exact(args, cfg):
-    res = solve_exact(cfg.params, args.delta, h0=cfg.exact_h0,
-                      degree=cfg.exact_degree, grading=cfg.exact_grading,
-                      max_dofs=cfg.exact_max_dofs)
+    res = solve_reference(cfg, args.delta)
     print(f"ndof {res.ndof}  factored {res.factored}  "
           f"residual {res.residual:.3e}  "
           f"flux-balance defect {res.flux_balance():.3e}")

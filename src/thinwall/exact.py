@@ -178,14 +178,11 @@ def solve_exact(p: DomainParams, delta: float, h0: float = 0.05,
         T = T[copies[0]][:, copies[0]]
         T_ii, T_is = T[~seam][:, ~seam], T[~seam][:, seam]
         T_si, T_ss = T[seam][:, ~seam], T[seam][:, seam]
-        ns, nc, b_i = T_ss.shape[0], len(copies), b[inner].T
-        # one pass of the tile's factor, real as k^2 is, over T_is and the
-        # real and imaginary parts of every copy's interior load; the full
-        # system's residual below checks these solves too
-        X = fem.Solver(T_ii).lu.solve(np.asfortranarray(
-            np.column_stack([T_is.toarray(), b_i.real, b_i.imag])))
-        X_s = X[:, :ns]                                # T_ii^-1 T_is
-        Y = X[:, ns:ns + nc] + 1j * X[:, ns + nc:]     # T_ii^-1 b_i
+        ns, nc = T_ss.shape[0], len(copies)
+        X, _ = fem.Solver(T_ii).solve(
+            np.column_stack([T_is.toarray(), b[inner].T]))
+        X_s = X[:, :ns].real                           # T_ii^-1 T_is
+        Y = X[:, ns:]                                  # T_ii^-1 b_i
         S = T_ss.toarray() - T_si @ X_s
         outer = copies[:, seam]
         A_red = A + sp.coo_matrix(

@@ -35,8 +35,8 @@ from .errors import (FactorOutOfMemory, OutsideRegion, SingularElement,
 from .mesh import Mesh
 
 __all__ = ["Space", "Constraints", "Solver", "Field", "stiffness", "mass",
-           "boundary_mass", "boundary_load", "volume_load", "solve",
-           "paired_dofs"]
+           "boundary_mass", "boundary_load", "boundary_load_normal",
+           "volume_load", "solve", "paired_dofs"]
 
 RTOL = 1e-10         # largest relative residual a direct solve may leave
 # SuperLU's supernode settings (see Solver); SuperLU needs RELAX <= PANEL_SIZE
@@ -573,7 +573,8 @@ class Solver:
             raise SingularSystem(f"factorization failed: {exc}") from exc
 
     def solve(self, b, d=None):
-        """(u, relative residual of the reduced system) for the load b.
+        """(u, relative residual of the reduced system) for the load b, one
+        load or an (n, m) block of them, the residual the block's.
 
         d holds the constrained values: u[slave] = u[master] + d[slave] for
         a tie and u[fixed] = d[fixed]; only those entries are read, and None
@@ -590,11 +591,14 @@ class Solver:
         if np.iscomplexobj(self.A_red):
             x = self.lu.solve(b_red)
         else:
-            # SuperLU does not cast a complex load to a real factor's dtype
-            parts = self.lu.solve(np.column_stack([b_red.real, b_red.imag]))
-            x = parts[:, 0] + 1j * parts[:, 1]
-        res = (np.linalg.norm(self.A_red @ x - b_red)
-               / max(np.linalg.norm(b_red), 1e-300))
+            # SuperLU does not cast a complex load to a real factor's dtype;
+            # viewed as floats, a load's real and imaginary parts are columns
+            parts = np.ascontiguousarray(b_red).view(float)
+            parts = self.lu.solve(parts.reshape(b_red.shape[0], -1))
+            x = np.ascontiguousarray(parts).view(complex).reshape(b_red.shape)
+        r = self.A_red @ x
+        r -= b_red
+        res = np.linalg.norm(r) / max(np.linalg.norm(b_red), 1e-300)
         if not np.isfinite(res) or res > RTOL:
             raise SingularSystem(f"direct solve residual {res:.2e} exceeds "
                                  f"{RTOL}")

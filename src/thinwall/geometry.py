@@ -132,9 +132,10 @@ def build_perforated_domain(p: DomainParams, delta: float) -> GeometrySpec:
     """The physical domain with q = 2L/delta scaled holes along the layer,
     its row of period delta from x = -L."""
     q_real = 2.0 * p.L / delta
-    q = round(q_real)
+    q = round(q_real) if q_real < math.inf else 0
     if q < 1 or abs(q_real - q) > 1e-9 * q:
-        raise NonIntegerPeriod(f"2L/delta = {q_real} is not a positive integer")
+        raise NonIntegerPeriod(f"delta {delta} does not divide the wall: "
+                               f"2L/delta = {q_real} is not a positive integer")
     if delta >= min(p.H, p.Hp):
         raise HoleCollision(f"delta = {delta} too large for the domain")
     pts, tags = _outline(p)

@@ -29,9 +29,9 @@ from .nearfield import solve_S
 from .params import DomainParams
 
 __all__ = ["STUDY_PARAMS", "StudyConfig", "ConvergenceReport", "Samples",
-           "cell_constants", "build_model", "reference_samples",
-           "errors_on_region", "run_study", "fit_slope", "emit_outputs",
-           "read_report_csv"]
+           "cell_constants", "near_fields", "build_model", "solve_reference",
+           "reference_samples", "errors_on_region", "run_study", "fit_slope",
+           "emit_outputs", "read_report_csv"]
 
 CSV_HEADER = "delta,dofs,e0,e1,e2"
 
@@ -65,9 +65,8 @@ class StudyConfig:
     cutoff: str = "exp"
     # cap on the unknowns SuperLU factors for one reference (the tile's
     # interior and the reduced system), which guards memory; solve_exact
-    # raises above it before assembly.  800,000 admits delta = 1/1024: it
-    # factors 414,333 of its 3,269,049 P3 dofs (31 s and 2.3 GB peak at one
-    # BLAS thread), and 1/512 224,705 of 1,725,746 (13 s and 1.2 GB)
+    # raises above it before assembly.  800,000 admits delta = 1/1024
+    # (README and BENCH_25.json give each delta's figures)
     exact_max_dofs: int = 800_000
 
     def __post_init__(self):
@@ -90,17 +89,13 @@ class StudyConfig:
         if not self.nf_Rmax >= CONE_RMAX_MIN:
             raise ValueError(f"nf_Rmax must be at least {CONE_RMAX_MIN:g}")
         make_cutoff(self.cutoff)
+        # before any stage runs, the geometries raise (ValueErrors) a hole
+        # outside the cell and a delta that does not divide the wall or is
+        # too large for it
+        build_cell_geometry(self.params.hole, self.cell_T)
         for d in self.deltas:
             if not d > 0:
                 raise ValueError(f"delta {d} must be positive")
-            # the wall holds 2L / delta periods, a positive whole number
-            q = 2.0 * self.params.L / d
-            if not (0.5 <= q < math.inf and abs(q - round(q)) <= 1e-9):
-                raise ValueError(f"delta {d} does not divide the wall")
-        # the geometries raise a hole outside the cell or one a delta
-        # scales into a wall (ValueErrors) before any stage runs
-        build_cell_geometry(self.params.hole, self.cell_T)
-        for d in self.deltas:
             build_perforated_domain(self.params, d)
 
 
@@ -153,12 +148,17 @@ class Samples(NamedTuple):
     u: np.ndarray
 
 
+def solve_reference(cfg: StudyConfig, delta):
+    """The configured reference solve of the perforated domain at delta."""
+    return solve_exact(cfg.params, delta, h0=cfg.exact_h0,
+                       degree=cfg.exact_degree, grading=cfg.exact_grading,
+                       max_dofs=cfg.exact_max_dofs)
+
+
 def reference_samples(cfg: StudyConfig, delta) -> Samples:
     """Solve the reference at delta and sample it on the error region; the
     solve, its mesh and its factor-sized field are freed on return."""
-    res = solve_exact(cfg.params, delta, h0=cfg.exact_h0,
-                      degree=cfg.exact_degree, grading=cfg.exact_grading,
-                      max_dofs=cfg.exact_max_dofs)
+    res = solve_reference(cfg, delta)
     pts, w = res.field.space.quad_global()
     L, alpha = cfg.params.L, cfg.alpha
     keep = (np.abs(pts[:, 1]) >= alpha) | (np.abs(pts[:, 0]) >= L + alpha)
@@ -180,6 +180,14 @@ def cell_constants(cfg: StudyConfig):
     return compute_constants(cell, p.k0, khat=p.khat)
 
 
+def near_fields(cfg: StudyConfig, constants, sides=("plus", "minus"), n=1):
+    """The configured corner problems S_n of each side: {side: solution}."""
+    p = cfg.params
+    return solve_S(sides, n, constants, p.hole, theta=p.theta,
+                   Rmax=cfg.nf_Rmax, h0=cfg.nf_h0, degree=cfg.nf_degree,
+                   cutoff=cfg.cutoff)
+
+
 def build_model(cfg: StudyConfig, log=print):
     """The macroscopic model: cell constants, corner reflections, cascade.
 
@@ -194,9 +202,7 @@ def build_model(cfg: StudyConfig, log=print):
     log(f"[cell] constants {constants.as_dict()}")
 
     t1 = time.time()
-    sols = solve_S(("plus", "minus"), 1, constants, p.hole, theta=p.theta,
-                   Rmax=cfg.nf_Rmax, h0=cfg.nf_h0, degree=cfg.nf_degree,
-                   cutoff=cfg.cutoff)
+    sols = near_fields(cfg, constants)
     L_minus_1 = {side: nf.ell[1] for side, nf in sols.items()}
     for side, nf in sols.items():
         log(f"[nearfield] {side}: L_-1 = {nf.ell[1]:.6f}, {nf.ndof} dofs, "
@@ -227,7 +233,7 @@ def run_study(cfg: StudyConfig, log=print) -> ConvergenceReport:
         rep.degrees.append(samples.degree)
         rep.rows.append((delta, samples.ndof, l2[0], l2[1], l2[2]))
         rep.walltimes[f"delta={delta}"] = time.time() - td
-        log(f"[study] delta=1/{round(1/delta)} dofs={samples.ndof} "
+        log(f"[study] delta={delta:.6g} dofs={samples.ndof} "
             f"e0={l2[0]:.4e} e1={l2[1]:.4e} e2={l2[2]:.4e} "
             f"({rep.walltimes[f'delta={delta}']:.1f}s)")
 

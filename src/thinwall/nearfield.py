@@ -36,7 +36,7 @@ from .geometry import build_cone_geometry
 from .triangulate import triangulate
 
 __all__ = ["NearFieldSolution", "solve_S", "extract_L", "arc_data",
-           "side_polygon"]
+           "side_polygon", "blended_w1"]
 
 SAME_VERTEX_TOL = 1e-12  # a hole this close to its mirror keeps one cone
 

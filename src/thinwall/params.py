@@ -21,27 +21,25 @@ class HoleSpec:
     sides; the *same* polygon, meshed by the same sizing rule
     (geometry._add_hole), is used everywhere (cell problems, cone problems,
     scaled physical holes), so the discrete model is internally consistent
-    regardless of the polygonization error w.r.t. the ideal disk.
+    regardless of the polygonization error w.r.t. the ideal disk.  Radius
+    0 is the empty hole: no obstacle at all.
     """
 
-    kind: str = "disk"                      # "disk" | "none"
     center: tuple = (0.5, 0.0)
     radius: float = 0.15
     n_seg: int = 32
 
     def __post_init__(self):
-        if self.kind not in ("disk", "none"):
-            raise ValueError(f"unknown hole kind {self.kind!r}")
-        if self.kind == "disk" and not self.radius > 0:
-            raise ValueError("disk radius must be positive")
+        if not self.radius >= 0:
+            raise ValueError("disk radius must be 0 (no hole) or positive")
 
     @property
     def is_empty(self) -> bool:
-        return self.kind == "none"
+        return self.radius == 0
 
     def polygon(self) -> np.ndarray:
         """Counter-clockwise polygon of the canonical hole (cell units)."""
-        if self.kind == "none":
+        if self.is_empty:
             return np.zeros((0, 2))
         cx, cy = self.center
         # vertex at angle 0 keeps the polygon symmetric under both

@@ -162,7 +162,7 @@ class ManufacturedTransmission:
 def transmission_solve(h0, degree, k0=2.0):
     # quasi-uniform meshes: the manufactured field is smooth, and rate
     # measurement needs the element size to scale linearly with h0
-    p = DomainParams(k0=k0, hole=HoleSpec(kind="none"))
+    p = DomainParams(k0=k0, hole=HoleSpec(radius=0.0))
     man = ManufacturedTransmission(p)
     geo = replace(build_limit_domain(p), grading_layers=0)
     space = fem.Space(triangulate(geo, h0), degree)

@@ -94,7 +94,7 @@ def test_1_convergence_slopes(tmp_path):
 
 def test_2_transparent_layer():
     t0 = time.time()
-    p = DomainParams(hole=HoleSpec(kind="none"))
+    p = DomainParams(hole=HoleSpec(radius=0.0))
     cell = build_cell(p.hole, T=4.0, h0=0.3, degree=2)
     c = compute_constants(cell, p.k0)
     cmax = max(abs(c.D1), abs(c.D2), abs(c.N1), abs(c.N2), abs(c.N3))

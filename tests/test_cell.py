@@ -21,14 +21,14 @@ def coarse_constants(coarse_cell):
 
 
 def test_empty_cell_gives_exact_zeros():
-    cell = build_cell(HoleSpec(kind="none"), T=4.0, h0=0.3, degree=1)
+    cell = build_cell(HoleSpec(radius=0.0), T=4.0, h0=0.3, degree=1)
     c = compute_constants(cell, K0)
     assert c.D1 == c.D2 == c.N1 == c.N2 == c.N3 == c.D_infty == 0.0
 
 
 def test_empty_cell_contrast_only():
     from scipy.special import erf
-    cell = build_cell(HoleSpec(kind="none"), T=4.0, h0=0.3, degree=3)
+    cell = build_cell(HoleSpec(radius=0.0), T=4.0, h0=0.3, degree=3)
     khat = lambda x, y: np.sqrt(K0 ** 2 + np.exp(-y * y))
     c = compute_constants(cell, K0, khat=khat)
     # only the absorption constant picks up the index contrast

@@ -7,15 +7,20 @@ import shlex
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from thinwall import cli
+from thinwall import cli, harness
 from thinwall.cli import (_acceptance_checks, _config_of, _eval_number,
                           _floats, _params_from, _parser, _study_config,
                           _windows, main, parse_config)
+from thinwall.geometry import build_cone_geometry
 from thinwall.harness import ConvergenceReport, StudyConfig
+from thinwall.nearfield import side_polygon
+from thinwall.params import HoleSpec
+from thinwall.triangulate import triangulate
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -72,11 +77,11 @@ def test_shipped_study_config_is_the_default():
 
 def test_params_from_overrides():
     p = _params_from({})
-    assert p.L == 0.5 and p.hole.kind != "none"
+    assert p.L == 0.5 and not p.hole.is_empty
     assert p == StudyConfig().params
     p = _params_from({"k0": "4.25*pi", "L": "0.5", "hole_radius": "0"})
     np.testing.assert_allclose(p.k0, 4.25 * math.pi)
-    assert p.hole.kind == "none"
+    assert p.hole.is_empty
     p = _params_from({"hole_radius": "0.2", "theta": "1.5*pi"})
     assert p.hole.radius == 0.2
     np.testing.assert_allclose(p.theta, 1.5 * math.pi)
@@ -347,3 +352,82 @@ def test_cli_import_leaves_spline_and_optimize_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.split() == []
+
+
+def test_solve_exact_and_nearfield_run_the_harness_stages(monkeypatch,
+                                                          capsys):
+    # each subcommand reaches its solver through the harness, with the
+    # settings of its flags
+    calls = {}
+
+    def solve_exact(*args, **kwargs):
+        calls["solve_exact"] = args, kwargs
+        return SimpleNamespace(ndof=9, factored=5, residual=0.0,
+                               flux_balance=lambda: 0.0)
+
+    def solve_S(*args, **kwargs):
+        calls["solve_S"] = args, kwargs
+        return {"minus": SimpleNamespace(as_dict=lambda: {"ndof": 3})}
+
+    monkeypatch.setattr(harness, "solve_exact", solve_exact)
+    monkeypatch.setattr(harness, "solve_S", solve_S)
+    monkeypatch.setattr(cli, "cell_constants", lambda cfg: "constants")
+    assert main(["solve-exact", "--delta", "1/16", "--h0", "0.07",
+                 "--degree", "2", "--max-dofs", "5000"]) == 0
+    assert main(["nearfield", "--side", "minus", "--n", "2", "--rmax", "25",
+                 "--h0", "0.5", "--degree", "1", "--cutoff", "poly"]) == 0
+    p = StudyConfig().params
+    assert calls["solve_exact"] == ((p, 1 / 16), dict(
+        h0=0.07, degree=2, grading=None, max_dofs=5000))
+    assert calls["solve_S"] == ((("minus",), 2, "constants", p.hole), dict(
+        theta=p.theta, Rmax=25.0, h0=0.5, degree=1, cutoff="poly"))
+    out = capsys.readouterr().out
+    assert out.startswith("ndof 9  factored 5  ")
+    assert json.loads(out.split("\n", 1)[1]) == {"ndof": 3}
+
+
+# a coarse model: P2 cell and limit meshes, a P1 cone
+COARSE = ("cell_T = 4\ncell_h0 = 0.3\ncell_degree = 2\n"
+          "nf_h0 = 0.9\nnf_degree = 1\n"
+          "limit_h0 = 0.15\nlimit_degree = 2\n")
+
+
+def test_nearfield_end_to_end(tmp_path, capsys):
+    path = tmp_path / "coarse.cfg"
+    path.write_text(COARSE)
+    assert main(["nearfield", "--config", str(path)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert set(out) == {"side", "n", "Rmax", "ndof", "reused_factorization",
+                        "ell", "radial_residual", "log_coefficient"}
+    assert (out["side"], out["n"], out["Rmax"]) == ("plus", 1, 20.0)
+    assert set(out["ell"]) == {"0", "1", "2", "3"}
+    # a P1 cone has a dof at each node of its mesh
+    cone = triangulate(build_cone_geometry(
+        1.5 * math.pi, 20.0, side_polygon("plus", HoleSpec())), 0.9)
+    assert out["ndof"] == len(cone.nodes)
+
+
+def test_cascade_end_to_end(tmp_path, capsys):
+    path = tmp_path / "coarse.cfg"
+    path.write_text(COARSE)
+    assert main(["cascade", "--config", str(path),
+                 "--out", str(tmp_path / "terms")]) == 0
+    wrote = capsys.readouterr().out.splitlines()[-1]
+    ndof = int(re.fullmatch(r"wrote .*terms\.npz \((\d+) dofs per field\)",
+                            wrote).group(1))
+    data = np.load(tmp_path / "terms.npz")
+    assert set(data.files) == {
+        "nodes", "elements", "degree", "u00", "u01_hat", "u20_hat",
+        "constants", "corner_ell_plus", "corner_ell_minus", "L_minus_1",
+        "u20_lift_coeffs"}
+    assert data["degree"] == 2
+    # a P2 field has a dof at each node and at each edge of the mesh
+    tri = np.sort(data["elements"], axis=1)
+    edges = np.unique(np.concatenate([tri[:, [0, 1]], tri[:, [1, 2]],
+                                      tri[:, [0, 2]]]), axis=0)
+    assert ndof == len(data["nodes"]) + len(edges)
+    for name in ("u00", "u01_hat", "u20_hat"):
+        assert data[name].shape == (ndof,)
+    # the default hole is symmetric, so are its two corners
+    plus, minus = data["L_minus_1"]
+    assert abs(plus - minus) <= 1e-4 * abs(plus)

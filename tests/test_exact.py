@@ -91,7 +91,7 @@ def test_no_hole_solve_matches_continuous_limit():
     # without obstacles the interface is fully open, so the direct solve and
     # the limit field (continuous-interface solve) see the same problem
     from thinwall.cascade import build_limit_space, compute_u00
-    p = DomainParams(k0=2.0, hole=HoleSpec(kind="none"))
+    p = DomainParams(k0=2.0, hole=HoleSpec(radius=0.0))
     res = solve_exact(p, 0.25, h0=0.1, degree=3, grading=4)
     assert res.residual <= 1e-10
     assert res.flux_balance() < 1e-10

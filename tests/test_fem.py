@@ -270,6 +270,31 @@ def test_real_operator_complex_load():
                                atol=1e-12 * np.abs(want).max())
 
 
+def test_real_factor_solves_a_block_of_complex_loads():
+    # the reference's tile solves T_is and every copy's load in one block;
+    # each column is its own solve, and the residual gate reads them all
+    space = square_space(0.3, 2)
+    A = fem.stiffness(space) + fem.mass(space)
+    solver = fem.Solver(A)
+    rng = np.random.default_rng(5)
+    B = (rng.standard_normal((A.shape[0], 3))
+         + 1j * rng.standard_normal((A.shape[0], 3)) * [0, 1, 1])
+    X, res = solver.solve(B)
+    assert X.shape == B.shape and X.dtype == complex and res <= fem.RTOL
+    for j in range(B.shape[1]):
+        x, _ = solver.solve(B[:, j])
+        np.testing.assert_allclose(X[:, j], x, rtol=0,
+                                   atol=1e-13 * np.abs(x).max())
+    # a pure-Neumann operator without a fixed dof solves a load of zero
+    # mean, and not a block that also holds a constant load
+    A = fem.stiffness(space)
+    solver = fem.Solver(A)
+    good = A @ rng.standard_normal(A.shape[0]) * (1 + 2j)
+    solver.solve(good)
+    with pytest.raises(SingularSystem, match="direct solve residual"):
+        solver.solve(np.column_stack([good, np.full(A.shape[0], 1j)]))
+
+
 def test_assembly_over_listed_elements_sums_to_the_whole():
     space = square_space(0.3, 2)
     halves = np.array_split(np.arange(space.mesh.num_elements), 2)

@@ -51,16 +51,28 @@ def test_perforated_domain_hole_count_and_scaling():
 
 def test_perforated_domain_rejects_bad_period():
     p = DomainParams()
-    with pytest.raises(NonIntegerPeriod):
+    with pytest.raises(NonIntegerPeriod,
+                       match="delta 0.3 does not divide the wall: "):
         build_perforated_domain(p, 0.3)
+    for delta in (-0.1, 5e-324, float("nan")):
+        with pytest.raises(NonIntegerPeriod):
+            build_perforated_domain(p, delta)
     with pytest.raises(HoleCollision):
         build_perforated_domain(p, 1.0)
 
 
 def test_perforated_domain_no_hole():
-    p = DomainParams(hole=HoleSpec(kind="none"))
+    p = DomainParams(hole=HoleSpec(radius=0.0))
     geo = build_perforated_domain(p, 0.125)
     assert len(geo.loops) == 1
+
+
+def test_radius_zero_is_the_empty_hole():
+    assert HoleSpec(radius=0).is_empty and not HoleSpec().is_empty
+    assert HoleSpec(radius=0).polygon().shape == (0, 2)
+    for radius in (-0.1, float("nan")):
+        with pytest.raises(ValueError, match="radius must be 0"):
+            HoleSpec(radius=radius)
 
 
 @given(st.integers(min_value=1, max_value=10))
@@ -150,7 +162,7 @@ def test_cell_geometry_grades_into_its_hole_vertices():
     geo = build_cell_geometry(hole, T=6.0)
     np.testing.assert_array_equal(np.array(geo.corner_vertices),
                                   hole.polygon())
-    assert build_cell_geometry(HoleSpec(kind="none"), 6.0).corner_vertices == []
+    assert build_cell_geometry(HoleSpec(radius=0.0), 6.0).corner_vertices == []
 
 
 def test_cone_size_follows_its_background_mesh_size():

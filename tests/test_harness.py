@@ -1,5 +1,6 @@
 import gc
 import math
+import types
 import weakref
 
 import numpy as np
@@ -14,7 +15,7 @@ from thinwall.geometry import (CELL_T_MIN, CONE_RMAX_MIN, build_cell_geometry,
 from thinwall.harness import (CSV_HEADER, ConvergenceReport, Samples,
                               StudyConfig, emit_outputs, errors_on_region,
                               fit_slope, read_report_csv, reference_samples)
-from thinwall.params import HoleSpec
+from thinwall.params import DomainParams, HoleSpec
 
 
 def test_fit_slope_exact_power():
@@ -150,10 +151,12 @@ def test_dof_cap_below_one_raises_before_the_sweep():
         StudyConfig(exact_max_dofs=0)
 
 
-@pytest.mark.parametrize("deltas", [(math.inf,), (1 / 8, math.inf)])
+@pytest.mark.parametrize("deltas", [(math.inf,), (1 / 8, math.inf), (0.3,)])
 def test_delta_of_no_period_raises_before_the_sweep(deltas):
-    # 2L / inf = 0 is a whole number, but not a positive one
-    with pytest.raises(ValueError, match="does not divide the wall"):
+    # 2L / inf = 0 is a whole number, but not a positive one; the check is
+    # the perforated domain's, which counts the periods
+    with pytest.raises(ValueError, match=f"delta {deltas[-1]} does not "
+                                         "divide the wall: 2L/delta = "):
         StudyConfig(deltas=deltas)
 
 
@@ -201,3 +204,59 @@ def test_stage_limits_are_the_geometrys():
     with pytest.raises(ValueError):
         build_cone_geometry(1.5 * math.pi, 0.99 * CONE_RMAX_MIN,
                             np.zeros((0, 2)))
+
+
+# a config whose every reference and cone setting is off its default
+STAGE_CFG = StudyConfig(exact_h0=0.07, exact_degree=2, exact_grading=3,
+                        exact_max_dofs=12345, nf_Rmax=25.0, nf_h0=0.5,
+                        nf_degree=1, cutoff="poly", deltas=(1 / 8,))
+
+
+def capture(monkeypatch, name, result):
+    """Replace harness.<name> by a stub that records its call and returns
+    result; returns the list of (args, kwargs) it records."""
+    calls = []
+    monkeypatch.setattr(harness, name, lambda *args, **kwargs:
+                        calls.append((args, kwargs)) or result)
+    return calls
+
+
+def test_solve_reference_forwards_the_reference_settings(monkeypatch):
+    calls = capture(monkeypatch, "solve_exact", "res")
+    assert harness.solve_reference(STAGE_CFG, 1 / 16) == "res"
+    assert calls == [((STAGE_CFG.params, 1 / 16),
+                      dict(h0=0.07, degree=2, grading=3, max_dofs=12345))]
+
+
+def test_near_fields_forwards_the_cone_settings(monkeypatch):
+    calls = capture(monkeypatch, "solve_S", "sols")
+    p = STAGE_CFG.params
+    assert harness.near_fields(STAGE_CFG, "constants") == "sols"
+    assert harness.near_fields(STAGE_CFG, "constants", ("minus",), 2) \
+        == "sols"
+    kwargs = dict(theta=p.theta, Rmax=25.0, h0=0.5, degree=1, cutoff="poly")
+    assert calls == [((("plus", "minus"), 1, "constants", p.hole), kwargs),
+                     ((("minus",), 2, "constants", p.hole), kwargs)]
+
+
+class _StubExpansion:
+    constants = types.SimpleNamespace(as_dict=dict)
+
+    @staticmethod
+    def truncations(pts, delta):
+        return [np.zeros(len(pts))] * 3
+
+
+def test_study_log_prints_delta_as_the_report_does(monkeypatch):
+    # 1/delta is no whole number for either delta of this sweep
+    cfg = StudyConfig(params=DomainParams(L=0.75), deltas=(0.3, 0.15))
+    monkeypatch.setattr(harness, "build_model", lambda cfg, log: (
+        _StubExpansion(), {"plus": -0.03, "minus": -0.03}, {}))
+    monkeypatch.setattr(harness, "reference_samples", lambda cfg, delta: (
+        Samples(delta, 7, 3, np.zeros((1, 2)), np.ones(1), np.ones(1))))
+    lines = []
+    rep = harness.run_study(cfg, log=lines.append)
+    assert [r[:2] for r in rep.rows] == [(0.3, 7), (0.15, 7)]
+    assert [line.split(" dofs=")[0] for line in lines
+            if line.startswith("[study] delta=")] \
+        == ["[study] delta=0.3", "[study] delta=0.15"]

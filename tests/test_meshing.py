@@ -304,7 +304,7 @@ def test_coarse_meshes_keep_their_hashes():
     pinned byte for byte (tools/mesh_hashes.py prints all fourteen).  A
     mesher change that moves them is a change of the study's numbers.  The
     reference and the cone both tile their hole row, the cone's with unit
-    period from an origin at -19."""
+    period from an origin at -20, its tiled periods from x = -19."""
     tool = _mesh_hashes_tool()
     pins = {("cell", 0.15): "9dfeb3ab707c325d",
             ("cone", 0.9): "af02ba20da727697",

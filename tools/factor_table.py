@@ -41,8 +41,8 @@ import scipy.sparse as sp
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
-from thinwall import cli, exact, fem  # noqa: E402
-from thinwall.harness import run_study  # noqa: E402
+from thinwall import cli, fem  # noqa: E402
+from thinwall.harness import run_study, solve_reference  # noqa: E402
 from workloads import study_config  # noqa: E402
 
 REPEATS = 5
@@ -96,9 +96,9 @@ def dump(out_dir):
     stages = {"[cell]": "cell", "[nearfield]": "cone", "[cascade]": "limit"}
 
     def log(line):
-        m = re.match(r"\[study\] delta=1/(\d+)", line)
+        m = re.match(r"\[study\] delta=(\S+)", line)
         if m:
-            label("reference", "scaled", 1.0 / int(m.group(1)))
+            label("reference", "scaled", float(m.group(1)))
         elif line.split()[0] in stages:
             label(stages[line.split()[0]], "scaled")
 
@@ -108,9 +108,7 @@ def dump(out_dir):
         full = cli._study_config(cli.parse_config(ROOT / "configs"
                                                   / "study.cfg"))
         for delta in full.deltas:
-            exact.solve_exact(full.params, delta, h0=full.exact_h0,
-                              degree=full.exact_degree,
-                              grading=full.exact_grading)
+            solve_reference(full, delta)
             label("reference", "full", delta)
     finally:
         fem.splu = real_splu

@@ -14,12 +14,13 @@ meets the rest of the mesh or the next copy.  Its other dofs, the
 interior, meet no element but its own, so the tile's interior block T_ii
 is factored once and eliminates every copy's interior exactly: the seam
 sees the dense Schur complement T_ss - T_si T_ii^-1 T_is, scattered into
-each copy's seam dofs of the rest's operator, and the load
-b_s - T_si T_ii^-1 b_i.  SuperLU factors T_ii and that reduced system, not
-the full one, and each interior is recovered from its seam,
-u_i = T_ii^-1 b_i - T_ii^-1 T_is u_s.  The algebra is exact, so the field
-is the full system's solve up to round-off; the residual checked is the
-full system's, each copy's coefficients through the tile operator.
+each copy's seam dofs of the rest's operator.  No tile is loaded, since the
+only datum is on the left end, so the seam's load is b_s and each interior
+is recovered from its seam, u_i = -T_ii^-1 T_is u_s.  SuperLU factors T_ii
+and the reduced system, not the full one.  The algebra is exact, so the
+field is the full system's solve up to round-off; the residual checked is
+the full system's, each copy's coefficients through the tile operator, and
+a load that reached an interior would show there as a residual of b_i.
 """
 
 from __future__ import annotations
@@ -172,34 +173,29 @@ def solve_exact(p: DomainParams, delta: float, h0: float = 0.05,
     in_tile[mesh.tiles] = True
     A = helmholtz_matrix(space, p, k2, elements=np.flatnonzero(~in_tile))
     b = fem.boundary_load(space, "GammaR_minus", incident_robin_load(p))
-    A_red, b_red = A, b
+    A_red = A
     if copies.size:
         T = _volume_operator(space, p, k2, mesh.tiles[0])
         T = T[copies[0]][:, copies[0]]
         T_ii, T_is = T[~seam][:, ~seam], T[~seam][:, seam]
         T_si, T_ss = T[seam][:, ~seam], T[seam][:, seam]
         ns, nc = T_ss.shape[0], len(copies)
-        X, _ = fem.Solver(T_ii).solve(
-            np.column_stack([T_is.toarray(), b[inner].T]))
-        X_s = X[:, :ns].real                           # T_ii^-1 T_is
-        Y = X[:, ns:]                                  # T_ii^-1 b_i
+        X_s, _ = fem.Solver(T_ii).solve(T_is.toarray())  # T_ii^-1 T_is
         S = T_ss.toarray() - T_si @ X_s
         outer = copies[:, seam]
         A_red = A + sp.coo_matrix(
             (np.tile(S.ravel(), nc),
              (np.repeat(outer, ns, axis=1).ravel(),
               np.tile(outer, (1, ns)).ravel())), shape=A.shape).tocsr()
-        b_red = b.copy()
-        np.add.at(b_red, outer, -(T_si @ Y).T)
     keep = np.ones(space.ndof, dtype=bool)
     keep[inner] = False
     A_red = A_red[keep][:, keep]
     u = np.zeros(space.ndof, dtype=complex)
-    u[keep], _ = fem.solve(A_red, b_red[keep])
+    u[keep], _ = fem.solve(A_red, b[keep])
     # A has no column at an interior dof, and the copies add their own
     r = b - A @ u
     if copies.size:
-        u[inner] = (Y - X_s @ u[outer].T).T
+        u[inner] = -(X_s @ u[outer].T).T
         np.add.at(r, copies, -(T @ u[copies].T).T)
     residual = float(np.linalg.norm(r) / max(np.linalg.norm(b), 1e-300))
     if not residual <= fem.RTOL:

@@ -8,7 +8,7 @@ exact for straight triangles, and every matrix is summed by one sparse
 COO -> CSR build.  An operator keeps its data's dtype: stiffness, boundary
 mass and a mass with a real coefficient are real, and only a complex term
 (a complex coefficient, the absorbing -i k0 M_R) makes a matrix complex.
-Loads and fields are complex.
+Operators and loads keep their data's dtype; fields are complex.
 
 One solve contract: space -> operator -> constraint pattern -> factor once
 -> solve(b, d).  A Constraints object holds only which dofs are fixed and
@@ -361,7 +361,7 @@ def volume_load(space: Space, f):
     _, qw, phi, _ = space._rule()
     _, _, detJ = space._jacobians()
     pts, _ = space.quad_global()
-    fv = np.asarray(f(pts[:, 0], pts[:, 1]), dtype=complex)
+    fv = np.asarray(f(pts[:, 0], pts[:, 1]))
     loc = np.einsum("qn,q,eq,e->en", phi, qw, fv.reshape(-1, qw.size),
                     0.5 * detJ)
     return _scatter(space, space.element_dofs, loc)
@@ -380,8 +380,8 @@ def _matrix(space: Space, rows, loc, keep=None):
 
 
 def _scatter(space: Space, rows, loc):
-    """Load vector summing the local entries loc into their dofs rows."""
-    b = np.zeros(space.ndof, dtype=complex)
+    """Load vector in loc's dtype summing loc into their dofs rows."""
+    b = np.zeros(space.ndof, dtype=loc.dtype)
     np.add.at(b, rows.reshape(-1), loc.reshape(-1))
     return b
 
@@ -429,10 +429,10 @@ def boundary_load(space: Space, tag: str, g):
     r = _edge_rule(space, tag, space.p + 3)
     if callable(g):
         pts = r.points()
-        gv = np.asarray(g(pts[..., 0].ravel(), pts[..., 1].ravel()),
-                        dtype=complex).reshape(len(r.edges), r.t.size)
+        gv = np.asarray(g(pts[..., 0].ravel(), pts[..., 1].ravel())
+                        ).reshape(len(r.edges), r.t.size)
     else:
-        gv = np.full((len(r.edges), r.t.size), g, dtype=complex)
+        gv = np.full((len(r.edges), r.t.size), g)
     loc = np.einsum("qn,q,eq,e->en", r.phi, r.w, gv, r.lens)
     return _scatter(space, r.rows, loc)
 
@@ -453,8 +453,7 @@ def boundary_load_normal(space: Space, tag: str, g):
     E, Q = wts.shape
     nn = np.broadcast_to(normals[:, None, :], (E, Q, 2))
     gv = np.asarray(g(pts[..., 0].ravel(), pts[..., 1].ravel(),
-                      nn[..., 0].ravel(), nn[..., 1].ravel()),
-                    dtype=complex).reshape(E, Q)
+                      nn[..., 0].ravel(), nn[..., 1].ravel())).reshape(E, Q)
     loc = np.einsum("qn,eq,eq->en", r.phi, wts, gv)
     return _scatter(space, r.rows, loc)
 
@@ -525,7 +524,8 @@ class Solver:
     """Direct sparse solver of A u = b, factored once for many loads.
 
     The constraint pattern is eliminated through u = C x + d, so splu
-    factors the reduced matrix C^T A C, in A's own dtype; a real factor
+    factors the reduced matrix C^T A C, in A's own dtype.  A solve runs in
+    its factor's and load's dtype: a real factor keeps a real load real and
     solves a complex load's real and imaginary parts apart.  Every operator
     here is symmetric, so the ordering is minimum degree on A + A^T and the
     diagonal is the preferred pivot, kept while it is at least 0.01 of its
@@ -576,19 +576,21 @@ class Solver:
         """(u, relative residual of the reduced system) for the load b, one
         load or an (n, m) block of them, the residual the block's.
 
-        d holds the constrained values: u[slave] = u[master] + d[slave] for
-        a tie and u[fixed] = d[fixed]; only those entries are read, and None
-        means all zero.
+        d holds the constrained values of one load: u[slave] = u[master] +
+        d[slave] for a tie and u[fixed] = d[fixed]; only those entries are
+        read, and None means all zero.  A block takes no d.
         """
-        b = np.asarray(b, dtype=complex)
+        b = np.asarray(b)
+        if d is not None and b.ndim > 1:
+            raise ValueError("constrained values d go with one load at a time")
         if self.C is None:
             b_red = b
         else:
             if d is not None:
-                d = np.where(self.constrained, d, 0.0).astype(complex)
+                d = np.where(self.constrained, d, 0.0)
                 b = b - self.A @ d
             b_red = self.C.T @ b
-        if np.iscomplexobj(self.A_red):
+        if np.iscomplexobj(self.A_red) or not np.iscomplexobj(b_red):
             x = self.lu.solve(b_red)
         else:
             # SuperLU does not cast a complex load to a real factor's dtype;

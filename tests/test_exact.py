@@ -6,6 +6,7 @@ import pytest
 from helpers import graded_over_period_3
 
 from thinwall import exact, fem
+from thinwall.errors import SingularSystem
 from thinwall.exact import incident_robin_load, kdelta_field, solve_exact
 from thinwall.geometry import build_perforated_domain
 from thinwall.params import DomainParams, HoleSpec
@@ -76,6 +77,23 @@ def test_condensed_solve_equals_the_full_one(geometry, monkeypatch):
     u = _uncondensed(res)
     assert (np.linalg.norm(res.field.coeffs - u) / np.linalg.norm(u)
             <= 1e-10)
+
+
+def test_a_load_on_a_tile_interior_is_refused(monkeypatch):
+    # the condensation drops the tiles' interior loads, which are zero for
+    # the incident datum; a load that reached an interior is left in the
+    # full residual and refused
+    load = fem.boundary_load
+
+    def reaching_a_tile(space, tag, g):
+        b = load(space, tag, g)
+        copies, seam = exact._copy_dofs(space)
+        b[copies[2, ~seam][0]] += 1.0
+        return b
+
+    monkeypatch.setattr(fem, "boundary_load", reaching_a_tile)
+    with pytest.raises(SingularSystem, match="reference residual"):
+        solve_exact(DomainParams(), 1 / 8, h0=0.1, degree=3)
 
 
 def test_negative_grading_raises():

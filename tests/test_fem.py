@@ -114,6 +114,14 @@ def test_assembly_matches_quadrature_oracle():
                 assert got.dtype == np.float64
                 scale = np.abs(want).max()
                 assert np.abs(got - want).max() <= 1e-13 * scale
+            # and so do loads: real data give float64, complex complex128
+            for a in (-1.0, 2.0j):
+                for b in (fem.volume_load(space, lambda x, y: a * x),
+                          fem.boundary_load(space, "GammaR_minus", a),
+                          fem.boundary_load_normal(
+                              space, "GammaR_minus",
+                              lambda x, y, nx, ny: a * nx)):
+                    assert b.dtype == np.result_type(a, np.float64)
 
 
 def test_p2_stiffness_has_no_roundoff_entries():
@@ -250,6 +258,24 @@ def test_tie_and_jump_constraints():
     np.testing.assert_allclose(u[0], 1.0, rtol=1e-14)
 
 
+@pytest.mark.parametrize("m", [2, "n"])
+def test_constrained_values_take_one_load(m):
+    # d is the constrained values of one load; with a block it would be
+    # broadcast along the wrong axis, so a block with d is refused
+    space = square_space(0.4, 1)
+    cons = fem.Constraints(space)
+    cons.dirichlet(space.boundary_dofs("GammaN"))
+    solver = fem.Solver(fem.stiffness(space) + fem.mass(space), cons)
+    n = space.ndof
+    B = np.ones((n, n if m == "n" else m))
+    with pytest.raises(ValueError, match="one load at a time"):
+        solver.solve(B, space.dof_coords[:, 0])
+    # one load at a time takes its values
+    u, _ = solver.solve(B[:, 0], space.dof_coords[:, 0])
+    fixed = space.boundary_dofs("GammaN")
+    np.testing.assert_array_equal(u[fixed], space.dof_coords[fixed, 0])
+
+
 def test_real_operator_complex_load():
     # a real operator is factored in real arithmetic; a complex load and
     # complex constrained values give what the complex-cast system gives
@@ -268,11 +294,17 @@ def test_real_operator_complex_load():
     want, _ = fem.Solver(A.astype(complex), cons).solve(b, d)
     np.testing.assert_allclose(u, want, rtol=0,
                                atol=1e-12 * np.abs(want).max())
+    # a real load and real values stay real on the real factor
+    u, _ = real.solve(b.real, d.real)
+    assert u.dtype == np.float64
+    want, _ = fem.Solver(A.astype(complex), cons).solve(b.real, d.real)
+    np.testing.assert_allclose(u, want, rtol=0,
+                               atol=1e-12 * np.abs(want).max())
 
 
 def test_real_factor_solves_a_block_of_complex_loads():
-    # the reference's tile solves T_is and every copy's load in one block;
-    # each column is its own solve, and the residual gate reads them all
+    # the reference's tile solves its seam block T_is at once; each column
+    # is its own solve, and the residual gate reads them all
     space = square_space(0.3, 2)
     A = fem.stiffness(space) + fem.mass(space)
     solver = fem.Solver(A)
@@ -285,6 +317,12 @@ def test_real_factor_solves_a_block_of_complex_loads():
         x, _ = solver.solve(B[:, j])
         np.testing.assert_allclose(X[:, j], x, rtol=0,
                                    atol=1e-13 * np.abs(x).max())
+    # a real block stays real, column for column the complex block's
+    X, _ = solver.solve(B.real)
+    assert X.dtype == np.float64
+    want, _ = solver.solve(B.real.astype(complex))
+    np.testing.assert_allclose(X, want, rtol=0,
+                               atol=1e-13 * np.abs(want).max())
     # a pure-Neumann operator without a fixed dof solves a load of zero
     # mean, and not a block that also holds a constant load
     A = fem.stiffness(space)

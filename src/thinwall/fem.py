@@ -578,11 +578,14 @@ class Solver:
 
         d holds the constrained values of one load: u[slave] = u[master] +
         d[slave] for a tie and u[fixed] = d[fixed]; only those entries are
-        read, and None means all zero.  A block takes no d.
+        read, and None means all zero.  A block takes no d, and neither
+        does a solver built without constraints.
         """
         b = np.asarray(b)
         if d is not None and b.ndim > 1:
             raise ValueError("constrained values d go with one load at a time")
+        if d is not None and self.C is None:
+            raise ValueError("constrained values d need a constraint pattern")
         if self.C is None:
             b_red = b
         else:

@@ -5,7 +5,14 @@ segment recovery, region carving by crossing parity, and Ruppert-style
 refinement (encroached-segment splitting + circumcenter insertion) driven
 by a spatial sizing function with geometric corner grading.  The
 orientation and incircle tests are a float filter with an exact integer
-fallback (Shewchuk, Discrete Comput. Geom. 18, 1997).
+fallback (Shewchuk, Discrete Comput. Geom. 18, 1997).  Point location,
+the refinement walk and the cavity test run the filters inline and call
+the predicate only where a filter is unsure, so every sign, and every
+orientation value the walks compare, is the predicate's own.
+
+The sizing reads a hole row by period index, and skips each np.hypot its
+value cannot depend on (_make_sizing); a minimum over a superset of the
+terms that can attain it is the same float, so no size changes.
 
 Carving needs no point inside a hole.  A flood from the super vertices
 labels each triangle with the parity of the constrained segments crossed
@@ -74,9 +81,18 @@ def _exact_ints(*coords):
     return [n * (den // d) for n, d in ratios]
 
 
+# error bounds of the float filters: the orientation determinant's over
+# |(bx - ax)(cy - ay)| + |(by - ay)(cx - ax)|, and the incircle
+# determinant's over ad bd + bd cd + cd ad, which is at least its permanent
+# (Cauchy-Schwarz, then AM-GM); Shewchuk's bound over the permanent is
+# about 1.11e-15
+_ORIENT_ERR = 3.33e-16
+_INCIRCLE_ERR = 1.2e-15
+
+
 def _orient(ax, ay, bx, by, cx, cy):
     det = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-    bound = 3.33e-16 * (abs((bx - ax) * (cy - ay)) + abs((by - ay) * (cx - ax)))
+    bound = _ORIENT_ERR * (abs((bx - ax) * (cy - ay)) + abs((by - ay) * (cx - ax)))
     if det > bound or -det > bound:
         return det
     ax, ay, bx, by, cx, cy = _exact_ints(ax, ay, bx, by, cx, cy)
@@ -84,8 +100,31 @@ def _orient(ax, ay, bx, by, cx, cy):
     return 1.0 if d > 0 else (-1.0 if d < 0 else 0.0)
 
 
+def _orient3(ax, ay, bx, by, cx, cy, x, y):
+    """_orient of (x, y) against the edges of triangle abc opposite a, b
+    and c: _orient's float filter, inline, and _orient where it is unsure,
+    so each is the value its own call returns."""
+    l, r = (cx - bx) * (y - by), (cy - by) * (x - bx)
+    o0, e = l - r, _ORIENT_ERR * (abs(l) + abs(r))
+    if -e <= o0 <= e:
+        o0 = _orient(bx, by, cx, cy, x, y)
+    l, r = (ax - cx) * (y - cy), (ay - cy) * (x - cx)
+    o1, e = l - r, _ORIENT_ERR * (abs(l) + abs(r))
+    if -e <= o1 <= e:
+        o1 = _orient(cx, cy, ax, ay, x, y)
+    l, r = (bx - ax) * (y - ay), (by - ay) * (x - ax)
+    o2, e = l - r, _ORIENT_ERR * (abs(l) + abs(r))
+    if -e <= o2 <= e:
+        o2 = _orient(ax, ay, bx, by, x, y)
+    return o0, o1, o2
+
+
 def _incircle(ax, ay, bx, by, cx, cy, dx, dy):
-    """> 0 iff d strictly inside the circumcircle of CCW triangle abc."""
+    """> 0 iff d strictly inside the circumcircle of CCW triangle abc.
+
+    Insertion's cavity test computes the same float filter inline and calls
+    this only when the filter is unsure.
+    """
     adx, ady = ax - dx, ay - dy
     bdx, bdy = bx - dx, by - dy
     cdx, cdy = cx - dx, cy - dy
@@ -95,10 +134,8 @@ def _incircle(ax, ay, bx, by, cx, cy, dx, dy):
     det = (adx * (bdy * cd - cdy * bd)
            - ady * (bdx * cd - cdx * bd)
            + ad * (bdx * cdy - cdx * bdy))
-    perm = (abs(adx) * (abs(bdy) * cd + abs(cdy) * bd)
-            + abs(ady) * (abs(bdx) * cd + abs(cdx) * bd)
-            + ad * (abs(bdx) * abs(cdy) + abs(cdx) * abs(bdy)))
-    if abs(det) > 1.2e-15 * perm:
+    bound = _INCIRCLE_ERR * (ad * bd + bd * cd + cd * ad)
+    if det > bound or -det > bound:
         return det
     ax, ay, bx, by, cx, cy, dx, dy = _exact_ints(ax, ay, bx, by, cx, cy, dx, dy)
     adx, ady = ax - dx, ay - dy
@@ -146,24 +183,23 @@ class _Triangulation:
         are always in the structure.
         """
         t = hint if hint is not None else self.last
-        px, py = self.px, self.py
-        for step in range(4 * len(self.tris) + 64):
-            a, b, c = self.tris[t]
-            o0 = _orient(px[b], py[b], px[c], py[c], x, y)  # edge opposite a
-            o1 = _orient(px[c], py[c], px[a], py[a], x, y)
-            o2 = _orient(px[a], py[a], px[b], py[b], x, y)
+        tris, adj, px, py = self.tris, self.adj, self.px, self.py
+        for step in range(4 * len(tris) + 64):
+            a, b, c = tris[t]
+            o0, o1, o2 = _orient3(px[a], py[a], px[b], py[b], px[c], py[c],
+                                  x, y)
             if o0 < 0 or o1 < 0 or o2 < 0:
                 # cross a violated edge; rotate the choice to avoid 2-cycles
                 neg = [i for i, o in ((0, o0), (1, o1), (2, o2)) if o < 0]
-                nxt = self.adj[t][neg[step % len(neg)]]
+                nxt = adj[t][neg[step % len(neg)]]
                 if nxt == -1:  # outside the super triangle: shouldn't happen
                     raise MeshFailure("walk left the triangulation")
                 t = nxt
                 continue
             self.last = t
-            zeros = [i for i, o in ((0, o0), (1, o1), (2, o2)) if o == 0]
-            if not zeros:
+            if o0 > 0 and o1 > 0 and o2 > 0:
                 return t, "in", -1
+            zeros = [i for i, o in ((0, o0), (1, o1), (2, o2)) if o == 0]
             if len(zeros) == 1:
                 return t, "edge", zeros[0]
             # on a vertex: the vertex opposite the two zero edges' shared edge
@@ -197,45 +233,59 @@ class _Triangulation:
             n = adj[t][aux]
             if n != -1:
                 seeds.append(n)
-        # grow cavity; the edge opposite vertex i is (vs[i - 2], vs[i - 1])
+        # grow cavity across every edge but a constrained one, to each
+        # neighbour whose circumcircle holds the point strictly
         in_cav = set(seeds)
         stack = list(seeds)
         while stack:
             s = stack.pop()
-            vs, ns = tris[s], adj[s]
-            for i in (0, 1, 2):
-                n = ns[i]
+            a, b, c = tris[s]
+            n0, n1, n2 = adj[s]
+            # each edge, opposite vertex 0, 1 and 2, with its neighbour
+            for n, u, v in ((n0, b, c), (n1, c, a), (n2, a, b)):
                 if n == -1 or n in in_cav:
                     continue
-                u, v = vs[i - 2], vs[i - 1]
-                if ((u, v) if u < v else (v, u)) in segs:
-                    continue
-                a, b, c = tris[n]
-                if _incircle(px[a], py[a], px[b], py[b], px[c], py[c], x, y) > 0:
+                # _incircle's float filter, inline; it decides unless unsure
+                i, j, k = tris[n]
+                adx, ady = px[i] - x, py[i] - y
+                bdx, bdy = px[j] - x, py[j] - y
+                cdx, cdy = px[k] - x, py[k] - y
+                ad = adx * adx + ady * ady
+                bd = bdx * bdx + bdy * bdy
+                cd = cdx * cdx + cdy * cdy
+                det = (adx * (bdy * cd - cdy * bd)
+                       - ady * (bdx * cd - cdx * bd)
+                       + ad * (bdx * cdy - cdx * bdy))
+                bound = _INCIRCLE_ERR * (ad * bd + bd * cd + cd * ad)
+                if (det > bound or (det >= -bound and _incircle(
+                        px[i], py[i], px[j], py[j], px[k], py[k], x, y) > 0)) \
+                        and ((u, v) if u < v else (v, u)) not in segs:
                     in_cav.add(n)
                     stack.append(n)
-        # boundary (directed as in the inner triangle) with status; the walk
-        # order of in_cav fixes the new triangles' ids
-        boundary = []
-        for s in in_cav:
-            vs, ns, st = tris[s], adj[s], status[s]
-            status[s] = _GONE
-            for i in (0, 1, 2):
-                if ns[i] not in in_cav:
-                    boundary.append((vs[i - 2], vs[i - 1], ns[i], st, s))
+        # a new triangle (u, v, p) on each boundary edge (u, v), directed as
+        # in its cavity triangle, whose state it takes; the walk order of
+        # in_cav fixes the new triangles' ids
         first = len(tris)
         start_of = {}
         vert2tri = self.vert2tri
-        for tid, (u, v, n, st, s_in) in enumerate(boundary, first):
-            tris.append([u, v, p])
-            adj.append([-1, -1, n])
-            status.append(st)
-            if n != -1:
-                an = adj[n]
-                an[an.index(s_in)] = tid
-            start_of[u] = tid
-            vert2tri[u] = tid
-            vert2tri[v] = tid
+        for s in in_cav:
+            a, b, c = tris[s]
+            n0, n1, n2 = adj[s]
+            st = status[s]
+            status[s] = _GONE
+            for n, u, v in ((n0, b, c), (n1, c, a), (n2, a, b)):
+                if n in in_cav:
+                    continue
+                tid = len(tris)
+                tris.append([u, v, p])
+                adj.append([-1, -1, n])
+                status.append(st)
+                if n != -1:
+                    an = adj[n]
+                    an[an.index(s)] = tid
+                start_of[u] = tid
+                vert2tri[u] = tid
+                vert2tri[v] = tid
         # link new triangles around p: triangle with boundary edge (u,v)
         # neighbors the one with boundary edge (v,w) across edge (v,p)
         for tid in range(first, len(tris)):
@@ -330,62 +380,53 @@ class _Triangulation:
 
     # -- refinement ----------------------------------------------------------------
 
-    def _circum(self, t):
-        a, b, c = self.tris[t]
-        ax, ay = self.px[a], self.py[a]
-        bx, by = self.px[b], self.py[b]
-        cx, cy = self.px[c], self.py[c]
-        d = 2.0 * ((bx - ax) * (cy - ay) - (by - ay) * (cx - ax))
-        if d == 0.0:
-            return None
-        b2 = (bx - ax) ** 2 + (by - ay) ** 2
-        c2 = (cx - ax) ** 2 + (cy - ay) ** 2
-        ux = ax + ((cy - ay) * b2 - (by - ay) * c2) / d
-        uy = ay + ((bx - ax) * c2 - (cx - ax) * b2) / d
-        return ux, uy, math.hypot(ux - ax, uy - ay)
-
     def refine(self, sizing):
         """Refine to the sizing and the angle bound; returns the SEAM
-        segments that a triangle left under the bound would split."""
+        segments that a triangle left under the bound would split.  A
+        triangle's size is read only if its shape passes."""
         ratio_bound = 0.5 / math.sin(math.radians(MIN_ANGLE_DEG))
+        tris, status, segs, px, py = (self.tris, self.status, self.segs,
+                                      self.px, self.py)
+        dist = math.dist
         inserted = 0
-        stack = [t for t in range(len(self.tris)) if self.status[t] == _ALIVE]
+        stack = [t for t in range(len(tris)) if status[t] == _ALIVE]
         skip, wanted = set(), {}
         while stack:
             t = stack.pop()
-            if self.status[t] != _ALIVE or t in skip:
+            if status[t] != _ALIVE or t in skip:
                 continue
-            cc = self._circum(t)
-            if cc is None:
+            a, b, c = tris[t]
+            pa = ax, ay = px[a], py[a]
+            pb = bx, by = px[b], py[b]
+            pc = cx, cy = px[c], py[c]
+            # circumcentre (ux, uy) and radius R
+            d = 2.0 * ((bx - ax) * (cy - ay) - (by - ay) * (cx - ax))
+            if d == 0.0:
                 continue
-            ux, uy, R = cc
-            a, b, c = self.tris[t]
-            pa = (self.px[a], self.py[a])
-            pb = (self.px[b], self.py[b])
-            pc = (self.px[c], self.py[c])
-            lmin = min(math.dist(pa, pb), math.dist(pb, pc), math.dist(pc, pa))
-            gx = (pa[0] + pb[0] + pc[0]) / 3.0
-            gy = (pa[1] + pb[1] + pc[1]) / 3.0
-            h = sizing(gx, gy)
-            bad_size = R > 0.62 * h
+            b2 = (bx - ax) ** 2 + (by - ay) ** 2
+            c2 = (cx - ax) ** 2 + (cy - ay) ** 2
+            ux = ax + ((cy - ay) * b2 - (by - ay) * c2) / d
+            uy = ay + ((bx - ax) * c2 - (cx - ax) * b2) / d
+            R = math.hypot(ux - ax, uy - ay)
+            lmin = min(dist(pa, pb), dist(pb, pc), dist(pc, pa))
             bad_shape = R > ratio_bound * lmin and lmin > 1e-12
-            if not (bad_size or bad_shape):
+            if not (bad_shape or R > 0.62 * sizing((ax + bx + cx) / 3.0,
+                                                    (ay + by + cy) / 3.0)):
                 continue
             if inserted >= MAX_INSERT:
                 raise MeshFailure("refinement exceeded the insertion budget")
             blocked, tc = self._walk(t, ux, uy)
             if blocked is None:
                 blocked = self._encroached(ux, uy, tc)
-            before = len(self.tris)
+            before = len(tris)
             if blocked is None:
                 self.insert(ux, uy, hint=tc)
             else:
                 u, v = blocked
                 key = self._seg_key(u, v)
-                seglen = math.dist((self.px[u], self.py[u]), (self.px[v], self.py[v]))
-                hseg = sizing(0.5 * (self.px[u] + self.px[v]),
-                              0.5 * (self.py[u] + self.py[v]))
-                fixed = self.segs[key] == SEAM
+                seglen = dist((px[u], py[u]), (px[v], py[v]))
+                hseg = sizing(0.5 * (px[u] + px[v]), 0.5 * (py[u] + py[v]))
+                fixed = segs[key] == SEAM
                 if fixed or seglen < 0.55 * hseg:
                     skip.add(t)
                     if fixed and bad_shape and seglen >= 0.55 * hseg:
@@ -393,9 +434,9 @@ class _Triangulation:
                     continue
                 self.split(u, v)
             inserted += 1
-            stack.extend(range(before, len(self.tris)))
+            stack.extend(range(before, len(tris)))
             stack.append(t)
-        return {key for t, key in wanted.items() if self.status[t] == _ALIVE}
+        return {key for t, key in wanted.items() if status[t] == _ALIVE}
 
     def _encroached(self, x, y, tc):
         """Constrained segment near (x, y) whose diametral circle contains it.
@@ -404,16 +445,17 @@ class _Triangulation:
         checked; that is where encroachment by a circumcenter insertion
         actually matters.
         """
-        cand = [tc] + [n for n in self.adj[tc] if n != -1]
-        for t in cand:
-            vs = self.tris[t]
-            for i in range(3):
-                u, v = vs[(i + 1) % 3], vs[(i + 2) % 3]
-                if self._seg_key(u, v) not in self.segs:
+        tris, segs, px, py = self.tris, self.segs, self.px, self.py
+        for t in (tc, *self.adj[tc]):
+            if t == -1:
+                continue
+            a, b, c = tris[t]
+            for u, v in ((b, c), (c, a), (a, b)):
+                if ((u, v) if u < v else (v, u)) not in segs:
                     continue
-                mx = 0.5 * (self.px[u] + self.px[v])
-                my = 0.5 * (self.py[u] + self.py[v])
-                rad2 = (self.px[u] - mx) ** 2 + (self.py[u] - my) ** 2
+                mx = 0.5 * (px[u] + px[v])
+                my = 0.5 * (py[u] + py[v])
+                rad2 = (px[u] - mx) ** 2 + (py[u] - my) ** 2
                 if (x - mx) ** 2 + (y - my) ** 2 < rad2 * (1 - 1e-12):
                     return (u, v)
         return None
@@ -426,22 +468,22 @@ class _Triangulation:
         that triangle starts the next walk: the midpoint of a segment split
         next lies on an edge, and its start picks which triangle it finds.
         """
+        tris, adj, segs, status = self.tris, self.adj, self.segs, self.status
         px, py = self.px, self.py
         cur = t
-        for _ in range(len(self.tris)):
-            a, b, c = vs = self.tris[cur]
-            o0 = _orient(px[b], py[b], px[c], py[c], x, y)
-            o1 = _orient(px[c], py[c], px[a], py[a], x, y)
-            o2 = _orient(px[a], py[a], px[b], py[b], x, y)
+        for _ in range(len(tris)):
+            a, b, c = vs = tris[cur]
+            o0, o1, o2 = _orient3(px[a], py[a], px[b], py[b], px[c], py[c],
+                                  x, y)
             if o0 >= 0 and o1 >= 0 and o2 >= 0:
                 self.last = cur
                 return None, cur
             worst = min((o0, 0), (o1, 1), (o2, 2))[1]
             u, v = vs[(worst + 1) % 3], vs[(worst + 2) % 3]
-            if self._seg_key(u, v) in self.segs:
+            if ((u, v) if u < v else (v, u)) in segs:
                 return (u, v), None
-            nxt = self.adj[cur][worst]
-            if nxt == -1 or self.status[nxt] != _ALIVE:
+            nxt = adj[cur][worst]
+            if nxt == -1 or status[nxt] != _ALIVE:
                 break
             cur = nxt
         return None, self.locate(x, y, t)[0]
@@ -468,53 +510,117 @@ def _make_sizing(geo: GeometrySpec, h0: float):
     at the plateau's edge.  Towards the corner vertices the size is
     (1 - sigma) times the distance, down to h0 sigma^grading_layers.
 
-    A term is below h0 only within its reach of the hole centre or corner:
-    rad + 2 h_loc + (h0 - h_loc) / 0.7, or h0 / (1 - sigma).  Each is filed
-    in the 3 x 3 buckets around its own, in a grid whose side is the longest
-    reach plus 1 %, so a call reads one bucket.  Squared distances find the
-    nearest; only the terms that can match its term are evaluated, with
-    np.hypot as over all holes and corners, so each value is unchanged.
+    Only the terms that can attain the least are evaluated; a minimum over
+    any superset of those is the same float, so each value is the one the
+    rule gives over every hole and corner with np.hypot distances:
+    - Holes are read by period index: each is filed under the period of
+      geo.row its centre lies in (without a row, all under one period).  A
+      call reads the holes of x's period and its two neighbours, which give
+      a value v, then only the periods whose hole centres can lie within
+      hr_max + (v - hh_min) / 0.7 of (x, y), where every term below v lies.
+      A point farther from the row's line than that radius at v = h0 reads
+      no hole.
+    - Corners are filed in a grid of side a quarter of their reach
+      h0 / (1 - sigma) plus 1 %.  A bucket holds each corner within reach
+      of it that can be the nearest to one of its points, that is, no
+      farther from the bucket than some corner's farthest point of it, so
+      a call reads one bucket and its nearest corners decide, as over all.
+    np.hypot is skipped where the value cannot depend on it, s being the
+    squared distance:
+    - s < hr^2 (1 - 1e-12): the hypot is below hr, so the term is h_loc;
+    - hh + 0.7 (sqrt(s) (1 - 1e-12) - hr) at least the value so far: that
+      float is at most the term, as sqrt(s) (1 - 1e-12) is below the hypot
+      and each operation is monotone, so the term cannot lower the value;
+    - for the nearest corner, (1 - sigma) sqrt(s) (1 + 1e-12) below the
+      floor h0 sigma^grading_layers: the term is the floor; and (1 - sigma)
+      sqrt(s) (1 - 1e-12) above the value so far: the term cannot lower it.
+    The margins of 1e-12 cover the few ulps between sqrt(s) and the hypot.
     """
     holes = [_plateau(poly) for poly, _ in geo.loops[1:]]
-    reach = [hr + (h0 - hh) / 0.7 for _, _, hh, hr in holes]
+    (x0, yr), p = (geo.row.origin, geo.row.period) if geo.row else \
+        ((0.0, 0.0), math.inf)
+    periods = {}
+    for cx, cy, hh, hr in holes:
+        periods.setdefault(math.floor((cx - x0) / p), []).append(
+            (cx, cy, hh, hr, hr * hr * (1.0 - 1e-12)))
+    k_lo, k_hi = min(periods, default=0), max(periods, default=-1)
     hh_min = min((hole[2] for hole in holes), default=h0)
     hr_max = max((hole[3] for hole in holes), default=0.0)
-    corners = []
+    y_off = max((abs(hole[1] - yr) for hole in holes), default=0.0)
+
+    def radius2(v):
+        """Squared radius about (x, y) that holds every hole term below v."""
+        return (hr_max + max(v - hh_min, 0.0) / 0.7) ** 2 * (1.0 + 1e-9)
+
+    reach2 = radius2(h0)
+    hypot = np.hypot
+
+    def lowered(val, x, y, js):
+        """val lowered by the hole terms of periods js."""
+        for j in js:
+            for cx, cy, hh, hr, hr2 in periods.get(j, ()):
+                dx, dy = cx - x, cy - y
+                s = dx * dx + dy * dy
+                if s < hr2:
+                    val = min(val, hh)
+                elif hh + 0.7 * (math.sqrt(s) * (1.0 - 1e-12) - hr) < val:
+                    d = float(hypot(dx, dy))
+                    val = min(val, hh + 0.7 * max(d - hr, 0.0))
+        return val
+
+    grid = {}
     if geo.grading_layers and geo.corner_vertices:
-        corners = [(float(x), float(y)) for x, y in geo.corner_vertices]
         h_min = h0 * GRADING_SIGMA ** geo.grading_layers
         slope = 1.0 - GRADING_SIGMA
-        reach.append(h0 / slope)
-    side = 1.01 * max(reach, default=h0)
-    grid = {}
-    for kind, items in enumerate((holes, corners)):
-        for item in items:
-            i, j = math.floor(item[0] / side), math.floor(item[1] / side)
-            for key in ((i + di, j + dj) for di in (-1, 0, 1) for dj in (-1, 0, 1)):
-                grid.setdefault(key, ([], []))[kind].append(item)
+        reach = 1.01 * h0 / slope
+        side = 0.25 * reach
+        pts = np.array(geo.corner_vertices, dtype=float)
+        span = np.floor(np.hstack([pts - reach, pts + reach]) / side)
+        keys = sorted({key for i0, j0, i1, j1 in span.astype(int).tolist()
+                       for key in itertools.product(range(i0, i1 + 1),
+                                                    range(j0, j1 + 1))})
+        step = 1 + 2 ** 20 // len(pts)  # buckets per chunk of the arrays
+        for start in range(0, len(keys), step):
+            chunk = keys[start:start + step]
+            lo = np.array(chunk, dtype=float)[:, None] * side
+            hi = lo + side
+            # each corner's least and greatest distance to each bucket; the
+            # margin covers a point rounded into the next bucket
+            near = np.hypot(*np.maximum(np.maximum(lo - pts, pts - hi), 0.0).T)
+            far = np.hypot(*np.maximum(abs(pts - lo), abs(pts - hi)).T)
+            keep = near <= np.minimum(reach, 1.000001 * far.min(axis=0))
+            grid.update((key, [tuple(c) for c in pts[k].tolist()])
+                        for key, k in zip(chunk, keep.T) if k.any())
 
     def sizing(x, y):
-        near_holes, near_corners = grid.get(
-            (math.floor(x / side), math.floor(y / side)), ((), ()))
         val = h0
-        if near_holes:
-            sq = [(cx - x) * (cx - x) + (cy - y) * (cy - y)
-                  for cx, cy, _, _ in near_holes]
-            _, _, hh, hr = near_holes[sq.index(min(sq))]
-            # no hole past lim can go below the nearest one's term
-            t = min(h0, hh + 0.7 * max(math.sqrt(min(sq)) - hr, 0.0))
-            lim = (hr_max + max(t - hh_min, 0.0) / 0.7) ** 2 * (1.0 + 1e-9)
-            for s, (cx, cy, hh, hr) in zip(sq, near_holes):
-                if s <= lim:
-                    d = float(np.hypot(cx - x, cy - y))
-                    val = min(val, hh + 0.7 * max(d - hr, 0.0))
-        if near_corners:
-            sq = [(cx - x) * (cx - x) + (cy - y) * (cy - y)
-                  for cx, cy in near_corners]
-            lim = min(sq) * (1.0 + 1e-9)
-            dc = min(float(np.hypot(cx - x, cy - y))
-                     for s, (cx, cy) in zip(sq, near_corners) if s <= lim)
-            val = min(val, max(h_min, slope * dc))
+        gap = max(abs(y - yr) - y_off, 0.0)  # no hole centre is nearer in y
+        if holes and gap * gap < reach2:
+            k = min(max(math.floor((x - x0) / p), k_lo), k_hi)
+            val = lowered(val, x, y, (k, k - 1, k + 1))
+            w2 = radius2(val) - gap * gap
+            # past two periods, those whose hole centres can lie within
+            # sqrt(w2) of x
+            if w2 > 0.0 and k_hi - k_lo > 1:
+                w = math.sqrt(w2)
+                lo = max(math.floor((x - w - x0) / p - 1e-6), k_lo)
+                hi = min(math.floor((x + w - x0) / p + 1e-6), k_hi)
+                if lo < k - 1 or hi > k + 1:
+                    val = lowered(val, x, y, itertools.chain(
+                        range(lo, k - 1), range(k + 2, hi + 1)))
+        near = grid.get((math.floor(x / side), math.floor(y / side))) \
+            if grid else None
+        if near:
+            sq = [(cx - x) * (cx - x) + (cy - y) * (cy - y) for cx, cy in near]
+            m = min(sq)
+            r = slope * math.sqrt(m)
+            if r * (1.0 + 1e-12) < h_min:
+                val = min(val, h_min)
+            elif r * (1.0 - 1e-12) <= val:
+                lim = m * (1.0 + 1e-9)
+                dc = min(float(hypot(cx - x, cy - y))
+                         for s, (cx, cy) in zip(sq, near) if s <= lim)
+                val = min(val, max(h_min, slope * dc))
         return val
 
     return sizing
@@ -637,8 +743,8 @@ def triangulate(geo: GeometrySpec, h0: float) -> Mesh:
     if any(tag == SEAM and tri._seg_key(actual[ia], actual[ib]) not in tri.segs
            for ia, ib, tag in rest.req):
         raise MeshFailure("a seam was split")
-    mesh, remap = _extract(tri)
-    node = np.array([remap.get(v, -1) for v in actual])
+    mesh, node_of = _extract(tri)
+    node = node_of[actual]
 
     nodes, elements = [mesh.nodes], [mesh.elements]
     edges, tags = [mesh.boundary_edges], list(mesh.boundary_tags)
@@ -760,9 +866,9 @@ def _tile_runs(geo: GeometrySpec, tiles: dict, tri: _Triangulation):
     row = geo.row
     k0 = min(tiles)
     x0, x1, y0, y1 = _period_box(row, k0)
-    tile, remap = _extract(tri)
+    tile, node = _extract(tri)
     vertex = np.empty(tile.num_nodes, dtype=np.int64)
-    vertex[list(remap.values())] = list(remap)
+    vertex[node[node >= 0]] = np.flatnonzero(node >= 0)
     # each side's tile nodes, corners included, counter-clockwise; the left
     # and right seams were split in pairs, so they hold the same y's
     x, y = tile.nodes.T
@@ -790,32 +896,33 @@ def _tile_runs(geo: GeometrySpec, tiles: dict, tri: _Triangulation):
 
 
 def _extract(tri: _Triangulation):
-    """The alive triangles as a Mesh, and the map from triangulation vertex
-    to mesh node."""
-    alive = [t for t in range(len(tri.tris)) if tri.status[t] == _ALIVE]
+    """The alive triangles as a Mesh, and each triangulation vertex's mesh
+    node, -1 for a vertex of no alive triangle."""
+    alive = [t for t, st in enumerate(tri.status) if st == _ALIVE]
     if not alive:
         raise MeshFailure("carving removed every triangle")
+    used = np.array([tri.tris[t] for t in alive], dtype=np.int64)
     # mesh nodes numbered in order of first use
-    remap = {}
-    elements = np.array([[remap.setdefault(v, len(remap)) for v in tri.tris[t]]
-                         for t in alive], dtype=np.int64)
-    nodes = np.array([(tri.px[v], tri.py[v]) for v in remap], dtype=float)
+    verts, first = np.unique(used, return_index=True)
+    vertex = verts[np.argsort(first)]
+    node = np.full(len(tri.px), -1, dtype=np.int64)
+    node[vertex] = np.arange(len(vertex))
+    elements = node[used]
+    nodes = np.column_stack([np.array(tri.px)[vertex], np.array(tri.py)[vertex]])
 
-    # adjacency (alive triangle rows) per undirected segment
-    seg_adj = {}
-    for row, t in enumerate(alive):
-        vs = tri.tris[t]
-        for i in range(3):
-            key = tri._seg_key(vs[(i + 1) % 3], vs[(i + 2) % 3])
-            if key in tri.segs:
-                seg_adj.setdefault(key, []).append(row)
+    # the segments that are an edge of an alive triangle
+    n = len(tri.px)
+    ends = np.sort(np.stack([used, np.roll(used, -1, axis=1)], axis=-1), axis=-1)
+    segs = list(tri.segs.items())
+    keys = np.array([key for key, _ in segs], dtype=np.int64).reshape(-1, 2)
+    meshed = np.isin(keys @ [n, 1], ends.reshape(-1, 2) @ [n, 1])
+    node_of = node.tolist()
 
     bedges, btags, slit_items = [], [], []
-    for key, tag in tri.segs.items():
-        rows = seg_adj.get(key, [])
-        if not rows or tag == SEAM or tag in TILE:
+    for ((a, b), tag), edge in zip(segs, meshed.tolist()):
+        if not edge or tag == SEAM or tag in TILE:
             continue  # buried in a carved region, or joined to a tile
-        u, v = (remap[key[0]], remap[key[1]])
+        u, v = node_of[a], node_of[b]
         if tag == SLIT:  # carving gives both its sides one mark
             slit_items.append((u, v))
         else:
@@ -843,4 +950,4 @@ def _extract(tri: _Triangulation):
     areas = mesh.element_areas()
     if np.any(areas <= 0):
         raise MeshFailure("extraction produced a non-positive element")
-    return mesh, remap
+    return mesh, node

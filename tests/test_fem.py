@@ -276,6 +276,15 @@ def test_constrained_values_take_one_load(m):
     np.testing.assert_array_equal(u[fixed], space.dof_coords[fixed, 0])
 
 
+def test_constrained_values_need_a_constraint_pattern():
+    # without a pattern no entry of d is constrained, so d would be dropped
+    space = square_space(0.4, 1)
+    solver = fem.Solver(fem.stiffness(space) + fem.mass(space))
+    b = np.ones(space.ndof)
+    with pytest.raises(ValueError, match="need a constraint pattern"):
+        solver.solve(b, np.full(space.ndof, 5.0))
+
+
 def test_real_operator_complex_load():
     # a real operator is factored in real arithmetic; a complex load and
     # complex constrained values give what the complex-cast system gives

@@ -11,14 +11,15 @@ import pytest
 from helpers import graded_over_period_3
 
 from thinwall import fem
-from thinwall.geometry import (GeometrySpec, _rect_loop, build_cell_geometry,
-                               build_cone_geometry, build_limit_domain,
-                               build_perforated_domain)
+from thinwall.geometry import (GeometrySpec, HoleRow, _add_hole, _rect_loop,
+                               build_cell_geometry, build_cone_geometry,
+                               build_limit_domain, build_perforated_domain)
 from thinwall.nearfield import side_polygon
 from thinwall.params import DomainParams, HoleSpec
-from thinwall.triangulate import (GRADING_SIGMA, MIN_ANGLE_DEG, SEAM, _incircle,
-                                  _make_sizing, _orient, _period_box,
-                                  _sample_edge, _tiled_periods, triangulate)
+from thinwall.triangulate import (_GONE, GRADING_SIGMA, MIN_ANGLE_DEG, SEAM,
+                                  _incircle, _make_sizing, _orient, _orient3,
+                                  _period_box, _sample_edge, _tiled_periods,
+                                  _Triangulation, triangulate)
 
 
 def square_geo():
@@ -187,8 +188,25 @@ def _degenerate_point_sets():
     ]
 
 
+def _cavity_takes(a, b, c, d):
+    """Whether inserting d after a, b and c removes the triangle abc, which
+    insertion's inline incircle filter decides; None if abc is not a
+    triangle or holds d, when no incircle test decides it."""
+    if _orient_oracle(*a, *b, *c) < 0:
+        b, c = c, b
+    tri = _Triangulation(np.min([a, b, c, d], axis=0),
+                         np.max([a, b, c, d], axis=0))
+    ids = {tri.insert(*p) for p in (a, b, c)}
+    t = next((t for t, vs in enumerate(tri.tris)
+              if set(vs) == ids and tri.status[t] != _GONE), None)
+    if t is None or min(_orient3(*a, *b, *c, *d)) >= 0:
+        return None
+    tri.insert(*d)
+    return tri.status[t] == _GONE
+
+
 def test_predicates_match_exact_rational_signs():
-    checked = 0
+    checked = inserted = 0
     for base in _degenerate_point_sets():
         for pts in _with_ulp_moves(base):
             for tri in itertools.combinations(pts, 3):
@@ -197,8 +215,21 @@ def test_predicates_match_exact_rational_signs():
             for quad in (pts, pts[::-1], pts[1:] + pts[:1]):
                 args = [c for p in quad for c in p]
                 assert _sign(_incircle(*args)) == _incircle_oracle(*args), quad
+                # the three orientations of the last point, as locate and
+                # the refinement walk read them, are _orient's own values
+                a, b, c, d = quad
+                assert _orient3(*a, *b, *c, *d) == (
+                    _orient(*b, *c, *d), _orient(*c, *a, *d),
+                    _orient(*a, *b, *d))
+                # insertion's cavity test runs the same filter inline; the
+                # incircle sign flips with abc's orientation
+                takes = _cavity_takes(a, b, c, d)
+                if takes is not None:
+                    inside = _incircle_oracle(*args) * _orient_oracle(*a, *b, *c)
+                    assert takes == (inside > 0), quad
+                    inserted += 1
                 checked += 1
-    assert checked == 3 * 8 * 17
+    assert checked == 3 * 8 * 17 and inserted > 200
 
 
 def test_degenerate_inputs_give_zero():
@@ -239,10 +270,54 @@ def _sizing_oracle(geo, h0):
     return sizing, (hc, hh, hr) if holes else None
 
 
+def _ulps(v, k):
+    """v moved k ulps (k may be negative)."""
+    for _ in range(abs(k)):
+        v = math.nextafter(v, math.copysign(math.inf, k))
+    return v
+
+
+def _edge_probes(geo, h0, holes, rng):
+    """Points where a fast path of the sizing changes over: at a few ulps
+    either way of a hole's plateau radius, of the radius where a corner
+    term reaches its floor h0 sigma^layers, and of the row's period
+    boundaries and its corner buckets' edges."""
+    pts = []
+    if holes is not None:
+        hc, _, hr = holes
+        for i in rng.choice(len(hc), min(len(hc), 64), replace=False):
+            (cx, cy), r = hc[i], hr[i]
+            for a in (0.0, 0.5 * math.pi, rng.uniform(0.0, 2.0 * math.pi)):
+                pts += [(cx + _ulps(r, k) * math.cos(a),
+                         cy + _ulps(r, k) * math.sin(a)) for k in range(-3, 4)]
+            pts += [(_ulps(cx + r, k), cy) for k in range(-3, 4)]
+    if geo.grading_layers:
+        slope = 1.0 - GRADING_SIGMA
+        floor_r = h0 * GRADING_SIGMA ** geo.grading_layers / slope
+        for vx, vy in geo.corner_vertices[:64]:
+            for a in rng.uniform(0.0, 2.0 * math.pi, 2):
+                pts += [(vx + _ulps(floor_r, k) * math.cos(a),
+                         vy + _ulps(floor_r, k) * math.sin(a))
+                        for k in range(-3, 4)]
+            side = 0.25 * 1.01 * h0 / slope
+            k = rng.integers(-5, 6, (8, 2))
+            pts += [(_ulps(i * side, d), _ulps(j * side, d))
+                    for i, j in k + np.floor(np.array([vx, vy]) / side)
+                    for d in (-1, 0, 1)]
+    if geo.row is not None:
+        (x0, y0), p = geo.row.origin, geo.row.period
+        js = range(-2, geo.row.count + 3)
+        for j in rng.choice(js, min(len(js), 64), replace=False):
+            for y in (y0, y0 + 0.3 * p, y0 - p, y0 + rng.uniform(-0.2, 0.2)):
+                pts += [(_ulps(x0 + j * p, d), y) for d in (-1, 0, 1)]
+    return pts
+
+
 def _sizing_probes(geo, h0, holes, rng):
     """About 2,000 points: uniform over the box and past it, every hole
-    centre and corner vertex, each hole's plateau edge and reach, and the
-    bucket edges of a grid sized by the longest reach."""
+    centre and corner vertex, each hole's plateau edge and reach, the
+    bucket edges of a grid sized by the longest reach, and the edges of
+    the sizing's fast paths (_edge_probes)."""
     lo, hi = geo.bbox()
     span = hi - lo
     pts = [tuple(p) for p in rng.uniform(lo - 0.2 * span, hi + 0.2 * span,
@@ -265,11 +340,29 @@ def _sizing_probes(geo, h0, holes, rng):
     pts += [(math.nextafter(x, -math.inf), y) for x, y in edges[:100]]
     pts += [(x, rng.uniform(lo[1], hi[1])) for x, _ in edges[100:200]]
     pts += [(1e3, -1e3), (-1e3, 1e3)]
+    pts += _edge_probes(geo, h0, holes, rng)
     return [(float(x), float(y)) for x, y in pts]
 
 
+def _sparse_row():
+    """A row of period 0.02 with a hole in every fifth period, its centre
+    by one end of it, and one more hole in period 2, far off the row's
+    line: near period 2 the least hole term is two or more periods away,
+    past the three periods about x."""
+    pts, tags = _rect_loop(-1.0, 1.0, -1.0, 1.0, ("GammaN",) * 4)
+    geo = GeometrySpec(loops=[(pts, tags)],
+                       row=HoleRow((-1.0, 0.0), 0.02, 100))
+    ring = 0.005 * np.column_stack([np.cos(_ANG[::2]), np.sin(_ANG[::2])])
+    centres = [(-1.0 + 0.1 * k + (0.0005, 0.0195)[k % 2], 0.0)
+               for k in range(20)]
+    for c in centres + [(-0.95, 0.6)]:
+        _add_hole(geo, ring + c)
+    return geo
+
+
 @pytest.mark.parametrize("name", ["cell", "cone", "limit", "ref 1/8",
-                                  "ref 1/16"])
+                                  "ref 1/16", "ref 1/256", "ref 1/1024",
+                                  "sparse row"])
 def test_sizing_equals_the_rule_over_every_hole_and_corner(name):
     geo, h0 = {
         "cell": (build_cell_geometry(HoleSpec(), 6.0), 0.06),
@@ -278,6 +371,11 @@ def test_sizing_equals_the_rule_over_every_hole_and_corner(name):
         "limit": (build_limit_domain(DomainParams()), 0.04),
         "ref 1/8": (build_perforated_domain(DomainParams(), 1 / 8), 0.05),
         "ref 1/16": (build_perforated_domain(DomainParams(), 1 / 16), 0.05),
+        # rows whose holes are read by period, geometry and sizing only
+        "ref 1/256": (build_perforated_domain(DomainParams(), 1 / 256), 0.05),
+        "ref 1/1024": (build_perforated_domain(DomainParams(), 1 / 1024),
+                       0.05),
+        "sparse row": (_sparse_row(), 0.05),
     }[name]
     oracle, holes = _sizing_oracle(geo, h0)
     sizing = _make_sizing(geo, h0)
@@ -300,16 +398,18 @@ def _mesh_hashes_tool():
 
 
 def test_coarse_meshes_keep_their_hashes():
-    """Node order, elements, boundary edges and tags of four coarse meshes,
+    """Node order, elements, boundary edges and tags of six coarse meshes,
     pinned byte for byte (tools/mesh_hashes.py prints all fourteen).  A
     mesher change that moves them is a change of the study's numbers.  The
     reference and the cone both tile their hole row, the cone's with unit
     period from an origin at -20, its tiled periods from x = -19."""
     tool = _mesh_hashes_tool()
     pins = {("cell", 0.15): "9dfeb3ab707c325d",
+            ("cell", 0.1): "b2791ac52b900c6c",
             ("cone", 0.9): "af02ba20da727697",
             ("limit", 0.08): "fe17d03fbef2837c",
-            ("ref 1/8", 0.1): "21d7819da8064a7e"}
+            ("ref 1/8", 0.1): "21d7819da8064a7e",
+            ("ref 1/16", 0.1): "2cd6baa48a736200"}
     got = {(name, h0): tool.mesh_hash(triangulate(build(), h0))
            for name, h0, build in tool.MESHES if (name, h0) in pins}
     assert got == pins

@@ -11,7 +11,11 @@ is its VmHWM), the full P3 dof count (ndof), residual and flux defect it
 prints, or the last line of its error output if it failed.  The second run
 wraps fem.splu to record each factorisation's order and L+U nnz, and their
 sums: the factored unknowns and the fill.  It runs apart because reading
-L+U nnz copies both factors, which would raise the first run's peak.
+L+U nnz copies both factors, which would raise the first run's peak.  It
+also wraps exact.triangulate with a timer: mesh_seconds, the wall seconds
+of meshing.  The mesh is built before the first factorisation, and L+U are
+read only after each factorisation returns, so that read does not touch
+this timing.
 --src runs another checkout's library against this checkout's config.
 """
 
@@ -29,18 +33,27 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 CHILD = """\
-import json, sys
-from thinwall import cli, fem
+import json, sys, time
+from thinwall import cli, exact, fem
 factors, splu = [], fem.splu
+mesh_seconds, triangulate = [0.0], exact.triangulate
 def recording(A, **kw):
     lu = splu(A, **kw)
     factors.append([A.shape[0], int(lu.L.nnz + lu.U.nnz)])
     return lu
+def timed(*args, **kw):
+    t0 = time.perf_counter()
+    try:
+        return triangulate(*args, **kw)
+    finally:
+        mesh_seconds[0] += time.perf_counter() - t0
 fem.splu = recording
+exact.triangulate = timed
 try:
     rc = cli.main(sys.argv[1:])
 finally:
     print("factors", json.dumps(factors), flush=True)
+    print("mesh_seconds", mesh_seconds[0], flush=True)
 sys.exit(rc)
 """
 
@@ -72,6 +85,8 @@ def row(src, q):
     counted = _run([sys.executable, "-c", CHILD, *args], src)[0]
     factors = json.loads(re.search(r"^factors (.*)$", counted,
                                    re.M).group(1))
+    mesh_seconds = float(re.search(r"^mesh_seconds (.*)$", counted,
+                                   re.M).group(1))
     return {"delta": f"1/{q}",
             "ndof": int(found.group(1)) if found else None,
             "factors": factors,
@@ -80,6 +95,7 @@ def row(src, q):
             "residual": float(found.group(2)) if found else None,
             "flux_defect": float(found.group(3)) if found else None,
             "seconds": round(seconds, 2),
+            "mesh_seconds": round(mesh_seconds, 2),
             "peak_rss_mb": round(peak, 1),
             "error": None if code == 0 else err.strip().splitlines()[-1]}
 

@@ -196,25 +196,31 @@ class _Triangulation:
                     raise MeshFailure("walk left the triangulation")
                 t = nxt
                 continue
-            self.last = t
-            if o0 > 0 and o1 > 0 and o2 > 0:
-                return t, "in", -1
-            zeros = [i for i, o in ((0, o0), (1, o1), (2, o2)) if o == 0]
-            if len(zeros) == 1:
-                return t, "edge", zeros[0]
-            # on a vertex: the vertex opposite the two zero edges' shared edge
-            vloc = ({0, 1, 2} - set(zeros)).pop()
-            return t, "vertex", self.tris[t][vloc]
+            return self._found(t, o0, o1, o2)
         raise MeshFailure("point location did not terminate")
+
+    def _found(self, t, o0, o1, o2):
+        """locate's result for a point whose orientations o0, o1, o2 against
+        the edges of triangle t are none negative; t starts the next walk."""
+        self.last = t
+        if o0 > 0 and o1 > 0 and o2 > 0:
+            return t, "in", -1
+        zeros = [i for i, o in ((0, o0), (1, o1), (2, o2)) if o == 0]
+        if len(zeros) == 1:
+            return t, "edge", zeros[0]
+        # on a vertex: the vertex opposite the two zero edges' shared edge
+        vloc = ({0, 1, 2} - set(zeros)).pop()
+        return t, "vertex", self.tris[t][vloc]
 
     # -- Bowyer-Watson insertion ------------------------------------------------
 
     def _seg_key(self, u, v):
         return (u, v) if u < v else (v, u)
 
-    def insert(self, x, y, hint=None):
-        """Insert point, return its vertex id (existing id if duplicate)."""
-        t, kind, aux = self.locate(x, y, hint)
+    def insert(self, x, y, hint=None, where=None):
+        """Insert point, return its vertex id (existing id if duplicate).
+        where is the point's locate result, if the caller has it."""
+        t, kind, aux = where or self.locate(x, y, hint)
         if kind == "vertex":
             return aux
         tris, adj, segs, status = self.tris, self.adj, self.segs, self.status
@@ -415,12 +421,12 @@ class _Triangulation:
                 continue
             if inserted >= MAX_INSERT:
                 raise MeshFailure("refinement exceeded the insertion budget")
-            blocked, tc = self._walk(t, ux, uy)
+            blocked, where = self._walk(t, ux, uy)
             if blocked is None:
-                blocked = self._encroached(ux, uy, tc)
+                blocked = self._encroached(ux, uy, where[0])
             before = len(tris)
             if blocked is None:
-                self.insert(ux, uy, hint=tc)
+                self.insert(ux, uy, where=where)
             else:
                 u, v = blocked
                 key = self._seg_key(u, v)
@@ -463,10 +469,11 @@ class _Triangulation:
     def _walk(self, t, x, y):
         """Walk from alive triangle t towards the circumcenter (x, y): returns
         ((u, v), None) if constrained segment (u, v) blocks the straight path,
-        else (None, the triangle holding (x, y)), which locate finds if the
-        walk leaves the alive region or runs out of steps.  As in locate,
-        that triangle starts the next walk: the midpoint of a segment split
-        next lies on an edge, and its start picks which triangle it finds.
+        else (None, locate's result for (x, y)), which locate itself gives if
+        the walk leaves the alive region or runs out of steps.  As in locate,
+        the triangle found starts the next walk: the midpoint of a segment
+        split next lies on an edge, and its start picks which triangle it
+        finds.
         """
         tris, adj, segs, status = self.tris, self.adj, self.segs, self.status
         px, py = self.px, self.py
@@ -476,8 +483,7 @@ class _Triangulation:
             o0, o1, o2 = _orient3(px[a], py[a], px[b], py[b], px[c], py[c],
                                   x, y)
             if o0 >= 0 and o1 >= 0 and o2 >= 0:
-                self.last = cur
-                return None, cur
+                return None, self._found(cur, o0, o1, o2)
             worst = min((o0, 0), (o1, 1), (o2, 2))[1]
             u, v = vs[(worst + 1) % 3], vs[(worst + 2) % 3]
             if ((u, v) if u < v else (v, u)) in segs:
@@ -486,7 +492,7 @@ class _Triangulation:
             if nxt == -1 or status[nxt] != _ALIVE:
                 break
             cur = nxt
-        return None, self.locate(x, y, t)[0]
+        return None, self.locate(x, y, t)
 
 
 # -- top-level driver -----------------------------------------------------------

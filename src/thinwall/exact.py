@@ -6,21 +6,15 @@ absorbing Robin conditions du/dn - i k0 u = data on the two vertical ends,
 with the incident wave exp(i k0 (x1 - Lp)) entering from the left end.
 
 The hole row is solved by static condensation of its tiled periods
-(Przemieniecki, AIAA J. 1, 1963).  triangulate lays one meshed tile over
-most periods as translated copies, each with the tile's element order and
-vertex order, so every copy's operator is the tile's.  A copy's seam is
-the dofs it shares with an element outside it: its box edges, where it
-meets the rest of the mesh or the next copy.  Its other dofs, the
-interior, meet no element but its own, so the tile's interior block T_ii
-is factored once and eliminates every copy's interior exactly: the seam
-sees the dense Schur complement T_ss - T_si T_ii^-1 T_is, scattered into
-each copy's seam dofs of the rest's operator.  No tile is loaded, since the
-only datum is on the left end, so the seam's load is b_s and each interior
-is recovered from its seam, u_i = -T_ii^-1 T_is u_s.  SuperLU factors T_ii
-and the reduced system, not the full one.  The algebra is exact, so the
-field is the full system's solve up to round-off; the residual checked is
-the full system's, each copy's coefficients through the tile operator, and
-a load that reached an interior would show there as a residual of b_i.
+(Przemieniecki, AIAA J. 1, 1963), which lives in fem (Tile, Solver).
+triangulate lays one meshed tile over most periods as translated copies,
+each with the tile's element and vertex order, and kdelta_field is
+periodic, so every copy's operator is the tile's volume operator: the
+Robin ends lie outside the row.  solve_exact assembles the operator over
+the rest of the mesh and the tile's over copy 0, and fem eliminates every
+copy's interior.  No tile is loaded, since the only datum is on the left
+end; the residual checked is the full system's, where a load that reached
+an interior would show.
 """
 
 from __future__ import annotations
@@ -29,10 +23,8 @@ import cmath
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import fem
-from .errors import SingularSystem
 from .geometry import build_perforated_domain
 from .params import DomainParams
 from .triangulate import triangulate
@@ -125,23 +117,6 @@ class ExactSolveResult:
         return abs(lhs - rhs) / max(abs(rhs), 1e-300)
 
 
-def _copy_dofs(space: fem.Space):
-    """(copies, seam): each tile copy's dofs, one row per copy in copy 0's
-    sorted order, and which of them lie on the seam, the copy-0 dofs that
-    an element outside copy 0 also touches.  Copies keep the tile's vertex
-    order, so an element's j-th dof is the same point in every copy."""
-    tiles = space.mesh.tiles
-    if not tiles.size:
-        return np.zeros((0, 0), dtype=np.int64), np.zeros(0, dtype=bool)
-    dofs = space.element_dofs[tiles].reshape(len(tiles), -1)
-    _, pos = np.unique(dofs[0], return_index=True)
-    outside = np.ones(space.mesh.num_elements, dtype=bool)
-    outside[tiles[0]] = False
-    touched = np.zeros(space.ndof, dtype=bool)
-    touched[space.element_dofs[outside]] = True
-    return dofs[:, pos], touched[dofs[0, pos]]
-
-
 def solve_exact(p: DomainParams, delta: float, h0: float = 0.05,
                 degree: int = 3, grading: int | None = None,
                 max_dofs: int | None = None) -> ExactSolveResult:
@@ -159,48 +134,16 @@ def solve_exact(p: DomainParams, delta: float, h0: float = 0.05,
         geo = replace(geo, grading_layers=grading)
     mesh = triangulate(geo, h0)
     space = fem.Space(mesh, degree)
-    copies, seam = _copy_dofs(space)
-    inner = copies[:, ~seam]
-    # every copy's interior leaves the reduced system; the tile's is
-    # factored once on its own
-    factored = space.ndof - inner.size + inner.shape[1]
-    if max_dofs is not None and factored > max_dofs:
-        raise ValueError(f"reference at delta={delta:g} factors {factored} "
-                         f"of its {space.ndof} P{degree} dofs, over the cap "
-                         f"of {max_dofs}")
+    tile = fem.Tile(space)
+    if max_dofs is not None and tile.factored > max_dofs:
+        raise ValueError(f"reference at delta={delta:g} factors "
+                         f"{tile.factored} of its {space.ndof} P{degree} "
+                         f"dofs, over the cap of {max_dofs}")
     k2 = kdelta_field(p, delta)
-    in_tile = np.zeros(mesh.num_elements, dtype=bool)
-    in_tile[mesh.tiles] = True
-    A = helmholtz_matrix(space, p, k2, elements=np.flatnonzero(~in_tile))
+    A = helmholtz_matrix(space, p, k2, elements=tile.rest)
+    T = _volume_operator(space, p, k2, tile.elements)
     b = fem.boundary_load(space, "GammaR_minus", incident_robin_load(p))
-    A_red = A
-    if copies.size:
-        T = _volume_operator(space, p, k2, mesh.tiles[0])
-        T = T[copies[0]][:, copies[0]]
-        T_ii, T_is = T[~seam][:, ~seam], T[~seam][:, seam]
-        T_si, T_ss = T[seam][:, ~seam], T[seam][:, seam]
-        ns, nc = T_ss.shape[0], len(copies)
-        X_s, _ = fem.Solver(T_ii).solve(T_is.toarray())  # T_ii^-1 T_is
-        S = T_ss.toarray() - T_si @ X_s
-        outer = copies[:, seam]
-        A_red = A + sp.coo_matrix(
-            (np.tile(S.ravel(), nc),
-             (np.repeat(outer, ns, axis=1).ravel(),
-              np.tile(outer, (1, ns)).ravel())), shape=A.shape).tocsr()
-    keep = np.ones(space.ndof, dtype=bool)
-    keep[inner] = False
-    A_red = A_red[keep][:, keep]
-    u = np.zeros(space.ndof, dtype=complex)
-    u[keep], _ = fem.solve(A_red, b[keep])
-    # A has no column at an interior dof, and the copies add their own
-    r = b - A @ u
-    if copies.size:
-        u[inner] = -(X_s @ u[outer].T).T
-        np.add.at(r, copies, -(T @ u[copies].T).T)
-    residual = float(np.linalg.norm(r) / max(np.linalg.norm(b), 1e-300))
-    if not residual <= fem.RTOL:
-        raise SingularSystem(f"reference residual {residual:.2e} exceeds "
-                             f"{fem.RTOL}")
+    u, residual = fem.solve(A, b, tile=tile, T=T)
     return ExactSolveResult(field=fem.Field(space, u), delta=delta,
-                            ndof=space.ndof, factored=factored,
+                            ndof=space.ndof, factored=tile.factored,
                             residual=residual, degree=degree, params=p)

@@ -18,6 +18,12 @@ the cell polygon mirrored about X1 = 1/2 (side_polygon), loaded with the
 minus side's jump_data.  Sides with the same polygon, as for a hole
 symmetric under X1 -> 1 - X1, share one mesh and one factorisation, and
 each is one load on it.
+
+The cone's row of holes is tiled, as the reference's is, and its copies'
+interiors are condensed onto their seams by fem's static condensation
+(Tile, Solver): the cone passes its stiffness over the rest of the mesh,
+the tile's stiffness and the arc's Dirichlet pattern, which no interior
+touches.  A cone factors twice, the tile's interior and the reduced system.
 """
 
 from __future__ import annotations
@@ -105,8 +111,10 @@ def _build_cone(polygon, theta, Rmax, h0, degree):
     arc_dofs = space.boundary_dofs("Truncation")
     cons = fem.Constraints(space)
     cons.dirichlet(arc_dofs)
-    return _Cone(polygon, space, arc_dofs,
-                 fem.Solver(fem.stiffness(space), cons))
+    tile = fem.Tile(space)
+    solver = fem.Solver(fem.stiffness(space, elements=tile.rest), cons, tile,
+                        fem.stiffness(space, elements=tile.elements))
+    return _Cone(polygon, space, arc_dofs, solver)
 
 
 @dataclass

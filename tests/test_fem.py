@@ -413,6 +413,50 @@ def test_pure_neumann_laplace_is_singular():
     np.testing.assert_allclose(np.linalg.norm(K @ u - b), 0.0, atol=1e-12)
 
 
+def test_superlu_runs_at_one_blas_thread(monkeypatch):
+    # the factorisation and every solve run at one OpenBLAS thread, and the
+    # caller's count is back after each, a failed factorisation's too
+    threads = fem._blas_threads()
+    if threads is None:
+        pytest.skip("SuperLU's OpenBLAS exports no thread count")
+    get, set_ = threads
+    seen, splu = [], fem.splu
+
+    class Counted:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, b):
+            seen.append(("solve", get()))
+            return self.lu.solve(b)
+
+    def counted(A, **kw):
+        seen.append(("factor", get()))
+        return Counted(splu(A, **kw))
+
+    space = square_space(0.4, 2)
+    A = fem.stiffness(space) + fem.mass(space)
+    before = get()
+    set_(2)
+    try:
+        monkeypatch.setattr(fem, "splu", counted)
+        solver = fem.Solver(A)
+        assert get() == 2
+        solver.solve(np.ones(space.ndof))
+        assert get() == 2
+        assert seen == [("factor", 1), ("solve", 1)]
+
+        def failing(*args, **kwargs):
+            raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr(fem, "splu", failing)
+        with pytest.raises(SingularSystem):
+            fem.Solver(A)
+        assert get() == 2
+    finally:
+        set_(before)
+
+
 @pytest.mark.parametrize("message, error", [
     ("SUPERLU_MALLOC fails for buf in doubleMalloc()", FactorOutOfMemory),
     ("Factor is exactly singular", SingularSystem),

@@ -6,8 +6,8 @@ import pytest
 
 from helpers import OddConstants, minus_corner_profiles
 from thinwall import fem, nearfield
-from thinwall.corner import (CornerFrame, lambda_n, solve_angular_profile,
-                             w_base)
+from thinwall.corner import (CornerFrame, lambda_n, mode_profiles,
+                             solve_angular_profile, w_base)
 from thinwall.cutoff import make_cutoff
 from thinwall.errors import ExtractionUnstable
 from thinwall.geometry import ARC_STEP, GeometrySpec, _add_hole
@@ -147,7 +147,8 @@ def test_solve_S_smoke_and_serialization(symmetric_cones):
 
 def test_symmetric_hole_meshes_and_factors_one_cone(symmetric_cones):
     sols, calls = symmetric_cones
-    assert calls == {"triangulate": 1, "splu": 1}
+    # one cone: its tile interior and its reduced system
+    assert calls == {"triangulate": 1, "splu": 2}
     assert sols["minus"].ndof == sols["plus"].ndof
 
 
@@ -155,8 +156,41 @@ def test_asymmetric_hole_meshes_two_cones(monkeypatch):
     calls = _count_cones(monkeypatch)
     sols = solve_S(("plus", "minus"), 1, StubConstants,
                    HoleSpec(center=(0.45, 0.0)), Rmax=20.0, h0=0.6, degree=2)
-    assert calls == {"triangulate": 2, "splu": 2}
+    assert calls == {"triangulate": 2, "splu": 4}
     assert not any(s.reused_factorization for s in sols.values())
+
+
+def test_condensed_cone_equals_the_full_one():
+    # the cone's tiled copies condensed onto their seams, against the whole
+    # stiffness factored at once, under the same arc data
+    cone = nearfield._build_cone(HoleSpec().polygon(), THETA, 20.0, 0.9, 2)
+    space = cone.space
+    assert len(space.mesh.tiles) > 1
+    assert cone.solver.A_red.shape[0] < space.ndof - cone.arc_dofs.size
+    w0, w1 = mode_profiles(1, "plus", StubConstants, THETA)
+    xy = space.dof_coords[cone.arc_dofs]
+    d = np.zeros(space.ndof, dtype=complex)
+    d[cone.arc_dofs] = arc_data(1, CornerFrame("plus", 0.0, THETA), w0, w1,
+                                CUT)(xy[:, 0], xy[:, 1])
+    u, res = cone.solver.solve(0, d)
+    assert res <= 1e-12
+    cons = fem.Constraints(space)
+    cons.dirichlet(cone.arc_dofs)
+    want, _ = fem.solve(fem.stiffness(space), np.zeros(space.ndof), cons, d)
+    assert np.linalg.norm(u - want) <= 1e-10 * np.linalg.norm(want)
+    with pytest.raises(ValueError, match="one load at a time"):
+        cone.solver.solve(np.zeros((space.ndof, 2)))
+
+
+def test_a_constraint_on_a_tile_interior_is_refused():
+    space = nearfield._build_cone(HoleSpec().polygon(), THETA, 20.0, 0.9,
+                                  2).space
+    tile = fem.Tile(space)
+    cons = fem.Constraints(space)
+    cons.dirichlet(tile.inner[1, 0])
+    with pytest.raises(ValueError, match="tile's interior"):
+        fem.Solver(fem.stiffness(space, elements=tile.rest), cons, tile,
+                   fem.stiffness(space, elements=tile.elements))
 
 
 def test_only_the_read_mode_is_gated():

@@ -8,10 +8,10 @@ the repository root, at one BLAS thread:
 The systems are those the benchmark's scaled study factors (cell, cone,
 limit cascade and its two references; perfbench/workloads.py) and the full
 study's references at every delta of configs/study.cfg.  A reference
-factors two, its tile's interior and then its reduced system (exact.py),
-both labelled "reference".  Each reduced
-matrix is written to a temporary directory, then factored REPEATS times by
-fem.Solver in a fresh process per setting; "default" passes no relax or
+and a cone each factor two, their tile's interior and then their reduced
+system (fem.Solver), both labelled "reference" or both "cone".  Each
+matrix is written to a temporary directory, then factored REPEATS times
+by fem.Solver in a fresh process per setting; "default" passes no relax or
 panel size to splu.  A row records the family, delta, the unknowns of the
 factored system (ndof), L+U nnz, the median factor seconds and the
 process's peak RSS, with its RSS before the first factorisation.

@@ -18,17 +18,16 @@ prescribed inter-face jump) is the per-solve vector d.  Every operator here
 is symmetric, so the reduced matrix is factored in its own dtype under a
 minimum-degree ordering of A + A^T (George & Liu, SIAM Review 31, 1989).
 SuperLU (Demmel et al., SIAM J. Matrix Anal. Appl. 20, 1999) factors it
-with two fixed supernode settings, RELAX = 1 and PANEL_SIZE = 8, at one
-OpenBLAS thread.  A mesh's tiled period (Tile) is condensed out before the
-factorisation: each copy's interior is eliminated onto its seam, and the
-tile's interior is factored once for all copies (see Solver).
+with two fixed supernode settings, RELAX = 1 and PANEL_SIZE = 8.  A mesh's
+tiled period (Tile) is condensed out before the factorisation: each copy's
+interior is eliminated onto its seam, and the tile's interior is factored
+once for all copies (see Solver).  Importing fem sets every OpenBLAS to one
+thread (_one_blas_thread).
 """
 
 from __future__ import annotations
 
-import contextlib
 import ctypes
-import functools
 from typing import NamedTuple
 
 import numpy as np
@@ -529,38 +528,33 @@ def paired_dofs(space: Space, tag_a, tag_b, axis):
 
 # -- solving and evaluation ----------------------------------------------------------
 
-@functools.cache
-def _blas_threads():
-    """The get and set functions of the thread count of the OpenBLAS that
-    SuperLU links (scipy's libscipy_openblas), or None where it exports no
-    scipy_openblas_set_num_threads.  dlsym on the module's handle searches
-    the libraries it links."""
-    from scipy.sparse.linalg._dsolve import _superlu
-    try:
-        lib = ctypes.CDLL(_superlu.__file__)
-        get = lib.scipy_openblas_get_num_threads
-        set_ = lib.scipy_openblas_set_num_threads
-    except (OSError, AttributeError):
-        return None
-    get.argtypes, get.restype = [], ctypes.c_int
-    set_.argtypes, set_.restype = [ctypes.c_int], None
-    return get, set_
-
-
-@contextlib.contextmanager
 def _one_blas_thread():
-    """Run SuperLU's BLAS at one thread, restoring the caller's count."""
-    threads = _blas_threads()
-    if threads is None:
-        yield
-        return
-    get, set_ = threads
-    before = get()
-    set_(1)
-    try:
-        yield
-    finally:
-        set_(before)
+    """Set every OpenBLAS that thinwall computes with to one thread: the
+    libscipy_openblas that SuperLU (and scipy.linalg) links, and numpy's
+    64-bit-integer copy.  Called once, when fem is imported; a caller's
+    count is not restored.  dlsym on a module's handle searches the
+    libraries it links, and a library without the symbol is left alone.
+
+    A thread count changes the order of a parallel reduction and so its
+    round-off: at two threads numpy's BLAS moved the study's last digits
+    (cell constants, e-values, slopes), though SuperLU already ran at one.
+    At two threads SuperLU's solves also ran 2 to 4 times slower, such as
+    the tile's 69- to 84-column T_ii solve (0.072 s against 0.018 s), and
+    its factorisations no faster.
+    """
+    from numpy.linalg import _umath_linalg
+    from scipy.sparse.linalg._dsolve import _superlu
+    for mod, name in ((_superlu, "scipy_openblas_set_num_threads"),
+                      (_umath_linalg, "scipy_openblas_set_num_threads64_")):
+        try:
+            set_threads = getattr(ctypes.CDLL(mod.__file__), name)
+        except (OSError, AttributeError):
+            continue
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        set_threads(1)
+
+
+_one_blas_thread()
 
 
 class Tile:
@@ -637,21 +631,15 @@ class Solver:
     no constraint may fix or tie one, and no load may reach one: the
     elimination drops b_i, and a load there shows in the full residual.
 
-    SuperLU factors and solves at one OpenBLAS thread, and the caller's
-    count is restored after.  At two threads its solves ran 2 to 4 times
-    slower, such as the tile's 69- to 84-column T_ii solve (0.072 s against
-    0.018 s), and its factorisations no faster.  numpy's BLAS is another
-    library and keeps its own count.
-
     Supernodes are not relaxed (RELAX = 1), and a panel is PANEL_SIZE = 8
     columns.  SuperLU's default relaxation makes dense supernodes out of
     the small subtrees at the leaves of the elimination tree; on these
     minimum-degree-ordered matrices that leaves L+U as it is and costs time
-    and memory.  At one BLAS thread the reduced system of the study's P3
-    reference at delta = 1/64 (67,335 unknowns of its 242,175 dofs) factors
-    in 0.44 s and 210 MB peak without it and 0.86 s and 275 MB with it
-    (tools/factor_table.py), and the uncondensed 1/128 system (488,135
-    unknowns) 4.1 s without it and 113 s with it.  On the uncondensed
+    and memory.  The reduced system of the study's P3 reference at delta =
+    1/64 (67,335 unknowns of its 242,175 dofs) factors in 0.44 s and 210 MB
+    peak without it and 0.86 s and 275 MB with it (tools/factor_table.py),
+    and the uncondensed 1/128 system (488,135 unknowns) 4.1 s without it
+    and 113 s with it.  On the uncondensed
     systems panels of 2 to 12 columns took about the same time, and a wider
     one more memory; panel 4 peaked 1 to 5 % lower than 8 but factored
     four of nine slower, so the panel stays at 8.  SuperLU needs RELAX <=
@@ -685,11 +673,10 @@ class Solver:
                       else (self.Q.T @ (A @ self.Q)).tocsc())
         del A
         try:
-            with _one_blas_thread():
-                self.lu = splu(self.A_red, permc_spec="MMD_AT_PLUS_A",
-                               diag_pivot_thresh=0.01, relax=RELAX,
-                               panel_size=PANEL_SIZE,
-                               options=dict(SymmetricMode=True))
+            self.lu = splu(self.A_red, permc_spec="MMD_AT_PLUS_A",
+                           diag_pivot_thresh=0.01, relax=RELAX,
+                           panel_size=PANEL_SIZE,
+                           options=dict(SymmetricMode=True))
         except RuntimeError as exc:
             # SuperLU reports a failed allocation as "... malloc fails ..."
             # or "... memory ...", and a zero pivot as "... singular"
@@ -738,17 +725,15 @@ class Solver:
             if self.tile is not None:
                 f = f - _on_copies(self.S, self.tile.outer, d)
         b_red = f if self.Q is None else self.Q.T @ f
-        with _one_blas_thread():
-            if np.iscomplexobj(self.A_red) or not np.iscomplexobj(b_red):
-                x = self.lu.solve(b_red)
-            else:
-                # SuperLU does not cast a complex load to a real factor's
-                # dtype; viewed as floats, a load's real and imaginary parts
-                # are columns
-                parts = np.ascontiguousarray(b_red).view(float)
-                parts = self.lu.solve(parts.reshape(b_red.shape[0], -1))
-                x = np.ascontiguousarray(parts).view(complex).reshape(
-                    b_red.shape)
+        if np.iscomplexobj(self.A_red) or not np.iscomplexobj(b_red):
+            x = self.lu.solve(b_red)
+        else:
+            # SuperLU does not cast a complex load to a real factor's dtype;
+            # viewed as floats, a load's real and imaginary parts are columns
+            parts = np.ascontiguousarray(b_red).view(float)
+            parts = self.lu.solve(parts.reshape(b_red.shape[0], -1))
+            x = np.ascontiguousarray(parts).view(complex).reshape(
+                b_red.shape)
         r = self.A_red @ x
         r -= b_red
         res = np.linalg.norm(r) / max(np.linalg.norm(b_red), 1e-300)

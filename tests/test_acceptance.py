@@ -78,7 +78,7 @@ def test_1_convergence_slopes(tmp_path):
         parts.append(f"{name}={s:.3f}" + ("" if good
                                           else f" (outside [{lo},{hi}])"))
     # the sweep reproduces the committed report/report.csv: the same dofs,
-    # and errors to its 12 printed digits (BLAS threads move only the last)
+    # and errors to its 12 printed digits, up to round-off
     committed = read_report_csv(Path(__file__).resolve().parents[1]
                                 / "report" / "report.csv")
     same = len(committed) == len(rep.rows) and all(

@@ -297,9 +297,10 @@ def test_out_names_the_file_written(tmp_path, capsys):
     assert np.load(path)["degree"] == 2
 
 
-def _openblas_threads(code, env_value):
-    """OPENBLAS_NUM_THREADS as seen when code, run in a fresh interpreter,
-    first imports numpy, and as code leaves it: {"numpy": .., "after": ..}."""
+def _openblas_threads(code):
+    """OPENBLAS_NUM_THREADS as seen when code, run in a fresh interpreter
+    with the variable unset, first imports numpy, and as code leaves it:
+    {"numpy": .., "after": ..}."""
     spy = (
         "import os, sys\n"
         "class Spy:\n"
@@ -312,34 +313,15 @@ def _openblas_threads(code, env_value):
     env = {k: v for k, v in os.environ.items()
            if k != "OPENBLAS_NUM_THREADS"}
     env["PYTHONPATH"] = str(ROOT / "src")
-    if env_value is not None:
-        env["OPENBLAS_NUM_THREADS"] = env_value
     out = subprocess.run([sys.executable, "-c", spy + code + after],
                          env=env, capture_output=True, text=True, check=True)
     return dict(line.split() for line in out.stdout.splitlines()
                 if line.startswith(("numpy ", "after ")))
 
 
-# `python -m thinwall cell-constants --help`, which loads the whole CLI
-CLI_RUN = ("import runpy\n"
-           "sys.argv = ['thinwall', 'cell-constants', '--help']\n"
-           "try:\n"
-           "    runpy.run_module('thinwall', run_name='__main__')\n"
-           "except SystemExit:\n"
-           "    pass\n")
-
-
-def test_cli_pins_one_blas_thread_when_unset():
-    assert _openblas_threads(CLI_RUN, None) == {"numpy": "1", "after": "1"}
-
-
-def test_cli_keeps_a_set_blas_thread_count():
-    assert _openblas_threads(CLI_RUN, "2") == {"numpy": "2", "after": "2"}
-
-
 def test_library_import_leaves_blas_threads_alone():
-    assert _openblas_threads("import thinwall, thinwall.cli\n", None) \
-        == {"numpy": "None", "after": "None"}
+    code = "import thinwall, thinwall.cli, thinwall.fem\n"
+    assert _openblas_threads(code) == {"numpy": "None", "after": "None"}
 
 
 def test_cli_import_leaves_spline_and_optimize_unloaded():

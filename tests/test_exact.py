@@ -1,5 +1,7 @@
 import cmath
+import importlib.util
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -125,3 +127,32 @@ def test_perforated_solve_flux_balance():
     assert res.residual <= 1e-10
     # energy bookkeeping holds discretely regardless of mesh resolution
     assert res.flux_balance() < 1e-10
+
+
+def _reference_table_tool():
+    path = Path(__file__).resolve().parents[1] / "tools" / "reference_table.py"
+    spec = importlib.util.spec_from_file_location("reference_table", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
+def test_reference_table_reports_a_failed_counting_run(monkeypatch):
+    # the plain run solved; the counting run died reading L+U after the
+    # tile's factorisation, so its partial counts are no row's counts
+    tool = _reference_table_tool()
+    runs = iter([
+        ("ndof 6766352  factored 711107  residual 1.2e-12  "
+         "flux-balance defect 1.6e-15\n", "", 0, 45.5, 3333.0),
+        ("factors [[2961, 180000]]\nmesh_seconds 31.7\n",
+         "Traceback (most recent call last):\n  ...\n"
+         "numpy._core._exceptions._ArrayMemoryError: Unable to allocate "
+         "687. MiB\n", 1, 50.0, 3400.0)])
+    monkeypatch.setattr(tool, "_run", lambda cmd, src: next(runs))
+    row = tool.row("src", 2048)
+    assert (row["factors"], row["factored"], row["lu_nnz"]) \
+        == (None, None, None)
+    assert row["error"] == ("counting run: numpy._core._exceptions."
+                            "_ArrayMemoryError: Unable to allocate 687. MiB")
+    assert (row["ndof"], row["residual"], row["mesh_seconds"]) \
+        == (6766352, 1.2e-12, 31.7)

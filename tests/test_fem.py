@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -413,48 +417,41 @@ def test_pure_neumann_laplace_is_singular():
     np.testing.assert_allclose(np.linalg.norm(K @ u - b), 0.0, atol=1e-12)
 
 
-def test_superlu_runs_at_one_blas_thread(monkeypatch):
-    # the factorisation and every solve run at one OpenBLAS thread, and the
-    # caller's count is back after each, a failed factorisation's too
-    threads = fem._blas_threads()
-    if threads is None:
-        pytest.skip("SuperLU's OpenBLAS exports no thread count")
-    get, set_ = threads
-    seen, splu = [], fem.splu
+def _at_blas_threads(code, threads):
+    """The stdout of code run in a fresh interpreter at
+    OPENBLAS_NUM_THREADS=threads."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True).stdout
 
-    class Counted:
-        def __init__(self, lu):
-            self.lu = lu
 
-        def solve(self, b):
-            seen.append(("solve", get()))
-            return self.lu.solve(b)
+def test_fem_import_sets_every_openblas_to_one_thread():
+    # SuperLU's libscipy_openblas and numpy's 64-bit copy, whatever the
+    # variable says
+    out = _at_blas_threads(
+        "import ctypes\n"
+        "from numpy.linalg import _umath_linalg\n"
+        "from scipy.sparse.linalg._dsolve import _superlu\n"
+        "import thinwall.fem\n"
+        "for mod, name in ((_superlu, 'scipy_openblas_get_num_threads'),\n"
+        "                  (_umath_linalg,\n"
+        "                   'scipy_openblas_get_num_threads64_')):\n"
+        "    get = getattr(ctypes.CDLL(mod.__file__), name, None)\n"
+        "    print(name, 'absent' if get is None else get())\n", 2)
+    threads = dict(line.split() for line in out.splitlines())
+    if "absent" in threads.values():
+        pytest.skip(f"an OpenBLAS exports no thread count: {threads}")
+    assert set(threads.values()) == {"1"}
 
-    def counted(A, **kw):
-        seen.append(("factor", get()))
-        return Counted(splu(A, **kw))
 
-    space = square_space(0.4, 2)
-    A = fem.stiffness(space) + fem.mass(space)
-    before = get()
-    set_(2)
-    try:
-        monkeypatch.setattr(fem, "splu", counted)
-        solver = fem.Solver(A)
-        assert get() == 2
-        solver.solve(np.ones(space.ndof))
-        assert get() == 2
-        assert seen == [("factor", 1), ("solve", 1)]
-
-        def failing(*args, **kwargs):
-            raise RuntimeError("Factor is exactly singular")
-
-        monkeypatch.setattr(fem, "splu", failing)
-        with pytest.raises(SingularSystem):
-            fem.Solver(A)
-        assert get() == 2
-    finally:
-        set_(before)
+def test_cell_constants_do_not_depend_on_openblas_num_threads():
+    code = ("import math\n"
+            "from thinwall.cell import build_cell, compute_constants\n"
+            "from thinwall.params import HoleSpec\n"
+            "cell = build_cell(HoleSpec(), T=6.0, h0=0.15, degree=3)\n"
+            "print(repr(compute_constants(cell, 5 * math.pi).as_dict()))\n")
+    assert _at_blas_threads(code, 1) == _at_blas_threads(code, 2)
 
 
 @pytest.mark.parametrize("message, error", [

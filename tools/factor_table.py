@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Factor every sparse system of the convergence study with SuperLU, at
 fem.Solver's supernode settings and at SuperLU's default ones.  Run from
-the repository root, at one BLAS thread:
+the repository root:
 
-    OPENBLAS_NUM_THREADS=1 python3 tools/factor_table.py > factors.json
+    python3 tools/factor_table.py > factors.json
 
 The systems are those the benchmark's scaled study factors (cell, cone,
 limit cascade and its two references; perfbench/workloads.py) and the full
@@ -129,9 +129,7 @@ def table(out_dir):
             rows.append(row)
     return {"machine": {"python": platform.python_version(),
                         "numpy": np.__version__, "scipy": scipy.__version__,
-                        "cpus": os.cpu_count(),
-                        "OPENBLAS_NUM_THREADS":
-                            os.environ.get("OPENBLAS_NUM_THREADS")},
+                        "cpus": os.cpu_count()},
             "repeats": REPEATS,
             "settings": {name: {"relax": relax or None,
                                 "panel_size": panel or None}

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Measure `thinwall solve-exact` on the study's references, fresh
-processes per delta.  Run from the repository root, at one BLAS thread:
+processes per delta.  Run from the repository root:
 
-    OPENBLAS_NUM_THREADS=1 python3 tools/reference_table.py 8 16 32 > refs.json
+    python3 tools/reference_table.py 8 16 32 > refs.json
 
 Each argument q runs `solve-exact --config configs/study.cfg --delta 1/q`
 (P3 at exact_h0 0.05) with the dof cap lifted, twice.  The first run is the
@@ -11,7 +11,8 @@ is its VmHWM), the full P3 dof count (ndof), residual and flux defect it
 prints, or the last line of its error output if it failed.  The second run
 wraps fem.splu to record each factorisation's order and L+U nnz, and their
 sums: the factored unknowns and the fill.  It runs apart because reading
-L+U nnz copies both factors, which would raise the first run's peak.  It
+L+U nnz copies both factors, which would raise the first run's peak.  If
+it fails, these three are null and the row's error is its last line.  It
 also wraps exact.triangulate with a timer: mesh_seconds, the wall seconds
 of meshing.  The mesh is built before the first factorisation, and L+U are
 read only after each factorisation returns, so that read does not touch
@@ -75,6 +76,12 @@ def _run(cmd, src):
                 usage.ru_maxrss / 1024.0)
 
 
+def _last_line(err, code):
+    """The last line of a failed run's error output."""
+    lines = err.strip().splitlines()
+    return lines[-1] if lines else f"exit code {code}"
+
+
 def row(src, q):
     args = ["solve-exact", "--config", str(ROOT / "configs" / "study.cfg"),
             "--delta", f"1/{q}", "--max-dofs", str(10 ** 9)]
@@ -82,22 +89,31 @@ def row(src, q):
         [sys.executable, "-m", "thinwall", *args], src)
     found = re.search(r"ndof (\d+).*residual (\S+)\s+flux-balance defect "
                       r"(\S+)", out)
-    counted = _run([sys.executable, "-c", CHILD, *args], src)[0]
-    factors = json.loads(re.search(r"^factors (.*)$", counted,
-                                   re.M).group(1))
-    mesh_seconds = float(re.search(r"^mesh_seconds (.*)$", counted,
-                                   re.M).group(1))
+    counted, counted_err, counted_code, _, _ = _run(
+        [sys.executable, "-c", CHILD, *args], src)
+    factors = error = None
+    if counted_code == 0:
+        factors = json.loads(re.search(r"^factors (.*)$", counted,
+                                       re.M).group(1))
+    else:
+        error = "counting run: " + _last_line(counted_err, counted_code)
+    if code != 0:
+        error = _last_line(err, code)
+    mesh_seconds = re.search(r"^mesh_seconds (.*)$", counted, re.M)
     return {"delta": f"1/{q}",
             "ndof": int(found.group(1)) if found else None,
             "factors": factors,
-            "factored": sum(n for n, _ in factors),
-            "lu_nnz": sum(nnz for _, nnz in factors),
+            "factored": (sum(n for n, _ in factors) if factors is not None
+                         else None),
+            "lu_nnz": (sum(nnz for _, nnz in factors) if factors is not None
+                       else None),
             "residual": float(found.group(2)) if found else None,
             "flux_defect": float(found.group(3)) if found else None,
             "seconds": round(seconds, 2),
-            "mesh_seconds": round(mesh_seconds, 2),
+            "mesh_seconds": (round(float(mesh_seconds.group(1)), 2)
+                             if mesh_seconds else None),
             "peak_rss_mb": round(peak, 1),
-            "error": None if code == 0 else err.strip().splitlines()[-1]}
+            "error": error}
 
 
 def main():
@@ -111,9 +127,7 @@ def main():
         rows.append(row(args.src, q))
         print(json.dumps(rows[-1]), file=sys.stderr, flush=True)
     print(json.dumps({"machine": {"python": platform.python_version(),
-                                  "cpus": os.cpu_count(),
-                                  "OPENBLAS_NUM_THREADS":
-                                      os.environ.get("OPENBLAS_NUM_THREADS")},
+                                  "cpus": os.cpu_count()},
                       "rows": rows}, indent=1))
 
 

@@ -1,10 +1,9 @@
 #!/usr/bin/env python3
 """Print the benchmark's scaled convergence study to every digit (repr):
 its rows, its slopes, L_{-1} of each corner and the cell's effective
-constants.  Run from the repository
-root, at one BLAS thread:
+constants.  Run from the repository root:
 
-    OPENBLAS_NUM_THREADS=1 python3 tools/study_repr.py
+    python3 tools/study_repr.py
 
 The scale is perfbench/workloads.py's.  A change that is meant to leave the
 numbers alone must leave this output unchanged.
